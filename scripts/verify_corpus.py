@@ -13,7 +13,7 @@ from scavenger.cli import dispatch
 
 EXPECTED = {
     "t22_vertices.txt": 0,
-    "t22_seed.txt": 0,
+    "t22_seed.txt": 1,  # a 5-cycle is 3-colorable
     "t22_direct.cert": 0,
     "t34_order25.cert": 0,
     "t34_order25_uncorrected.cert": 1,

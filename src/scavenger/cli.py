@@ -2,8 +2,9 @@
 
 Reports use a stable line grammar — `CHECK <name> PASS|FAIL|WARN <detail>`
 lines followed by a `VERDICT` line — so runs can be diffed.  Exit codes:
-0 pass, 1 fail, 2 pass with warnings, 64 usage or malformed input.  Worker
-counts never change output bytes; `SCAVENGER_WORKERS` overrides `--workers`.
+0 pass, 1 fail, 2 pass with warnings, 64 usage or malformed input, 70
+internal error.  Worker counts never change output bytes;
+`SCAVENGER_WORKERS` overrides `--workers`.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_WARN = 2
 EXIT_USAGE = 64
+EXIT_INTERNAL = 70
 
 
 # --- file ingestion ---------------------------------------------------------------
@@ -201,10 +203,10 @@ def _int_t(t: Rational, context: str) -> int:
     return int(t)
 
 
-def _emit_certificate(cert: Certificate, cfg: RunConfig) -> int:
-    report = verify_certificate(cert)
+def _emit_certificate(cert: Certificate, report: Report, cfg: RunConfig) -> int:
+    """Print `report`, the one verification of `cert`, and write `cert` to --out."""
     if report.failed:
-        raise RuntimeError("internal error: a hunt emitted a certificate that fails verification")
+        raise RuntimeError("a hunt emitted a certificate that fails verification")
     sys.stdout.write(report.render())
     if cfg.out:
         write_certificate(cert, cfg.out)
@@ -226,7 +228,7 @@ def _cmd_hunt_greedy(args) -> int:
     g = result.graph
     sys.stdout.write(f"HUNT PASS order={g.order} edges={len(g.edges)} iterations={result.iterations}\n")
     cert = Certificate("direct-chromatic", t, g.vertices, tuple(sorted(g.edges)), {})
-    return _emit_certificate(cert, cfg)
+    return _emit_certificate(cert, verify_certificate(cert), cfg)
 
 
 def _cmd_hunt_grotzsch_type(args) -> int:
@@ -241,9 +243,9 @@ def _cmd_hunt_grotzsch_type(args) -> int:
     if out is None:
         sys.stdout.write(f"HUNT FAIL height={cfg.height}\n")
         return EXIT_FAIL
-    _, cert = out
+    _, cert, report = out
     sys.stdout.write("HUNT PASS order=25\n")
-    return _emit_certificate(cert, cfg)
+    return _emit_certificate(cert, report, cfg)
 
 
 def _cmd_hunt_grotzsch_subgraph(args) -> int:
@@ -255,14 +257,14 @@ def _cmd_hunt_grotzsch_subgraph(args) -> int:
         return EXIT_FAIL
     sys.stdout.write(f"cycle d={format_rational(Fraction(sym.base_dist_sq))}\n")
     params = farey_parameters(cfg.height)
-    cert = grotzsch_subgraph_hunt(
+    found = grotzsch_subgraph_hunt(
         t, sym, [(a, b) for a in params for b in params], workers=cfg.workers
     )
-    if cert is None:
+    if found is None:
         sys.stdout.write(f"HUNT FAIL height={cfg.height}\n")
         return EXIT_FAIL
     sys.stdout.write("HUNT PASS order=10\n")
-    return _emit_certificate(cert, cfg)
+    return _emit_certificate(*found, cfg)
 
 
 def _cmd_find_cycle(args) -> int:
@@ -447,6 +449,9 @@ def dispatch(argv) -> int:
     except (ValueError, UnsolvableFormError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    except (AssertionError, RuntimeError) as exc:
+        sys.stderr.write(f"internal error: {str(exc) or type(exc).__name__}\n")
+        return EXIT_INTERNAL
 
 
 def main() -> int:

@@ -7,8 +7,8 @@ forces a fourth color, and a device built from a symmetric 5-cycle that
 forces two vertices to share a color at a squared distance meeting the
 additive-closure membership criteria.
 
-Every search result is round-tripped through `verify_certificate` before it
-is handed back; the verifier itself never trusts a claim it can recompute.
+Every search result is verified once by `verify_certificate` and handed back
+with its report; the verifier itself never trusts a claim it can recompute.
 """
 
 from __future__ import annotations
@@ -304,12 +304,12 @@ def grotzsch_type_hunt(
     parameter_list=None,
     *,
     workers: int = 1,
-) -> tuple[GrotzschTypeGraph, Certificate] | None:
+) -> tuple[GrotzschTypeGraph, Certificate, Report] | None:
     """Decorate a 5-cycle into the order-25 graph: for each i, search
     parameter triples for rational points on the circles about
     (v_{i-2}, v_i), (v_{i-1}, v_{i+1}), (v_i, v_{i+2}) admitting a rational
-    apex at √t over all three.  Success for all five i yields the graph and
-    a structural certificate."""
+    apex at √t over all three.  Success for all five i yields the graph, a
+    structural certificate and its verification report."""
     t = int(t)
     if not is_5cycle(cycle, t):
         raise ValueError("cycle must be a 5-cycle at the target squared distance")
@@ -354,7 +354,7 @@ def grotzsch_type_hunt(
     if report.failed:
         logger.info("assembled graph failed verification:\n%s", report.render())
         return None
-    return graph, cert
+    return graph, cert, report
 
 
 # --- the forced-pair device --------------------------------------------------------------
@@ -422,13 +422,14 @@ def grotzsch_subgraph_hunt(
     parameter_pairs=None,
     *,
     workers: int = 1,
-) -> Certificate | None:
+) -> tuple[Certificate, Report] | None:
     """From a symmetric 5-cycle, search for y0 (equidistant from x4, x1) and
     y1 (equidistant from x0, x2) admitting a rational z at √t from both on
     the mirror plane; y3, y4 are the mirror images of y1, y0.  The squared
     distance |x2-z|² meeting the membership criteria yields a certificate
     directly; otherwise the circle about (x1, x3) must have squared radius
-    with denominator ≡ 2 (mod 4), certifying via the antipodal distance."""
+    with denominator ≡ 2 (mod 4), certifying via the antipodal distance.
+    Returns the certificate with its verification report."""
     t = int(t)
     if sym.t != t:
         raise ValueError(f"cycle was built for t={sym.t}, not {t}")
@@ -459,14 +460,16 @@ def grotzsch_subgraph_hunt(
             return None
         y0, y1, z_candidates = _device_z(chart0, chart1, t, sym.plane, hit)
         for z in z_candidates:
-            cert = _assemble_device(t, sym, y0, y1, z)
-            if cert is not None:
-                return cert
+            found = _assemble_device(t, sym, y0, y1, z)
+            if found is not None:
+                return found
         remaining = remaining[remaining.index(hit) + 1 :]
     return None
 
 
-def _assemble_device(t: int, sym: SymCycle, y0: QPoint3, y1: QPoint3, z: QPoint3) -> Certificate | None:
+def _assemble_device(
+    t: int, sym: SymCycle, y0: QPoint3, y1: QPoint3, z: QPoint3
+) -> tuple[Certificate, Report] | None:
     y4 = reflect_point(y0, sym.plane)
     y3 = reflect_point(y1, sym.plane)
     pts = (sym.x0, sym.x1, sym.x2, sym.x3, sym.x4, y0, y1, y3, y4, z)
@@ -493,7 +496,7 @@ def _assemble_device(t: int, sym: SymCycle, y0: QPoint3, y1: QPoint3, z: QPoint3
     if report.failed:
         logger.info("assembled device failed verification:\n%s", report.render())
         return None
-    return cert
+    return cert, report
 
 
 # --- certificates -----------------------------------------------------------------------
@@ -550,6 +553,8 @@ def parse_certificate(text: str) -> Certificate:
         t = int(parts[2][2:])
     except ValueError:
         raise ValueError(f"line {lines[0][0]}: t must be an integer") from None
+    if t < 1:
+        raise ValueError(f"line {lines[0][0]}: t must be positive, got {t}")
     section = None
     points: list[QPoint3] = []
     edges: list[tuple[int, int]] = []
@@ -662,7 +667,7 @@ def _chain_check(t: int, h: Rational) -> Check:
         chain = construct_chain(target, h)
     except (ValueError, UnsolvableFormError) as exc:
         return Check("chain", "FAIL", f"no step decomposition: {exc}")
-    chain.validate()
+    # construct_chain validated the runs exactly; N is the sum of multiplicities
     return Check(
         "chain",
         "PASS",
@@ -877,6 +882,17 @@ def _verify_h_device(cert: Certificate) -> list[Check]:
                       f"claimed h {format_rational(claimed_h)} != recomputed {format_rational(h_direct)}")
             )
     else:
+        span = dist_sq(pts[1], pts[3])
+        if span > 4 * cert.t:
+            checks.append(
+                Check(
+                    "radius",
+                    "FAIL",
+                    f"x1 and x3 are at squared distance {format_rational(span)} > 4t; "
+                    f"no point lies at squared distance {cert.t} from both",
+                )
+            )
+            return checks
         s_circle = equidistant_circle(pts[1], pts[3], cert.t)
         rho = s_circle.radius_sq
         detail = (

@@ -8,7 +8,9 @@ for step sets, and embeddability tests for isosceles triangles in Q^3.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -287,21 +289,56 @@ def antipodal_dist_sq(radius_sq: Fraction) -> Fraction:
     return Fraction(2 * radius_sq.numerator, radius_sq.denominator // 2)
 
 
+class ChainSteps(Sequence):
+    """Read-only view of a run-length walk: each `(step, k)` run expands to
+    k copies of `step`, in run order, without materializing the walk."""
+
+    __slots__ = ("_runs",)
+
+    def __init__(self, runs: tuple[tuple[QVec3, int], ...]):
+        self._runs = runs
+
+    def __len__(self) -> int:
+        return sum(k for _, k in self._runs)
+
+    def __getitem__(self, i: int) -> QVec3:
+        if i < 0:
+            i += len(self)
+        if i >= 0:
+            for step, k in self._runs:
+                if i < k:
+                    return step
+                i -= k
+        raise IndexError("chain step index out of range")
+
+    def __iter__(self):
+        for step, k in self._runs:
+            yield from itertools.repeat(step, k)
+
+
 @dataclass(frozen=True)
 class ChainCertificate:
     """A finite walk of exact steps, all of one squared length, from the
-    origin to `target`."""
+    origin to `target`, stored as `(step, multiplicity)` runs in walk order."""
 
     target: QVec3
     step_norm_sq: Fraction
-    steps: tuple[QVec3, ...]
+    runs: tuple[tuple[QVec3, int], ...]
+
+    @property
+    def steps(self) -> ChainSteps:
+        return ChainSteps(self.runs)
 
     def validate(self) -> None:
+        """Exact check in O(runs): every run has a positive multiplicity and a
+        step of the right squared length, and the runs sum to the target."""
         total = vec(0, 0, 0)
-        for i, s in enumerate(self.steps):
+        for i, (s, k) in enumerate(self.runs):
+            if k < 1:
+                raise AssertionError(f"run {i} has multiplicity {k}")
             if norm_sq(s) != self.step_norm_sq:
-                raise AssertionError(f"step {i} has squared length {norm_sq(s)}")
-            total = total + s
+                raise AssertionError(f"run {i} has step squared length {norm_sq(s)}")
+            total = total + s.scale(k)
         if total != self.target:
             raise AssertionError(f"chain sums to {total}, not {self.target}")
 
@@ -401,8 +438,6 @@ def _even_moves(w: tuple[int, int, int], rep: tuple[int, int, int]) -> list[tupl
 
 def _parity_permutation(rep: tuple[int, int, int], target_parity: tuple[int, int, int]) -> tuple[int, ...]:
     """First permutation sigma (lexicographic) with rep[sigma[i]] = target_parity[i] mod 2."""
-    import itertools
-
     for sigma in itertools.permutations(range(3)):
         if all(rep[sigma[i]] % 2 == target_parity[i] for i in range(3)):
             return sigma
@@ -427,7 +462,7 @@ def construct_chain(v: QVec3, h: Fraction) -> ChainCertificate:
     if not phi_criteria(h):
         raise ValueError(f"criteria fail for step squared length {h}; no chain is promised")
     if t == h:
-        cert = ChainCertificate(v, h, (v,))
+        cert = ChainCertificate(v, h, ((v, 1),))
         cert.validate()
         return cert
 
@@ -468,12 +503,13 @@ def construct_chain(v: QVec3, h: Fraction) -> ChainCertificate:
         rest = tuple(u[i] - reached[i] for i in range(3))
         atom_moves.extend(_even_moves(rest, rep))  # type: ignore[arg-type]
 
+    # each atom move is k equal micro-steps of squared length h
     denom = k * d
-    steps: list[QVec3] = []
-    for w in atom_moves:
-        micro = QVec3(Fraction(w[0], denom), Fraction(w[1], denom), Fraction(w[2], denom))
-        steps.extend([micro] * k)
-    cert = ChainCertificate(v, h, tuple(steps))
+    runs = tuple(
+        (QVec3(Fraction(w[0], denom), Fraction(w[1], denom), Fraction(w[2], denom)), k)
+        for w in atom_moves
+    )
+    cert = ChainCertificate(v, h, runs)
     cert.validate()
     return cert
 

@@ -7,7 +7,15 @@ import pytest
 
 from scavenger import cli
 from scavenger.cycles import is_5cycle
-from scavenger.hunts import read_certificate, verify_certificate
+from scavenger.hunts import (
+    Certificate,
+    Check,
+    Report,
+    read_certificate,
+    verify_certificate,
+    write_certificate,
+)
+from scavenger.numtheory import ChainCertificate
 from scavenger.qcore import dist_sq, parse_point
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -118,6 +126,99 @@ def test_verify_uncorrected_table_fails(capsys):
     assert "v0-X4=41" in out
     assert "v3-X4=41" in out
     assert "VERDICT FAIL" in out
+
+
+FRESH_DEVICE_30 = """\
+certificate h-device t=30
+[vertices]
+0 0 0
+2 11/5 -23/5
+1 5 0
+56/15 217/75 -319/75
+5 2 1
+7 21/5 -18/5
+13/3 26/15 43/15
+0 0 2
+-19/15 67/75 -394/75
+490/257 919/257 -433/257
+[edges]
+0 1
+0 4
+0 6
+0 8
+1 2
+1 5
+2 3
+2 6
+2 7
+3 4
+3 8
+4 5
+4 7
+5 9
+6 9
+7 9
+8 9
+[data]
+h=1462/257
+z=490/257 919/257 -433/257
+"""
+
+
+def test_verify_fresh_device_reports_exact_chain_length(capsys, tmp_path):
+    f = tmp_path / "device.cert"
+    f.write_text(FRESH_DEVICE_30)
+    code, out, err = run(capsys, "verify", str(f))
+    assert code == 0
+    assert err == ""
+    lines = out.splitlines()
+    assert (
+        "CHECK chain PASS vector of squared norm 30 reached in 189409 steps "
+        "of squared length 1462/257"
+    ) in lines
+    assert lines[-1] == "VERDICT PASS"
+
+
+def test_verify_device_with_far_apart_x1_x3_fails(capsys, tmp_path):
+    cert = read_certificate(DATA / "t30_device.cert")
+    pts = list(cert.points)
+    pts[3] = parse_point("100 100 100")
+    f = tmp_path / "far.cert"
+    write_certificate(Certificate(cert.kind, cert.t, tuple(pts), cert.edges, cert.data), f)
+    code, out, err = run(capsys, "verify", str(f))
+    assert code == 1
+    assert err == ""
+    assert "CHECK h-edges FAIL" in out
+    assert (
+        "CHECK radius FAIL x1 and x3 are at squared distance 29630 > 4t; "
+        "no point lies at squared distance 30 from both"
+    ) in out.splitlines()
+    assert out.endswith("VERDICT FAIL\n")
+
+
+@pytest.mark.parametrize("message,shown", [("boom", "boom"), ("", "AssertionError")])
+def test_internal_error_exits_70(capsys, monkeypatch, message, shown):
+    def broken(self):
+        raise AssertionError(message)
+
+    monkeypatch.setattr(ChainCertificate, "validate", broken)
+    code, out, err = run(capsys, "verify", str(DATA / "t30_device.cert"))
+    assert code == cli.EXIT_INTERNAL == 70
+    assert "VERDICT" not in out
+    assert err == f"internal error: {shown}\n"
+
+
+def test_emission_guard_exits_70(capsys, monkeypatch, tmp_path):
+    failing = Report("h-device", 30, (Check("chain", "FAIL", "forced"),))
+    monkeypatch.setattr(cli, "verify_certificate", lambda cert: failing)
+    out_path = tmp_path / "greedy.cert"
+    code, out, err = run(
+        capsys, "hunt-greedy", str(DATA / "t22_seed.txt"), "--out", str(out_path)
+    )
+    assert code == 70
+    assert err == "internal error: a hunt emitted a certificate that fails verification\n"
+    assert "VERDICT" not in out
+    assert not out_path.exists()
 
 
 def test_verify_device_warns(capsys):

@@ -281,6 +281,7 @@ def test_certificate_rejects_unknown_kind():
         ("", "empty"),
         ("certificate direct-chromatic\n", "header"),
         ("certificate direct-chromatic t=x\n[vertices]\n0 0 0\n", "integer"),
+        ("certificate h-device t=0\n[vertices]\n0 0 0\n", "line 1: t must be positive"),
         ("certificate direct-chromatic t=10\n0 0 0\n", "outside"),
         ("certificate direct-chromatic t=10\n[vertices]\n0 0\n", "line 3"),
         ("certificate direct-chromatic t=10\n[vertices]\n0 0 0\n[edges]\n0\n", "indices"),
@@ -344,8 +345,9 @@ def test_grotzsch_type_hunt_succeeds_on_reference_cycle():
     cycle, params = _oracle_params_34()
     out = grotzsch_type_hunt(34, list(cycle), params)
     assert out is not None
-    graph, cert = out
+    graph, cert, report = out
     assert verify_certificate(cert).verdict == "PASS"
+    assert report == verify_certificate(cert)
     assert cert.points[:5] == cycle
 
 
@@ -387,8 +389,10 @@ def test_subgraph_hunt_emits_verifying_certificate():
     b = circle_param(c1, rational_point_on_circle(c1)).param_for_point(cert.points[6])
     found = grotzsch_subgraph_hunt(30, sym, [(a, b)])
     assert found is not None
+    found, hunt_report = found
     report = verify_certificate(found)
     assert not report.failed
+    assert hunt_report == report
     assert found.data["h"] == F(1078, 15)
     assert found.data["radius_sq"] == F(539, 30)
     assert found.points[5] == cert.points[5]

@@ -329,7 +329,7 @@ def test_chain_single_step_when_lengths_agree():
     v = vec(3, 3, 2)
     assert norm_sq(v) == 22
     cert = construct_chain(v, Fraction(22))
-    assert cert.steps == (v,)
+    assert tuple(cert.steps) == (v,)
 
 
 def test_chain_with_odd_step_product():
@@ -352,6 +352,98 @@ def test_chain_rejects_target_outside_open_case_set():
         construct_chain(vec(1, 1, 0), Fraction(2))  # norm 2 not in the set
     with pytest.raises(ValueError):
         construct_chain(vec(Fraction(1, 2), 0, 0), Fraction(2))
+
+
+# --- run-length chains ----------------------------------------------------------
+
+
+def _rotate(v, q):
+    """Euler-Rodrigues rotation of v by the integer quaternion q: exact, norm
+    preserving, with denominators dividing the quaternion norm."""
+    a, b, c, d = q
+    n = a * a + b * b + c * c + d * d
+    rows = (
+        (a * a + b * b - c * c - d * d, 2 * (b * c - a * d), 2 * (b * d + a * c)),
+        (2 * (b * c + a * d), a * a - b * b + c * c - d * d, 2 * (c * d - a * b)),
+        (2 * (b * d - a * c), 2 * (c * d + a * b), a * a - b * b - c * c + d * d),
+    )
+    x = (v.dx, v.dy, v.dz)
+    return vec(*(sum(Fraction(r[i]) * x[i] for i in range(3)) / n for r in rows))
+
+
+admissible_targets = (
+    st.tuples(*[st.integers(-7, 7)] * 3)
+    .filter(lambda u: in_T(u[0] ** 2 + u[1] ** 2 + u[2] ** 2))
+    .map(lambda u: vec(*u))
+)
+odd_quaternions = st.tuples(*[st.integers(-2, 2)] * 4).filter(
+    lambda q: sum(x * x for x in q) % 2 == 1
+)
+step_lengths = st.builds(Fraction, st.integers(1, 40), st.integers(1, 12)).filter(phi_criteria)
+
+
+def _passes(check, cert: ChainCertificate) -> bool:
+    try:
+        check(cert)
+    except AssertionError:
+        return False
+    return True
+
+
+def _with_run(cert: ChainCertificate, i: int, run) -> ChainCertificate:
+    runs = cert.runs[:i] + (run,) + cert.runs[i + 1 :]
+    return ChainCertificate(cert.target, cert.step_norm_sq, runs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(admissible_targets, odd_quaternions, step_lengths, st.data())
+def test_run_length_chain_matches_step_by_step_oracle(u, q, h, data):
+    v = _rotate(u, q)
+    assert norm_sq(v) == norm_sq(u)
+    cert = construct_chain(v, h)
+    assert len(cert.steps) == sum(k for _, k in cert.runs)
+    assert all(k >= 1 for _, k in cert.runs)
+    assert _passes(ChainCertificate.validate, cert) and _passes(recompute_chain, cert)
+
+    i = data.draw(st.integers(0, len(cert.runs) - 1), label="run")
+    step, k = cert.runs[i]
+    mutants = [_with_run(cert, i, (step, k + 1)), _with_run(cert, i, (step.scale(2), k))]
+    if k > 1:
+        mutants.append(_with_run(cert, i, (step, k - 1)))
+    mutants.append(ChainCertificate(v + step, h, cert.runs))
+    for bad in mutants:
+        assert not _passes(ChainCertificate.validate, bad)
+        assert not _passes(recompute_chain, bad)
+
+    for k_bad in (0, -1, -k):
+        with pytest.raises(AssertionError, match="multiplicity"):
+            _with_run(cert, i, (step, k_bad)).validate()
+    # a cancelling pair of wrong-length steps keeps the sum but not the length
+    off = step.scale(2)
+    padded = ChainCertificate(v, h, cert.runs + ((off, 1), (-off, 1)))
+    with pytest.raises(AssertionError, match="squared length"):
+        padded.validate()
+    assert not _passes(recompute_chain, padded)
+
+
+def test_chain_steps_expand_runs_in_order():
+    a, b = vec(1, 1, 0), vec(0, 1, -1)
+    cert = ChainCertificate(vec(2, 3, -1), Fraction(2), ((a, 2), (b, 1)))
+    cert.validate()
+    assert len(cert.steps) == 3
+    assert list(cert.steps) == [a, a, b]
+    assert [cert.steps[i] for i in range(-3, 3)] == [a, a, b, a, a, b]
+    with pytest.raises(IndexError):
+        cert.steps[3]
+
+
+def test_device_chain_is_737_runs_of_257_steps():
+    v = vec(*three_rational_squares(Fraction(30)))
+    cert = construct_chain(v, Fraction(1462, 257))
+    assert len(cert.steps) == 189409
+    assert len(cert.runs) == 737
+    assert {k for _, k in cert.runs} == {257}
+    assert len({s for s, _ in cert.runs}) == 16
 
 
 # --- isosceles embeddability -----------------------------------------------------
