@@ -1,5 +1,6 @@
 """Every reference file in data/ verifies to the verdict that
-scripts/verify_corpus.py expects, through the command-line entry point."""
+scripts/verify_corpus.py expects, through the command-line entry point, and
+prints exactly the report pinned in tests/golden/<name>.out."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import pytest
 from scavenger import cli
 
 ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
 VERDICTS = {0: "PASS", 1: "FAIL", 2: "PASS-WITH-WARNINGS"}
 
 
@@ -34,4 +36,5 @@ def test_corpus_verdict(capsys, name):
     captured = capsys.readouterr()
     assert code == EXPECTED[name]
     assert captured.out.endswith(f"VERDICT {VERDICTS[code]}\n")
+    assert captured.out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
     assert captured.err == ""
