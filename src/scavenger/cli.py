@@ -27,18 +27,20 @@ from .hunts import (
     greedy_hunt,
     grotzsch_subgraph_hunt,
     grotzsch_type_hunt,
-    read_certificate,
+    parse_certificate,
     verify_certificate,
     write_certificate,
 )
-from .numtheory import (
-    TernaryForm,
-    UnsolvableFormError,
-    is_quadratic_residue,
-    legendre_solution,
-    normalize_form,
+from .numtheory import TernaryForm, UnsolvableFormError, legendre_obstruction, legendre_solution
+from .qcore import (
+    QPoint3,
+    Rational,
+    content_lines,
+    format_point,
+    format_rational,
+    parse_point_line,
+    parse_rational,
 )
-from .qcore import QPoint3, Rational, format_point, format_rational, parse_rational
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -55,39 +57,24 @@ class VertexFile:
     """A parsed point-list file: `t=<rational>` header, one point per line,
     `#` comments.  Points are deduplicated; each dropped row is a warning."""
 
-    path: str
     t: Rational
     points: tuple[QPoint3, ...]
-    warnings: tuple[str, ...] = ()
+    warnings: tuple[str, ...]
 
 
-def _parse_point_line(line: str, lineno: int) -> QPoint3:
-    tokens = line.split()
-    if len(tokens) != 3:
-        raise ValueError(f"line {lineno}: expected three coordinates, got {len(tokens)}")
-    coords = []
-    for tok in tokens:
-        try:
-            coords.append(parse_rational(tok))
-        except ValueError as exc:
-            column = line.index(tok) + 1
-            raise ValueError(f"line {lineno}, column {column}: {exc}") from None
-    return QPoint3(*coords)
-
-
-def parse_vertex_file(path) -> VertexFile:
+def _read_text(path) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
+def parse_vertex_text(text: str) -> VertexFile:
     t = None
     points: list[QPoint3] = []
     first_seen: dict[QPoint3, int] = {}
     warnings: list[str] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         if t is None:
             if not line.startswith("t="):
                 raise ValueError(f"line {lineno}: expected header t=<rational>, got {line!r}")
@@ -98,7 +85,7 @@ def parse_vertex_file(path) -> VertexFile:
             if t <= 0:
                 raise ValueError(f"line {lineno}: squared distance must be positive, got {t}")
             continue
-        p = _parse_point_line(line, lineno)
+        p = parse_point_line(line, lineno)
         if p in first_seen:
             warnings.append(
                 f"line {lineno}: duplicate of line {first_seen[p]}: {format_point(p)}"
@@ -110,7 +97,11 @@ def parse_vertex_file(path) -> VertexFile:
         raise ValueError("missing header line t=<rational>")
     if not points:
         raise ValueError("no points after the header")
-    return VertexFile(str(path), t, tuple(points), tuple(warnings))
+    return VertexFile(t, tuple(points), tuple(warnings))
+
+
+def parse_vertex_file(path) -> VertexFile:
+    return parse_vertex_text(_read_text(path))
 
 
 def write_vertex_file(path, t: Rational, points) -> None:
@@ -166,23 +157,13 @@ def _config(args) -> RunConfig:
 # --- subcommands ------------------------------------------------------------------
 
 
-def _sniff_certificate(path) -> bool:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            return line.startswith("certificate ")
-    raise ValueError(f"{path} is empty")
-
-
 def _cmd_verify(args) -> int:
-    if _sniff_certificate(args.file):
-        report = verify_certificate(read_certificate(args.file))
+    text = _read_text(args.file)
+    first = next(content_lines(text), (0, ""))[1]
+    if first.startswith("certificate "):
+        report = verify_certificate(parse_certificate(text))
     else:
-        vf = parse_vertex_file(args.file)
+        vf = parse_vertex_text(text)
         cert = Certificate("direct-chromatic", vf.t, vf.points, None, {})
         inner = verify_certificate(cert)
         checks = list(inner.checks)
@@ -221,14 +202,12 @@ def _cmd_hunt_greedy(args) -> int:
     result = greedy_hunt(t, list(vf.points), spec, cap=cfg.cap)
     if not result.succeeded:
         sys.stdout.write(
-            f"HUNT FAIL order={result.order} cap={cfg.cap} "
-            f"colors={result.state.stored_coloring.color_count()}\n"
+            f"HUNT FAIL order={result.order} cap={cfg.cap} colors={result.coloring.color_count()}\n"
         )
         return EXIT_FAIL
     g = result.graph
     sys.stdout.write(f"HUNT PASS order={g.order} edges={len(g.edges)} iterations={result.iterations}\n")
-    cert = Certificate("direct-chromatic", t, g.vertices, tuple(sorted(g.edges)), {})
-    return _emit_certificate(cert, verify_certificate(cert), cfg)
+    return _emit_certificate(result.certificate, result.report, cfg)
 
 
 def _cmd_hunt_grotzsch_type(args) -> int:
@@ -318,21 +297,11 @@ def _cmd_scan_d(args) -> int:
 
 def _cmd_solve_legendre(args) -> int:
     form = TernaryForm(args.a, args.b, args.c)
-    (a, b, c), _ = normalize_form(form)
-    if (a > 0 and b > 0 and c > 0) or (a < 0 and b < 0 and c < 0):
-        sys.stdout.write("unsolvable: definite form, only the trivial zero\n")
+    reason = legendre_obstruction(form)
+    if reason is not None:
+        sys.stdout.write(f"unsolvable: {reason}\n")
         return EXIT_FAIL
-    conditions = (
-        ("-ab", -a * b, abs(c)),
-        ("-ac", -a * c, abs(b)),
-        ("-bc", -b * c, abs(a)),
-    )
-    for name, value, modulus in conditions:
-        if not is_quadratic_residue(value, modulus):
-            sys.stdout.write(f"unsolvable: {name} = {value} not a QR of {modulus}\n")
-            return EXIT_FAIL
     x, y, z = legendre_solution(form)
-    assert form.value(x, y, z) == 0
     sys.stdout.write(f"solution: {x} {y} {z}\n")
     return EXIT_PASS
 

@@ -12,7 +12,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import count, islice, permutations, product
+from itertools import islice, permutations, product
 from math import gcd, isqrt, lcm
 
 from .geom import (
@@ -233,10 +233,16 @@ class SymCycle:
         return dist_sq(self.x0, self.x2)
 
 
-def _feasible_d_candidates(t: int, d_bound: int, denominator_bound: int):
+D_DENOMINATOR_BOUND = 12  # largest denominator of a candidate d
+
+
+def _d_candidates(t: int, d_bound: int):
+    """Candidate values of d in scan order: the integers 1..d_bound, then for
+    each denominator q = 2..D_DENOMINATOR_BOUND the reduced p/q with
+    t/4 < p/q < 4t and p/q <= d_bound, by ascending numerator."""
     for d in range(1, d_bound + 1):
         yield Fraction(d)
-    for q in range(2, denominator_bound + 1):
+    for q in range(2, D_DENOMINATOR_BOUND + 1):
         lo = t * q // 4 + 1
         hi = min(d_bound * q, 4 * t * q - 1)
         for p in range(lo, hi + 1):
@@ -246,11 +252,9 @@ def _feasible_d_candidates(t: int, d_bound: int, denominator_bound: int):
 
 def find_symmetric_5cycle(
     t: int,
-    pool: VectorPool | None = None,
     *,
     d: Rational | None = None,
     d_bound: int | None = None,
-    denominator_bound: int = 12,
 ) -> SymCycle | None:
     """Construct a symmetric 5-cycle: pick a feasible leg length d, embed the
     isosceles triangle (x0, x4, x2) with |x0-x4|² = t and legs² = d, then take
@@ -259,12 +263,8 @@ def find_symmetric_5cycle(
     t = int(t)
     if not in_T(t):
         raise ValueError(f"{t} is not an admissible squared distance")
-    if pool is not None and pool.t != t:
-        raise ValueError(f"pool was built for t={pool.t}, not {t}")
     bound = d_bound if d_bound is not None else 4 * t - 1
-    candidates = [_frac(d)] if d is not None else _feasible_d_candidates(
-        t, bound, denominator_bound
-    )
+    candidates = [_frac(d)] if d is not None else _d_candidates(t, bound)
     for cand in candidates:
         if not eq_pair_feasible(t, cand):
             continue
@@ -299,7 +299,8 @@ def _symmetric_cycle_for(t: int, d: Rational) -> SymCycle | None:
 
 
 def parallel_first(candidates, predicate, workers: int = 1, chunk: int = 16):
-    """First candidate (in order) satisfying the predicate, or None.
+    """`(candidate, value)` for the first candidate (in order) whose
+    `value = predicate(candidate)` is truthy, or None.
 
     With workers > 1 the predicate is evaluated across a process pool in
     chunks, but selection stays strictly by candidate order, so results are
@@ -307,8 +308,9 @@ def parallel_first(candidates, predicate, workers: int = 1, chunk: int = 16):
     """
     if workers <= 1:
         for x in candidates:
-            if predicate(x):
-                return x
+            value = predicate(x)
+            if value:
+                return x, value
         return None
     it = iter(candidates)
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -316,18 +318,12 @@ def parallel_first(candidates, predicate, workers: int = 1, chunk: int = 16):
             block = list(islice(it, chunk * workers))
             if not block:
                 return None
-            for x, ok in zip(block, pool.map(predicate, block, chunksize=chunk)):
-                if ok:
-                    return x
+            for x, value in zip(block, pool.map(predicate, block, chunksize=chunk)):
+                if value:
+                    return x, value
 
 
-def scan_d(
-    t: int,
-    d_bound: int,
-    *,
-    workers: int = 1,
-    denominator_bound: int = 12,
-) -> Rational | None:
+def scan_d(t: int, d_bound: int, *, workers: int = 1) -> Rational | None:
     """Smallest integer d ≤ d_bound with eq_pair_feasible(t, d); when no
     integer qualifies, the first feasible rational by ascending denominator
     (then ascending numerator), or None."""
@@ -336,17 +332,5 @@ def scan_d(
         raise ValueError(f"{t} is not an admissible squared distance")
     if d_bound < 1:
         raise ValueError(f"d bound must be at least 1, got {d_bound}")
-    feasible = partial(eq_pair_feasible, t)
-    hit = parallel_first(range(1, d_bound + 1), feasible, workers=workers)
-    if hit is not None:
-        return Fraction(hit)
-    for q in range(2, denominator_bound + 1):
-        lo = t * q // 4 + 1
-        hi = min(d_bound * q, 4 * t * q - 1)
-        numerators = [p for p in range(lo, hi + 1) if gcd(p, q) == 1]
-        hit = parallel_first(
-            (Fraction(p, q) for p in numerators), feasible, workers=workers
-        )
-        if hit is not None:
-            return hit
-    return None
+    hit = parallel_first(_d_candidates(t, d_bound), partial(eq_pair_feasible, t), workers=workers)
+    return None if hit is None else hit[0]

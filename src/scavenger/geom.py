@@ -19,7 +19,6 @@ from .qcore import (
     _frac,
     dist_sq,
     midpoint,
-    norm_sq,
     point,
     rational_square_root,
     vec,
@@ -66,14 +65,6 @@ class Plane:
 
     def contains(self, p: QPoint3) -> bool:
         return self.eval(p) == 0
-
-
-def reflect(v: QVec3, mirror: QVec3) -> QVec3:
-    """Reflection of v across the hyperplane orthogonal to mirror."""
-    if mirror.is_zero():
-        raise ValueError("mirror vector must be nonzero")
-    coeff = 2 * v.dot(mirror) / mirror.dot(mirror)
-    return v - mirror.scale(coeff)
 
 
 def reflect_point(p: QPoint3, plane: Plane) -> QPoint3:
@@ -232,11 +223,6 @@ class CircleParam:
         coords[k] = (self.circle.plane.offset - n[i] * coords[i] - n[j] * coords[j]) / n[k]
         return point(*coords)
 
-    def project(self, p: QPoint3) -> tuple[Fraction, Fraction]:
-        i, j, _ = self._axes()
-        coords = p.coords()
-        return (coords[i], coords[j])
-
     def point_at(self, s: Rational | _Infinity) -> QPoint3:
         u, v = conic_point(self.conic, s)
         return self.lift(u, v)
@@ -245,7 +231,8 @@ class CircleParam:
         """The parameter value s with point_at(s) = p, for p on the circle."""
         if not self.circle.contains(p):
             raise ValueError(f"{p} is not on the circle")
-        u, v = self.project(p)
+        i, j, _ = self._axes()
+        u, v = p.coords()[i], p.coords()[j]
         xi, eta = self.conic.base
         if (u, v) == (xi, eta):
             return tangent_param(self.conic)
@@ -329,12 +316,6 @@ def apex_points_detailed(
     if s == 0:
         return [center], APEX_OK
     return [center + normal.scale(s), center + normal.scale(-s)], APEX_OK
-
-
-def apex_points(p1: QPoint3, p2: QPoint3, p3: QPoint3, t: Rational) -> list[QPoint3]:
-    """Rational points at squared distance t from all three inputs (0, 1 or 2)."""
-    points, _ = apex_points_detailed(p1, p2, p3, t)
-    return points
 
 
 # --- exact isosceles embedding -------------------------------------------------------

@@ -37,54 +37,15 @@ class AbstractGraph:
         edges = frozenset((min(u, v), max(u, v)) for u, v in pairs if u != v)
         return cls(order, edges)
 
-    @classmethod
-    def from_text(cls, text: str) -> AbstractGraph:
-        """Edge-list format: one `u v` pair per line, 0-based, # comments."""
-        pairs = []
-        top = -1
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"line {lineno}: expected two indices, got {raw!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-            if u < 0 or v < 0 or u == v:
-                raise ValueError(f"line {lineno}: bad edge ({u},{v})")
-            pairs.append((u, v))
-            top = max(top, u, v)
-        return cls.from_edges(top + 1, pairs)
-
-    def to_text(self) -> str:
-        return "\n".join(f"{u} {v}" for u, v in sorted(self.edges)) + "\n"
-
 
 @dataclass(frozen=True)
-class DistGraph:
-    """Euclidean distance graph: exact adjacency at squared distance t."""
+class DistGraph(AbstractGraph):
+    """Euclidean distance graph: exact adjacency at squared distance t among
+    `vertices`, which are listed in vertex-index order."""
 
     vertices: tuple[QPoint3, ...]
     t: Rational
-    edges: frozenset[tuple[int, int]]
     duplicates_merged: int = 0
-
-    def adjacency(self) -> list[set[int]]:
-        adj: list[set[int]] = [set() for _ in range(len(self.vertices))]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
-
-    @property
-    def order(self) -> int:
-        return len(self.vertices)
-
-    def abstract(self) -> AbstractGraph:
-        return AbstractGraph(len(self.vertices), self.edges)
 
 
 def build_graph(points: list[QPoint3], t: Rational) -> DistGraph:
@@ -100,13 +61,11 @@ def build_graph(points: list[QPoint3], t: Rational) -> DistGraph:
         if p not in seen:
             seen[p] = len(vertices)
             vertices.append(p)
-    duplicates = len(points) - len(vertices)
-    edges = set()
-    for i in range(len(vertices)):
-        for j in range(i + 1, len(vertices)):
-            if dist_sq(vertices[i], vertices[j]) == t:
-                edges.add((i, j))
-    return DistGraph(tuple(vertices), t, frozenset(edges), duplicates)
+    n = len(vertices)
+    edges = frozenset(
+        (i, j) for i in range(n) for j in range(i + 1, n) if dist_sq(vertices[i], vertices[j]) == t
+    )
+    return DistGraph(n, edges, tuple(vertices), t, len(points) - n)
 
 
 # --- exact coloring ---------------------------------------------------------------
@@ -125,21 +84,13 @@ class Coloring:
         return self.assignment[v]
 
 
-def _graph_parts(g: DistGraph | AbstractGraph) -> tuple[int, list[set[int]]]:
-    if isinstance(g, DistGraph):
-        return len(g.vertices), g.adjacency()
-    return g.order, g.adjacency()
-
-
-def is_proper(g: DistGraph | AbstractGraph, coloring: Coloring) -> bool:
-    n, _ = _graph_parts(g)
-    if len(coloring.assignment) != n:
+def is_proper(g: AbstractGraph, coloring: Coloring) -> bool:
+    if len(coloring.assignment) != g.order:
         return False
-    edges = g.edges
-    return all(coloring.assignment[u] != coloring.assignment[v] for u, v in edges)
+    return all(coloring.assignment[u] != coloring.assignment[v] for u, v in g.edges)
 
 
-def k_colorable(g: DistGraph | AbstractGraph, k: int) -> Coloring | None:
+def k_colorable(g: AbstractGraph, k: int) -> Coloring | None:
     """A proper k-coloring, or None when none exists (exact decision).
 
     Backtracking assigns the most saturated vertex first (ties: degree, then
@@ -147,7 +98,7 @@ def k_colorable(g: DistGraph | AbstractGraph, k: int) -> Coloring | None:
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    n, adj = _graph_parts(g)
+    n, adj = g.order, g.adjacency()
     if n == 0:
         return Coloring(())
     colors = [-1] * n
@@ -197,57 +148,9 @@ def k_colorable(g: DistGraph | AbstractGraph, k: int) -> Coloring | None:
     return None
 
 
-def chromatic_number(g: DistGraph | AbstractGraph) -> int:
-    n, _ = _graph_parts(g)
-    if n == 0:
-        return 0
-    for k in range(1, n + 1):
-        if k_colorable(g, k) is not None:
-            return k
-    raise AssertionError("a graph is always colorable with one color per vertex")
-
-
-def is_triangle_free(g: DistGraph | AbstractGraph) -> bool:
-    _, adj = _graph_parts(g)
+def is_triangle_free(g: AbstractGraph) -> bool:
+    adj = g.adjacency()
     return all(not (adj[u] & adj[v]) for u, v in g.edges)
-
-
-# --- criticality ---------------------------------------------------------------------
-
-
-def _induced_abstract(g: AbstractGraph, keep: list[int]) -> AbstractGraph:
-    index = {v: i for i, v in enumerate(keep)}
-    edges = [(index[u], index[v]) for u, v in g.edges if u in index and v in index]
-    return AbstractGraph.from_edges(len(keep), edges)
-
-
-def _induced_dist(g: DistGraph, keep: list[int]) -> DistGraph:
-    index = {v: i for i, v in enumerate(keep)}
-    edges = frozenset(
-        (index[u], index[v]) for u, v in g.edges if u in index and v in index
-    )
-    return DistGraph(tuple(g.vertices[v] for v in keep), g.t, edges)
-
-
-def critical_reduce(g: DistGraph | AbstractGraph, k: int):
-    """The vertex-k-critical subgraph reached by greedily deleting vertices
-    (ascending index, restarting after each deletion) while the chromatic
-    number stays k."""
-    n, _ = _graph_parts(g)
-    if chromatic_number(g) != k:
-        raise ValueError(f"graph is not {k}-chromatic")
-    induce = _induced_dist if isinstance(g, DistGraph) else _induced_abstract
-    current = g
-    while True:
-        n, _ = _graph_parts(current)
-        for v in range(n):
-            keep = [u for u in range(n) if u != v]
-            candidate = induce(current, keep)
-            if k_colorable(candidate, k - 1) is None:
-                current = candidate
-                break
-        else:
-            return current
 
 
 # --- forced relations under k-coloring --------------------------------------------------
@@ -314,23 +217,9 @@ def mod3_color(p) -> int:
     return (x + y + z) % 3
 
 
-# --- named graphs ---------------------------------------------------------------------
+# --- the device graph ----------------------------------------------------------------
 
-GROTZSCH_LABELS = ("x0", "x1", "x2", "x3", "x4", "y0", "y1", "y2", "y3", "y4", "z")
 H_LABELS = ("x0", "x1", "x2", "x3", "x4", "y0", "y1", "y3", "y4", "z")
-
-
-def grotzsch_graph() -> AbstractGraph:
-    """The triangle-free 4-chromatic graph of minimum order (order 11):
-    outer 5-cycle x0..x4, inner y_i adjacent to x_{i-1} and x_{i+1}, hub z
-    adjacent to every y_i.  Vertex order matches GROTZSCH_LABELS."""
-    edges = []
-    for i in range(5):
-        edges.append((i, (i + 1) % 5))
-        edges.append((5 + i, (i - 1) % 5))
-        edges.append((5 + i, (i + 1) % 5))
-        edges.append((10, 5 + i))
-    return AbstractGraph.from_edges(11, edges)
 
 
 def h_graph() -> AbstractGraph:

@@ -31,6 +31,7 @@ from .geom import (
     reflect_point,
 )
 from .graph import (
+    AbstractGraph,
     Coloring,
     DistGraph,
     H_LABELS,
@@ -52,11 +53,13 @@ from .qcore import (
     QVec3,
     Rational,
     _frac,
+    content_lines,
     dist_sq,
     format_point,
     format_rational,
     midpoint,
     parse_point,
+    parse_point_line,
     parse_rational,
     point,
     rational_square_root,
@@ -99,23 +102,18 @@ class ASpec:
         return gen_vectors(t, divisors, isqrt(t * self.denominator**2) + 1).vectors
 
 
-@dataclass
-class GreedyState:
-    """The accumulating vertex set, its latest proper 3-coloring, the
-    candidate-set specification, and the vertex cap."""
-
-    vertices: list[QPoint3]
-    stored_coloring: Coloring | None
-    spec: ASpec
-    cap: int = 1000
-
-
 @dataclass(frozen=True)
 class GreedyResult:
+    """The grown graph; on success also its certificate and that
+    certificate's one verification report, on failure the last proper
+    3-coloring."""
+
     succeeded: bool
     graph: DistGraph
-    state: GreedyState
     iterations: int
+    coloring: Coloring | None = None
+    certificate: Certificate | None = None
+    report: Report | None = None
 
     @property
     def order(self) -> int:
@@ -162,19 +160,11 @@ def greedy_hunt(t: int, seed: list[QPoint3], spec: ASpec, cap: int = 1000) -> Gr
     for p in seed:
         admit(p)
 
-    state = GreedyState(vertices, None, spec, cap)
     iterations = 0
     while True:
-        graph = DistGraph(tuple(vertices), Fraction(t), frozenset(edges))
-        coloring = k_colorable(graph, 3)
-        if coloring is None:
-            result = build_graph(vertices, t)
-            assert k_colorable(result, 3) is None
-            state.stored_coloring = None
-            return GreedyResult(True, result, state, iterations)
-        state.stored_coloring = coloring
-        if len(vertices) >= cap or not neighbor_sets:
-            return GreedyResult(False, build_graph(vertices, t), state, iterations)
+        coloring = k_colorable(AbstractGraph(len(vertices), frozenset(edges)), 3)
+        if coloring is None or len(vertices) >= cap or not neighbor_sets:
+            break
         best: QPoint3 | None = None
         best_key: tuple[int, int] | None = None
         for q, nbrs in neighbor_sets.items():
@@ -187,6 +177,14 @@ def greedy_hunt(t: int, seed: list[QPoint3], spec: ASpec, cap: int = 1000) -> Gr
                 best, best_key = q, key
         admit(best)
         iterations += 1
+
+    # every candidate pair at squared distance t is joined by a step vector,
+    # so these are all the edges build_graph would find
+    graph = DistGraph(len(vertices), frozenset(edges), tuple(vertices), Fraction(t))
+    if coloring is not None:
+        return GreedyResult(False, graph, iterations, coloring)
+    cert = Certificate("direct-chromatic", t, graph.vertices, tuple(sorted(graph.edges)), {})
+    return GreedyResult(True, graph, iterations, None, cert, verify_certificate(cert))
 
 
 # --- the order-25 construction ----------------------------------------------------------
@@ -282,8 +280,9 @@ def farey_parameters(height: int = 12) -> tuple[Fraction, ...]:
 
 
 def _gt_apex(charts, t: int, params: tuple[Fraction, Fraction, Fraction]):
-    """Circle points for one parameter triple and their rational apex, or
-    None when the circumradius exceeds √t or the apex is irrational."""
+    """Circle points for one parameter triple and their rational apexes, or
+    None when two points coincide, the circumradius exceeds √t or the apex is
+    irrational."""
     a, b, c = params
     pts = (charts[0].point_at(a), charts[1].point_at(b), charts[2].point_at(c))
     if len({pts[0], pts[1], pts[2]}) != 3:
@@ -292,10 +291,6 @@ def _gt_apex(charts, t: int, params: tuple[Fraction, Fraction, Fraction]):
     if not apexes:
         return None
     return pts, apexes
-
-
-def _gt_tuple_feasible(charts, t: int, params) -> bool:
-    return _gt_apex(charts, t, params) is not None
 
 
 def grotzsch_type_hunt(
@@ -334,15 +329,11 @@ def grotzsch_type_hunt(
     qs: list[QPoint3 | None] = [None] * 5
     for i in range(5):
         trio = (charts[(i - 1) % 5], charts[i], charts[(i + 1) % 5])
-        hit = parallel_first(
-            product(params, repeat=3),
-            partial(_gt_tuple_feasible, trio, t),
-            workers=workers,
-        )
+        hit = parallel_first(product(params, repeat=3), partial(_gt_apex, trio, t), workers=workers)
         if hit is None:
             logger.info("parameter list exhausted at i=%d (progress: %d of 5)", i, i)
             return None
-        (x_pt, y_pt, z_pt), apexes = _gt_apex(trio, t, hit)
+        _, ((x_pt, y_pt, z_pt), apexes) = hit
         xs[(i - 1) % 5] = x_pt
         ys[i] = y_pt
         zs[(i + 1) % 5] = z_pt
@@ -399,21 +390,14 @@ def circle_plane_intersections(circle: RCircle, plane) -> tuple[QPoint3, ...]:
 
 
 def _device_z(chart0, chart1, t: int, mirror, pair):
-    """The rational points z equidistant (√t) from the two chosen circle
-    points and lying on the mirror plane, or () when none exist."""
+    """The two chosen circle points and the rational points z on the mirror
+    plane at squared distance t from both, or None when there is no such z."""
     y0 = chart0.point_at(pair[0])
     y1 = chart1.point_at(pair[1])
-    if y0 == y1:
-        return y0, y1, ()
-    between = dist_sq(y0, y1)
-    if between >= 4 * t:
-        return y0, y1, ()
-    locus = equidistant_circle(y0, y1, t)
-    return y0, y1, circle_plane_intersections(locus, mirror)
-
-
-def _device_pair_feasible(chart0, chart1, t, mirror, pair) -> bool:
-    return bool(_device_z(chart0, chart1, t, mirror, pair)[2])
+    if y0 == y1 or dist_sq(y0, y1) >= 4 * t:
+        return None
+    zs = circle_plane_intersections(equidistant_circle(y0, y1, t), mirror)
+    return (y0, y1, zs) if zs else None
 
 
 def grotzsch_subgraph_hunt(
@@ -452,18 +436,16 @@ def grotzsch_subgraph_hunt(
     remaining = list(pairs)
     while remaining:
         hit = parallel_first(
-            remaining,
-            partial(_device_pair_feasible, chart0, chart1, t, sym.plane),
-            workers=workers,
+            remaining, partial(_device_z, chart0, chart1, t, sym.plane), workers=workers
         )
         if hit is None:
             return None
-        y0, y1, z_candidates = _device_z(chart0, chart1, t, sym.plane, hit)
-        for z in z_candidates:
+        pair, (y0, y1, zs) = hit
+        for z in zs:
             found = _assemble_device(t, sym, y0, y1, z)
             if found is not None:
                 return found
-        remaining = remaining[remaining.index(hit) + 1 :]
+        remaining = remaining[remaining.index(pair) + 1 :]
     return None
 
 
@@ -538,38 +520,33 @@ def format_certificate(cert: Certificate) -> str:
 
 
 def parse_certificate(text: str) -> Certificate:
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [(i + 1, ln) for i, ln in enumerate(lines) if ln]
-    if not lines:
+    lines = content_lines(text)
+    head_no, header = next(lines, (0, ""))
+    if not header:
         raise ValueError("empty certificate")
-    _, header = lines[0]
     parts = header.split()
     if len(parts) != 3 or parts[0] != "certificate" or not parts[2].startswith("t="):
-        raise ValueError(f"line {lines[0][0]}: bad header {header!r}")
+        raise ValueError(f"line {head_no}: bad header {header!r}")
     kind = parts[1]
     if kind not in CERT_KINDS:
-        raise ValueError(f"line {lines[0][0]}: unknown certificate kind {kind!r}")
+        raise ValueError(f"line {head_no}: unknown certificate kind {kind!r}")
     try:
         t = int(parts[2][2:])
     except ValueError:
-        raise ValueError(f"line {lines[0][0]}: t must be an integer") from None
+        raise ValueError(f"line {head_no}: t must be an integer") from None
     if t < 1:
-        raise ValueError(f"line {lines[0][0]}: t must be positive, got {t}")
+        raise ValueError(f"line {head_no}: t must be positive, got {t}")
     section = None
     points: list[QPoint3] = []
-    edges: list[tuple[int, int]] = []
+    edges: list[tuple[int, int, int]] = []
     saw_edges = False
     data: dict[str, object] = {}
-    for lineno, ln in lines[1:]:
+    for lineno, ln in lines:
         if ln in ("[vertices]", "[edges]", "[data]"):
             section = ln
             saw_edges = saw_edges or ln == "[edges]"
-            continue
-        if section == "[vertices]":
-            try:
-                points.append(parse_point(ln))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
+        elif section == "[vertices]":
+            points.append(parse_point_line(ln, lineno))
         elif section == "[edges]":
             parts = ln.split()
             if len(parts) != 2:
@@ -578,25 +555,25 @@ def parse_certificate(text: str) -> Certificate:
                 u, v = int(parts[0]), int(parts[1])
             except ValueError:
                 raise ValueError(f"line {lineno}: bad edge {ln!r}") from None
-            edges.append((min(u, v), max(u, v)))
+            edges.append((lineno, min(u, v), max(u, v)))
         elif section == "[data]":
             if "=" not in ln:
                 raise ValueError(f"line {lineno}: expected key=value, got {ln!r}")
             key, _, raw = ln.partition("=")
-            key = key.strip()
             raw = raw.strip()
             try:
-                data[key] = parse_point(raw) if len(raw.split()) == 3 else parse_rational(raw)
+                data[key.strip()] = parse_point(raw) if len(raw.split()) == 3 else parse_rational(raw)
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
         else:
             raise ValueError(f"line {lineno}: content outside any section")
     if not points:
         raise ValueError("certificate has no [vertices] section")
-    for u, v in edges:
-        if not (0 <= u < len(points) and 0 <= v < len(points)) or u == v:
-            raise ValueError(f"edge ({u},{v}) out of range")
-    return Certificate(kind, t, tuple(points), tuple(edges) if saw_edges else None, data)
+    for lineno, u, v in edges:
+        if not (0 <= u < v < len(points)):
+            raise ValueError(f"line {lineno}: edge ({u},{v}) out of range")
+    pairs = tuple((u, v) for _, u, v in edges) if saw_edges else None
+    return Certificate(kind, t, tuple(points), pairs, data)
 
 
 def read_certificate(path) -> Certificate:

@@ -134,18 +134,30 @@ def normalize_form(form: TernaryForm) -> tuple[tuple[int, int, int], list[tuple]
             return (c[0], c[1], c[2]), log
 
 
+def _definite(a: int, b: int, c: int) -> bool:
+    return (a > 0 and b > 0 and c > 0) or (a < 0 and b < 0 and c < 0)
+
+
+def legendre_obstruction(form: TernaryForm) -> str | None:
+    """Why a*x^2+b*y^2+c*z^2 = 0 has no nontrivial integer solution — the
+    normalized form is definite, or the first of Legendre's three residue
+    conditions that fails — or None when it has one (exact decision)."""
+    (a, b, c), _ = normalize_form(form)
+    if _definite(a, b, c):
+        return "definite form, only the trivial zero"
+    for name, value, modulus in (
+        ("-ab", -a * b, abs(c)),
+        ("-ac", -a * c, abs(b)),
+        ("-bc", -b * c, abs(a)),
+    ):
+        if not is_quadratic_residue(value, modulus):
+            return f"{name} = {value} not a QR of {modulus}"
+    return None
+
+
 def legendre_solvable(form: TernaryForm) -> bool:
     """Exact decision for nontrivial integer solvability of a*x^2+b*y^2+c*z^2 = 0."""
-    (a, b, c), _ = normalize_form(form)
-    if a > 0 and b > 0 and c > 0:
-        return False
-    if a < 0 and b < 0 and c < 0:
-        return False
-    return (
-        is_quadratic_residue(-a * b, abs(c))
-        and is_quadratic_residue(-a * c, abs(b))
-        and is_quadratic_residue(-b * c, abs(a))
-    )
+    return legendre_obstruction(form) is None
 
 
 def _holzer_search(a: int, b: int, c: int) -> tuple[int, int, int] | None:
@@ -188,7 +200,7 @@ def legendre_solution(form: TernaryForm) -> tuple[int, int, int]:
     """A primitive nontrivial solution of the form, found by Holzer-bounded
     exhaustive search on the normalized form and pulled back exactly."""
     (a, b, c), log = normalize_form(form)
-    if (a > 0 and b > 0 and c > 0) or (a < 0 and b < 0 and c < 0):
+    if _definite(a, b, c):
         raise UnsolvableFormError(f"definite form {form.coeffs()} has only the trivial zero")
     sol = _holzer_search(a, b, c)
     if sol is None:
@@ -405,23 +417,24 @@ def _place(axis: int, value: int, others: tuple[int, int], signs: tuple[int, int
     return (out[0], out[1], out[2])
 
 
-def _atom_moves_for_axis(axis: int, count: int, comp_idx: int, rep: tuple[int, int, int]) -> list[tuple[int, int, int]]:
-    """`abs(count)` cancelling pairs, each summing to sign(count)*2*rep[comp_idx]
-    along `axis`."""
-    moves: list[tuple[int, int, int]] = []
+def _atom_moves_for_axis(
+    axis: int, count: int, comp_idx: int, rep: tuple[int, int, int]
+) -> list[tuple[tuple[int, int, int], int]]:
+    """Two moves of multiplicity `abs(count)` whose `abs(count)` cancelling
+    pairs sum to count*2*rep[comp_idx] along `axis`."""
     others = tuple(rep[i] for i in range(3) if i != comp_idx)
     sign = 1 if count > 0 else -1
-    for _ in range(abs(count)):
-        first = _place(axis, sign * rep[comp_idx], others, (1, 1))
-        second = _place(axis, sign * rep[comp_idx], others, (-1, -1))
-        moves.append(first)
-        moves.append(second)
-    return moves
+    first = _place(axis, sign * rep[comp_idx], others, (1, 1))
+    second = _place(axis, sign * rep[comp_idx], others, (-1, -1))
+    return [(first, abs(count)), (second, abs(count))]
 
 
-def _even_moves(w: tuple[int, int, int], rep: tuple[int, int, int]) -> list[tuple[int, int, int]]:
-    """Atom moves summing exactly to the all-even integer vector w."""
-    moves: list[tuple[int, int, int]] = []
+def _even_moves(
+    w: tuple[int, int, int], rep: tuple[int, int, int]
+) -> list[tuple[tuple[int, int, int], int]]:
+    """Atom moves, as (move, multiplicity), summing exactly to the all-even
+    integer vector w."""
+    moves: list[tuple[tuple[int, int, int], int]] = []
     a, b, c = rep
     for axis in range(3):
         if w[axis] == 0:
@@ -481,11 +494,11 @@ def construct_chain(v: QVec3, h: Fraction) -> ChainCertificate:
     assert rep is not None, "criteria guarantee a primitive representation"
 
     u_parity = tuple(x % 2 for x in u)
-    atom_moves: list[tuple[int, int, int]] = []
+    atom_moves: list[tuple[tuple[int, int, int], int]] = []
     if product % 4 == 2:
         sigma = _parity_permutation(rep, u_parity)  # type: ignore[arg-type]
         base = tuple(rep[sigma[i]] for i in range(3))
-        atom_moves.append(base)
+        atom_moves.append((base, 1))
         rest = tuple(u[i] - base[i] for i in range(3))
         atom_moves.extend(_even_moves(rest, rep))  # type: ignore[arg-type]
     else:
@@ -496,18 +509,18 @@ def construct_chain(v: QVec3, h: Fraction) -> ChainCertificate:
             unit_parity = tuple(1 if i == axis else 0 for i in range(3))
             sigma = _parity_permutation(rep, unit_parity)  # type: ignore[arg-type]
             base = tuple(rep[sigma[i]] for i in range(3))
-            atom_moves.append(base)
+            atom_moves.append((base, 1))
             correction = tuple((1 if i == axis else 0) - base[i] for i in range(3))
             atom_moves.extend(_even_moves(correction, rep))  # type: ignore[arg-type]
             reached[axis] = 1
         rest = tuple(u[i] - reached[i] for i in range(3))
         atom_moves.extend(_even_moves(rest, rep))  # type: ignore[arg-type]
 
-    # each atom move is k equal micro-steps of squared length h
+    # an atom move repeated `count` times is k*count equal micro-steps of squared length h
     denom = k * d
     runs = tuple(
-        (QVec3(Fraction(w[0], denom), Fraction(w[1], denom), Fraction(w[2], denom)), k)
-        for w in atom_moves
+        (QVec3(Fraction(w[0], denom), Fraction(w[1], denom), Fraction(w[2], denom)), k * count)
+        for w, count in atom_moves
     )
     cert = ChainCertificate(v, h, runs)
     cert.validate()

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -128,6 +129,30 @@ def parse_point(text: str) -> QPoint3:
         raise ValueError(f"expected three rationals, got {len(parts)}: {text!r}")
     a, b, c = (parse_rational(p) for p in parts)
     return QPoint3(a, b, c)
+
+
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(1-based line number, content) for every line of `text` that keeps
+    some content once its `#` comment and surrounding blanks are stripped."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def parse_point_line(line: str, lineno: int) -> QPoint3:
+    """A content line holding one point; errors name `line N`, and a bad
+    token also its `column C`, counted from the start of the content."""
+    tokens = list(re.finditer(r"\S+", line))
+    if len(tokens) != 3:
+        raise ValueError(f"line {lineno}: expected three coordinates, got {len(tokens)}")
+    coords = []
+    for tok in tokens:
+        try:
+            coords.append(parse_rational(tok.group()))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}, column {tok.start() + 1}: {exc}") from None
+    return QPoint3(*coords)
 
 
 def format_point(p: QPoint3) -> str:
@@ -257,17 +282,3 @@ def rational_square_root(q: Fraction) -> Fraction | None:
     if rn * rn == q.numerator and rd * rd == q.denominator:
         return Fraction(rn, rd)
     return None
-
-
-def reduce_distance(q: Fraction) -> tuple[int, Fraction]:
-    """Write sqrt(q) = scale * sqrt(r) with r a square-free positive integer.
-
-    Returns (r, scale) with scale a positive rational, scale**2 * r == q.
-    """
-    q = _frac(q)
-    if q <= 0:
-        raise ValueError(f"reduce_distance expects q > 0, got {q}")
-    m, n = q.numerator, q.denominator
-    r = squarefree_part(m * n)
-    k = math.isqrt(m * n // r)
-    return r, Fraction(k, n)

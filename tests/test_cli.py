@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from scavenger import cli
+from scavenger import cli, hunts
 from scavenger.cycles import is_5cycle
 from scavenger.hunts import (
     Certificate,
@@ -210,7 +210,7 @@ def test_internal_error_exits_70(capsys, monkeypatch, message, shown):
 
 def test_emission_guard_exits_70(capsys, monkeypatch, tmp_path):
     failing = Report("h-device", 30, (Check("chain", "FAIL", "forced"),))
-    monkeypatch.setattr(cli, "verify_certificate", lambda cert: failing)
+    monkeypatch.setattr(hunts, "verify_certificate", lambda cert: failing)
     out_path = tmp_path / "greedy.cert"
     code, out, err = run(
         capsys, "hunt-greedy", str(DATA / "t22_seed.txt"), "--out", str(out_path)

@@ -239,13 +239,15 @@ def test_scan_d_rejections():
 
 def test_parallel_first_matches_sequential():
     items = list(range(200))
-    assert parallel_first(items, _over_150, workers=1) == 151
-    assert parallel_first(items, _over_150, workers=2) == 151
+    assert parallel_first(items, _over_150, workers=1) == (151, 1)
+    assert parallel_first(items, _over_150, workers=2) == (151, 1)
     assert parallel_first(items, _never, workers=2) is None
+    assert parallel_first(items, _never, workers=1) is None
 
 
 def _over_150(x):
-    return x > 150
+    """The predicate's own truthy value, not just its truth, is handed back."""
+    return x - 150 if x > 150 else 0
 
 
 def _never(x):

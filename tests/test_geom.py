@@ -21,7 +21,6 @@ from scavenger.geom import (
     ConicParam,
     Plane,
     RCircle,
-    apex_points,
     apex_points_detailed,
     bisector_plane,
     circle_param,
@@ -30,12 +29,11 @@ from scavenger.geom import (
     embed_isosceles,
     equidistant_circle,
     rational_point_on_circle,
-    reflect,
     reflect_point,
     tangent_param,
 )
 from scavenger.numtheory import UnsolvableFormError
-from scavenger.qcore import dist_sq, midpoint, norm_sq, point, vec
+from scavenger.qcore import dist_sq, midpoint, point, vec
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 
@@ -80,26 +78,32 @@ def test_plane_rejects_zero_normal():
 
 
 def test_reflect_examples():
-    assert reflect(vec(1, 0, 0), vec(1, -1, 0)) == vec(0, 1, 0)
-    assert reflect(vec(1, 0, 0), vec(0, 0, 1)) == vec(1, 0, 0)
+    # planes through the origin act on points as reflections of vectors
+    assert reflect_point(point(1, 0, 0), Plane(vec(1, -1, 0), 0)) == point(0, 1, 0)
+    assert reflect_point(point(1, 0, 0), Plane(vec(0, 0, 1), 0)) == point(1, 0, 0)
 
 
 def test_reflect_swaps_equal_norm_vectors():
-    v1, v2 = vec(3, 3, 2), vec(F(14, 3), F(1, 3), F(1, 3))
-    assert norm_sq(v1) == norm_sq(v2) == 22
-    assert reflect(v1, v1 - v2) == v2
-    assert reflect(v2, v1 - v2) == v1
+    p1, p2 = point(3, 3, 2), point(F(14, 3), F(1, 3), F(1, 3))
+    origin = point(0, 0, 0)
+    assert dist_sq(origin, p1) == dist_sq(origin, p2) == 22
+    mirror = bisector_plane(p1, p2)
+    assert mirror.contains(origin)
+    assert reflect_point(p1, mirror) == p2
+    assert reflect_point(p2, mirror) == p1
 
 
 @settings(max_examples=150, deadline=None)
 @given(*(rationals for _ in range(6)))
 def test_reflect_is_norm_preserving_involution(a, b, c, d, e, f):
-    v, m = vec(a, b, c), vec(d, e, f)
+    p, m = point(a, b, c), vec(d, e, f)
     if m.is_zero():
         return
-    r = reflect(v, m)
-    assert norm_sq(r) == norm_sq(v)
-    assert reflect(r, m) == v
+    mirror = Plane(m, 0)
+    r = reflect_point(p, mirror)
+    origin = point(0, 0, 0)
+    assert dist_sq(origin, r) == dist_sq(origin, p)
+    assert reflect_point(r, mirror) == p
 
 
 @settings(max_examples=100, deadline=None)
@@ -256,7 +260,7 @@ def test_circumcenter_equidistance(a, b, c, d, e, f, g, h, i):
 
 
 def test_apex_points_tetrahedral_example():
-    pts = apex_points(point(1, 0, 0), point(0, 1, 0), point(0, 0, 1), 1)
+    pts, _ = apex_points_detailed(point(1, 0, 0), point(0, 1, 0), point(0, 0, 1), 1)
     assert pts == [point(F(2, 3), F(2, 3), F(2, 3)), point(0, 0, 0)]
     for p in pts:
         for q in (point(1, 0, 0), point(0, 1, 0), point(0, 0, 1)):
@@ -269,7 +273,7 @@ def test_apex_points_named_anchor():
     y0 = point(F(-9, 13), F(-3, 13), F(-12, 13))
     z1 = point(F(-39, 7), F(-1, 7), F(12, 7))
     q0 = point(F(-159, 227), F(-106, 227), F(1113, 227))
-    pts = apex_points(x4, y0, z1, 34)
+    pts, _ = apex_points_detailed(x4, y0, z1, 34)
     assert q0 in pts
     for p in pts:
         assert dist_sq(p, x4) == dist_sq(p, y0) == dist_sq(p, z1) == 34
@@ -281,7 +285,7 @@ def test_apex_points_over_concyclic_triple_returns_foci():
     c = equidistant_circle(v0, v2, 34)
     cp = circle_param(c, point(-5, 0, 3))
     a, b, d = cp.point_at(0), cp.point_at(1), cp.point_at(-2)
-    pts = apex_points(a, b, d, 34)
+    pts, _ = apex_points_detailed(a, b, d, 34)
     assert set(pts) == {v0, v2}
 
 
@@ -291,7 +295,7 @@ def test_apex_points_reasons():
     pts, reason = apex_points_detailed(point(0, 0, 0), point(1, 0, 0), point(0, 1, 0), F(2))
     assert reason in (APEX_OK, APEX_IRRATIONAL)
     with pytest.raises(ValueError):
-        apex_points(point(0, 0, 0), point(1, 1, 1), point(2, 2, 2), 1)
+        apex_points_detailed(point(0, 0, 0), point(1, 1, 1), point(2, 2, 2), 1)
 
 
 def test_apex_points_irrational_case():

@@ -14,19 +14,16 @@ from scavenger.graph import (
     AbstractGraph,
     Coloring,
     DistGraph,
-    GROTZSCH_LABELS,
     H_LABELS,
     build_graph,
-    chromatic_number,
-    critical_reduce,
     forced_relations,
-    grotzsch_graph,
     h_graph,
     is_proper,
     is_triangle_free,
     k_colorable,
     mod3_color,
 )
+from scavenger.hunts import Certificate, format_certificate, parse_certificate
 from scavenger.qcore import QPoint3, dist_sq, parse_point, point
 
 
@@ -47,6 +44,26 @@ def brute_colorable(g: AbstractGraph, k: int) -> bool:
 def random_graph(rng: random.Random, n: int, p: float) -> AbstractGraph:
     pairs = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
     return AbstractGraph.from_edges(n, pairs)
+
+
+def grotzsch() -> AbstractGraph:
+    """The triangle-free 4-chromatic graph of minimum order (order 11):
+    outer 5-cycle x0..x4 (0..4), inner y_i (5..9) adjacent to x_{i-1} and
+    x_{i+1}, hub z (10) adjacent to every y_i."""
+    edges = []
+    for i in range(5):
+        edges.append((i, (i + 1) % 5))
+        edges.append((5 + i, (i - 1) % 5))
+        edges.append((5 + i, (i + 1) % 5))
+        edges.append((10, 5 + i))
+    return AbstractGraph.from_edges(11, edges)
+
+
+def induced(g: AbstractGraph, keep: list[int]) -> AbstractGraph:
+    index = {v: i for i, v in enumerate(keep)}
+    return AbstractGraph.from_edges(
+        len(keep), [(index[u], index[v]) for u, v in g.edges if u in index and v in index]
+    )
 
 
 # --- solver vs exhaustive reference ---------------------------------------------------
@@ -82,13 +99,13 @@ def test_five_cycle_chromatic():
     c5 = AbstractGraph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
     assert k_colorable(c5, 2) is None
     assert k_colorable(c5, 3) is not None
-    assert chromatic_number(c5) == 3
 
 
 def test_complete_graphs():
     for n in range(2, 7):
         kn = AbstractGraph.from_edges(n, combinations(range(n), 2))
-        assert chromatic_number(kn) == n
+        assert k_colorable(kn, n - 1) is None
+        assert k_colorable(kn, n) is not None
 
 
 @settings(max_examples=60, deadline=None)
@@ -101,43 +118,36 @@ def test_coloring_reported_is_proper(n, rng):
         assert max(coloring.assignment) <= 2
 
 
-# --- named graphs ---------------------------------------------------------------------
+# --- the Grötzsch graph and the device graph -------------------------------------------
 
 
 def test_small_mycielskian_shape():
-    g = grotzsch_graph()
-    assert g.order == 11 == len(GROTZSCH_LABELS)
+    g = grotzsch()
+    assert g.order == 11
     assert len(g.edges) == 20
     degrees = sorted(len(a) for a in g.adjacency())
     assert degrees == [3, 3, 3, 3, 3, 4, 4, 4, 4, 4, 5]
     assert is_triangle_free(g)
-    assert chromatic_number(g) == 4
+    assert k_colorable(g, 3) is None
+    assert k_colorable(g, 4) is not None
 
 
 def test_small_mycielskian_is_vertex_critical():
-    g = grotzsch_graph()
-    reduced = critical_reduce(g, 4)
-    assert reduced.order == 11
-    assert reduced.edges == g.edges
+    g = grotzsch()
+    for v in range(11):
+        assert k_colorable(induced(g, [u for u in range(11) if u != v]), 3) is not None
 
 
 def test_hub_deleted_graph_shape():
     h = h_graph()
     assert h.order == 10 == len(H_LABELS)
     assert len(h.edges) == 17
-    assert chromatic_number(h) == 3
+    assert k_colorable(h, 2) is None
+    assert k_colorable(h, 3) is not None
     # h is the order-11 graph with one inner vertex removed; its neighbors there
     # were x1, x3, and z.
-    g = grotzsch_graph()
     y2 = 7
-    keep = [v for v in range(11) if v != y2]
-    relabel = {v: i for i, v in enumerate(keep)}
-    expected = frozenset(
-        (min(relabel[u], relabel[v]), max(relabel[u], relabel[v]))
-        for u, v in g.edges
-        if y2 not in (u, v)
-    )
-    assert h.edges == expected
+    assert h.edges == induced(grotzsch(), [v for v in range(11) if v != y2]).edges
 
 
 def test_forced_relations_of_hub_deleted_graph():
@@ -187,29 +197,6 @@ def test_forced_relations_versus_unrestricted_enumeration():
         assert different == {p for p, f in diff_ref.items() if f}
 
 
-# --- criticality ----------------------------------------------------------------------
-
-
-def test_critical_reduce_strips_padding():
-    edges = [(i, (i + 1) % 5) for i in range(5)] + [(0, 5)]
-    g = AbstractGraph.from_edges(7, edges)  # C5 + pendant + isolated vertex
-    reduced = critical_reduce(g, 3)
-    assert reduced.order == 5
-    assert len(reduced.edges) == 5
-    assert chromatic_number(reduced) == 3
-    with pytest.raises(ValueError):
-        critical_reduce(g, 4)
-
-
-def test_critical_reduce_on_distance_graph():
-    pts = [point(0, 0, 0), point(1, 0, 0), point(2, 0, 0), point(Fraction(1, 2), 1, 0)]
-    g = build_graph(pts, 1)
-    reduced = critical_reduce(g, 2)
-    assert isinstance(reduced, DistGraph)
-    assert reduced.order == 2
-    assert reduced.t == 1
-
-
 # --- distance graphs ------------------------------------------------------------------
 
 
@@ -230,6 +217,16 @@ def test_build_graph_deduplicates_preserving_order():
     assert g.duplicates_merged == 1
     assert g.vertices == (point(0, 0, 0), point(1, 0, 0), point(2, 0, 0))
     assert g.edges == frozenset([(0, 1), (1, 2)])
+
+
+def test_distance_graph_is_an_abstract_graph():
+    pts = [point(0, 0, 0), point(1, 0, 0), point(2, 0, 0)]
+    g = build_graph(pts, 1)
+    assert isinstance(g, AbstractGraph)
+    assert g.order == len(g.vertices) == 3
+    assert g.adjacency() == [{1}, {0, 2}, {1}]
+    with pytest.raises(ValueError):
+        DistGraph(2, frozenset([(0, 2)]), tuple(pts[:2]), Fraction(1))
 
 
 def test_build_graph_rejections():
@@ -265,22 +262,31 @@ def test_distance_graph_edges_rescan(triples, t):
             assert ((i, j) in g.edges) == (dist_sq(pts[i], pts[j]) == t)
 
 
-# --- abstract graph text format -------------------------------------------------------
+# --- edge lists in the certificate text format ----------------------------------------
+
+
+def _with_edges(edge_lines: str) -> str:
+    points = "".join(f"{i} 0 0\n" for i in range(11))
+    return f"certificate direct-chromatic t=1\n[vertices]\n{points}[edges]\n{edge_lines}"
 
 
 def test_edge_list_roundtrip():
-    g = grotzsch_graph()
-    again = AbstractGraph.from_text(g.to_text())
-    assert again == g
+    g = grotzsch()
+    points = tuple(point(i, 0, 0) for i in range(11))
+    cert = Certificate("direct-chromatic", 1, points, tuple(sorted(g.edges)))
+    again = parse_certificate(format_certificate(cert))
+    assert AbstractGraph.from_edges(len(again.points), again.edges) == g
 
 
 def test_edge_list_parsing():
-    g = AbstractGraph.from_text("# a comment\n0 1\n1 2 # trailing\n\n")
-    assert g.order == 3
-    assert g.edges == frozenset([(0, 1), (1, 2)])
-    for bad in ["0", "0 1 2", "0 a", "-1 2", "3 3"]:
-        with pytest.raises(ValueError):
-            AbstractGraph.from_text(bad)
+    cert = parse_certificate(_with_edges("# a comment\n0 1\n2 1 # trailing\n\n"))
+    assert cert.edges == ((0, 1), (1, 2))
+    for bad in ["0", "0 1 2", "0 a", "-1 2", "3 3", "0 11"]:
+        with pytest.raises(ValueError, match="line 16"):
+            parse_certificate(_with_edges(f"0 1\n{bad}\n"))
+
+
+# --- abstract graph validation -------------------------------------------------------
 
 
 def test_abstract_graph_validation():

@@ -13,7 +13,7 @@ from scavenger.geom import (
     equidistant_circle,
     rational_point_on_circle,
 )
-from scavenger.graph import build_graph, h_graph, is_triangle_free, k_colorable
+from scavenger.graph import build_graph, h_graph, is_proper, is_triangle_free, k_colorable
 from scavenger.hunts import (
     ASpec,
     Certificate,
@@ -98,17 +98,25 @@ def test_greedy_finds_non_3_colorable_set():
     res = greedy_hunt(22, SEED_22, ASpec(3, F(-10), F(10)), cap=1000)
     assert res.succeeded
     assert res.order <= 1000
-    assert res.state.stored_coloring is None
+    assert res.coloring is None
     assert k_colorable(res.graph, 3) is None
     assert k_colorable(res.graph, 4) is not None
+    # the hunt hands back its certificate with that certificate's one report
+    assert res.graph == build_graph(list(res.graph.vertices), 22)
+    assert res.certificate.points == res.graph.vertices
+    assert res.certificate.edges == tuple(sorted(res.graph.edges))
+    assert res.report == verify_certificate(res.certificate)
+    assert res.report.verdict == "PASS"
 
 
 def test_greedy_cap_failure_keeps_last_coloring():
     res = greedy_hunt(22, SEED_22, ASpec(3, F(-10), F(10)), cap=12)
     assert not res.succeeded
     assert res.order == 12
-    coloring = res.state.stored_coloring
+    assert res.certificate is None and res.report is None
+    coloring = res.coloring
     assert coloring is not None
+    assert is_proper(res.graph, coloring)
     assert k_colorable(res.graph, 3) is not None
     assert coloring.color_count() <= 3
 
@@ -351,6 +359,14 @@ def test_grotzsch_type_hunt_succeeds_on_reference_cycle():
     assert cert.points[:5] == cycle
 
 
+def test_grotzsch_type_hunt_is_worker_count_invariant():
+    cycle, params = _oracle_params_34()
+    one = grotzsch_type_hunt(34, list(cycle), params, workers=1)
+    two = grotzsch_type_hunt(34, list(cycle), params, workers=2)
+    assert one is not None
+    assert two == one
+
+
 def test_grotzsch_type_hunt_exhausts_small_list():
     cycle, _ = _oracle_params_34()
     assert grotzsch_type_hunt(34, list(cycle), [F(0)]) is None
@@ -381,13 +397,17 @@ def test_circle_plane_intersections_exact():
         assert dist_sq(r, y1) == 30
 
 
-def test_subgraph_hunt_emits_verifying_certificate():
-    cert, sym = _reference_device()
+def _reference_device_pair(cert, sym):
     c0 = equidistant_circle(sym.x4, sym.x1, 30)
     c1 = equidistant_circle(sym.x0, sym.x2, 30)
     a = circle_param(c0, rational_point_on_circle(c0)).param_for_point(cert.points[5])
     b = circle_param(c1, rational_point_on_circle(c1)).param_for_point(cert.points[6])
-    found = grotzsch_subgraph_hunt(30, sym, [(a, b)])
+    return a, b
+
+
+def test_subgraph_hunt_emits_verifying_certificate():
+    cert, sym = _reference_device()
+    found = grotzsch_subgraph_hunt(30, sym, [_reference_device_pair(cert, sym)])
     assert found is not None
     found, hunt_report = found
     report = verify_certificate(found)
@@ -397,6 +417,15 @@ def test_subgraph_hunt_emits_verifying_certificate():
     assert found.data["radius_sq"] == F(539, 30)
     assert found.points[5] == cert.points[5]
     assert found.points[6] == cert.points[6]
+
+
+def test_subgraph_hunt_is_worker_count_invariant():
+    cert, sym = _reference_device()
+    pairs = [_reference_device_pair(cert, sym)]
+    one = grotzsch_subgraph_hunt(30, sym, pairs, workers=1)
+    two = grotzsch_subgraph_hunt(30, sym, pairs, workers=2)
+    assert one is not None
+    assert two == one
 
 
 def test_subgraph_hunt_exhausts_empty_and_mismatched():

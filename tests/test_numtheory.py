@@ -9,6 +9,7 @@ solutions, chains by step-by-step exact recomputation.
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from scavenger.numtheory import (
     in_T,
     is_quadratic_residue,
     isosceles_embeddable,
+    legendre_obstruction,
     legendre_solution,
     legendre_solvable,
     normalize_form,
@@ -221,6 +223,23 @@ def test_legendre_decision_is_certified_both_ways(a, b, c):
         assert (x, y, z) != (0, 0, 0)
     else:
         assert brute_nontrivial_zero(form, 25) is None
+
+
+@pytest.mark.parametrize(
+    "coeffs,reason",
+    [
+        ((1, 1, -2), None),
+        ((1, 1, -3), "-ab = -1 not a QR of 3"),
+        ((1, 1, 1), "definite form, only the trivial zero"),
+        ((-2, -3, -5), "definite form, only the trivial zero"),
+        ((4, 9, 12), "definite form, only the trivial zero"),
+        ((1, -3, 7), "-ab = 3 not a QR of 7"),
+        ((-13, -11, 1), "-ac = 13 not a QR of 11"),
+        ((3, -5, 7), "-bc = 35 not a QR of 3"),
+    ],
+)
+def test_legendre_obstruction_names_the_failing_condition(coeffs, reason):
+    assert legendre_obstruction(TernaryForm(*coeffs)) == reason
 
 
 # --- step-length criteria ------------------------------------------------------
@@ -437,13 +456,26 @@ def test_chain_steps_expand_runs_in_order():
         cert.steps[3]
 
 
-def test_device_chain_is_737_runs_of_257_steps():
+def test_device_chain_is_19_runs_of_257_step_multiples():
+    # each atom move is 257 micro-steps, and a Bezout count of n cancelling
+    # pairs is two runs of n moves each, not 2n runs
     v = vec(*three_rational_squares(Fraction(30)))
     cert = construct_chain(v, Fraction(1462, 257))
     assert len(cert.steps) == 189409
-    assert len(cert.runs) == 737
-    assert {k for _, k in cert.runs} == {257}
+    assert len(cert.runs) == 19
+    assert all(k % 257 == 0 for _, k in cert.runs)
     assert len({s for s, _ in cert.runs}) == 16
+
+
+def test_chain_with_huge_bezout_counts_is_quick():
+    # a fuzzed wrong device's |x2-z|^2; listing its cancelling pairs one by
+    # one did not finish in 30 s
+    v = vec(*three_rational_squares(Fraction(30)))
+    start = time.perf_counter()
+    cert = construct_chain(v, Fraction(603232589, 6604900))
+    assert time.perf_counter() - start < 1.0
+    assert len(cert.runs) < 100
+    assert len(cert.steps) > 10**12
 
 
 # --- isosceles embeddability -----------------------------------------------------

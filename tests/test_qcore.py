@@ -25,7 +25,6 @@ from scavenger.qcore import (
     parse_rational,
     point,
     rational_square_root,
-    reduce_distance,
     squarefree_part,
     vec,
 )
@@ -179,26 +178,3 @@ def test_square_root_none_for_nonsquares(q):
 def test_square_root_rejects_negative():
     with pytest.raises(ValueError):
         rational_square_root(Fraction(-4))
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.fractions(min_value=Fraction(1, 100), max_value=1000, max_denominator=100))
-def test_reduce_distance_postconditions(q):
-    r, scale = reduce_distance(q)
-    assert r >= 1
-    assert squarefree_part(r) == r
-    assert scale > 0
-    assert scale * scale * r == q
-
-
-@pytest.mark.parametrize(
-    "q,expected",
-    [
-        (Fraction(539, 30), (330, Fraction(7, 30))),
-        (Fraction(722, 15), (30, Fraction(19, 15))),
-        (Fraction(4), (1, Fraction(2))),
-        (Fraction(30), (30, Fraction(1))),
-    ],
-)
-def test_reduce_distance_values(q, expected):
-    assert reduce_distance(q) == expected
