@@ -318,6 +318,31 @@ def apex_points_detailed(
     return [center + normal.scale(s), center + normal.scale(-s)], APEX_OK
 
 
+def has_rational_apex(a: tuple[int, int], b: tuple[int, int], c: tuple[int, int], t: int) -> bool:
+    """Whether three rational points p1, p2, p3 have a rational point at
+    squared distance t from all three (those apex_points_detailed returns),
+    decided from their squared distances a = |p1p2|², b = |p1p3|² and
+    c = |p2p3|² alone, each given as a (numerator, denominator) pair.
+
+    D = 4ab − (a+b−c)² is sixteen times the squared area, so it is zero
+    exactly when two points coincide or all three are collinear; such a
+    triple is rejected (apex_points_detailed raises on it).  Otherwise
+    the squared circumradius is abc/D and the squared apex offset along the
+    normal (p2−p1) × (p3−p1) is 4(tD − abc)/D², so a rational apex exists iff
+    tD − abc is a non-negative rational square: the Cayley–Menger volume of
+    the tetrahedron with three edges √t.  Scaled by L², with L the product
+    of the denominators, that is an integer square test.
+    """
+    (A, da), (B, db), (C, dc) = a, b, c
+    alpha, beta, gamma = A * db * dc, B * da * dc, C * da * db  # a·L, b·L, c·L
+    s = alpha + beta - gamma
+    area = 4 * alpha * beta - s * s  # D·L²
+    if area == 0:
+        return False
+    volume = t * area - A * B * C * da * db * dc  # (tD − abc)·L²
+    return volume >= 0 and math.isqrt(volume) ** 2 == volume
+
+
 # --- exact isosceles embedding -------------------------------------------------------
 
 

@@ -246,6 +246,25 @@ def test_verify_malformed_file(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("raw", ["2_2", "+22", "22.0", "22/3", "0x16"])
+def test_verify_rejects_loose_certificate_t(capsys, tmp_path, raw):
+    # the header follows the vertex-file rule for rational literals
+    f = tmp_path / "loose.cert"
+    f.write_text(f"# header below\ncertificate direct-chromatic t={raw}\n[vertices]\n0 0 0\n")
+    code, out, err = run(capsys, "verify", str(f))
+    assert code == 64
+    assert out == ""
+    assert "line 2: t must be an integer" in err
+
+
+def test_verify_accepts_certificate_t_with_unit_denominator(capsys, tmp_path):
+    f = tmp_path / "unit.cert"
+    f.write_text("certificate direct-chromatic t=22/1\n[vertices]\n0 0 0\n")
+    code, out, _ = run(capsys, "verify", str(f))
+    assert code == 1
+    assert "0 edges at exact squared distance 22\n" in out
+
+
 def test_unknown_subcommand_usage_exit():
     with pytest.raises(SystemExit) as info:
         cli.dispatch(["frobnicate"])

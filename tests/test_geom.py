@@ -8,6 +8,7 @@ independent substitution, not trusted blindly).
 from __future__ import annotations
 
 from fractions import Fraction as F
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +29,7 @@ from scavenger.geom import (
     conic_point,
     embed_isosceles,
     equidistant_circle,
+    has_rational_apex,
     rational_point_on_circle,
     reflect_point,
     tangent_param,
@@ -302,6 +304,58 @@ def test_apex_points_irrational_case():
     # equilateral side^2=2 triangle: apex over it at t=2 needs s^2 = (2 - 2/3)/|n|^2
     pts, reason = apex_points_detailed(point(1, 1, 0), point(1, 0, 1), point(0, 1, 1), 3)
     assert reason == APEX_IRRATIONAL and pts == []
+
+
+def _decide(p1, p2, p3, t):
+    """has_rational_apex on the three squared distances of the points."""
+    pairs = [(d.numerator, d.denominator) for d in (dist_sq(p1, p2), dist_sq(p1, p3), dist_sq(p2, p3))]
+    return has_rational_apex(*pairs, t)
+
+
+def test_has_rational_apex_examples():
+    assert _decide(point(1, 0, 0), point(0, 1, 0), point(0, 0, 1), 1)
+    assert _decide(
+        point(0, 5, 3),
+        point(F(-9, 13), F(-3, 13), F(-12, 13)),
+        point(F(-39, 7), F(-1, 7), F(12, 7)),
+        34,
+    )
+    assert not _decide(point(1, 1, 0), point(1, 0, 1), point(0, 1, 1), 3)  # irrational
+    assert not _decide(point(0, 0, 0), point(3, 0, 0), point(0, 3, 0), 1)  # too far
+    assert not _decide(point(0, 0, 0), point(1, 1, 1), point(2, 2, 2), 3)  # collinear
+    assert not _decide(point(0, 0, 0), point(0, 0, 0), point(1, 0, 0), 1)  # coincident
+
+
+# vectors of squared norm 9, so that three of them from one center have an apex at t=9
+NORM_9 = sorted(
+    {
+        vec(*(s * c for s, c in zip(signs, perm)))
+        for base in ((3, 0, 0), (2, 2, 1))
+        for perm in permutations(base)
+        for signs in product((1, -1), repeat=3)
+    },
+    key=lambda v: v.components(),
+)
+small_points = st.builds(point, *[st.fractions(min_value=-4, max_value=4, max_denominator=3)] * 3)
+
+
+@st.composite
+def triples_and_t(draw):
+    if draw(st.booleans()):
+        return draw(small_points), draw(small_points), draw(small_points), draw(st.integers(1, 40))
+    center = draw(small_points)
+    return (*(center + draw(st.sampled_from(NORM_9)) for _ in range(3)), 9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(triples_and_t())
+def test_has_rational_apex_matches_apex_solve(case):
+    p1, p2, p3, t = case
+    if len({p1, p2, p3}) != 3 or (p2 - p1).cross(p3 - p1).is_zero():
+        expected = False  # apex_points_detailed raises on collinear points
+    else:
+        expected = bool(apex_points_detailed(p1, p2, p3, t)[0])
+    assert _decide(p1, p2, p3, t) == expected
 
 
 # --- exact isosceles embedding --------------------------------------------------------

@@ -1,16 +1,21 @@
 from __future__ import annotations
 
 from fractions import Fraction as F
+from functools import cache
+from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scavenger.cycles import SymCycle
 from scavenger.geom import (
     INF,
+    apex_points_detailed,
     bisector_plane,
     circle_param,
     equidistant_circle,
+    has_rational_apex,
     rational_point_on_circle,
 )
 from scavenger.graph import build_graph, h_graph, is_proper, is_triangle_free, k_colorable
@@ -18,6 +23,7 @@ from scavenger.hunts import (
     ASpec,
     Certificate,
     GrotzschTypeGraph,
+    _gt_first_apex,
     circle_plane_intersections,
     farey_parameters,
     format_certificate,
@@ -334,13 +340,23 @@ def test_farey_parameters_reduced():
 # --- constructive hunts ---------------------------------------------------------------
 
 
-def _oracle_params_34():
-    cert = _cert("t34_order25.cert")
-    vs, rings = cert.points[:5], cert.points[5:20]
-    values = set()
+def _reference_charts(name: str):
+    """The certificate and the hunt's five charts on its cycle: chart i
+    parameterizes the circle about v_{i-1}, v_{i+1}."""
+    cert = _cert(name)
+    vs = cert.points[:5]
+    charts = []
     for i in range(5):
-        circle = equidistant_circle(vs[(i - 1) % 5], vs[(i + 1) % 5], 34)
-        chart = circle_param(circle, rational_point_on_circle(circle))
+        circle = equidistant_circle(vs[(i - 1) % 5], vs[(i + 1) % 5], cert.t)
+        charts.append(circle_param(circle, rational_point_on_circle(circle)))
+    return cert, charts
+
+
+def _oracle_params_34():
+    cert, charts = _reference_charts("t34_order25.cert")
+    rings = cert.points[5:20]
+    values = set()
+    for i, chart in enumerate(charts):
         for ring in range(3):
             values.add(chart.param_for_point(rings[5 * ring + i]))
     finite = sorted(v for v in values if v is not INF)
@@ -376,6 +392,129 @@ def test_grotzsch_type_hunt_exhausts_small_list():
 def test_grotzsch_type_hunt_rejects_non_cycle():
     with pytest.raises(ValueError):
         grotzsch_type_hunt(34, [point(i, 0, 0) for i in range(5)], [F(0)])
+
+
+# --- the order-25 table test against the apex solve ---------------------------------
+
+
+def _as_pair(q):
+    return q.numerator, q.denominator
+
+
+def _apex_oracle(x, y, z, t) -> bool:
+    """Whether the apex solve finds a rational apex.  Coincident points have
+    none, and neither do collinear ones, on which `circumcenter` raises."""
+    if len({x, y, z}) != 3:
+        return False
+    try:
+        return bool(apex_points_detailed(x, y, z, t)[0])
+    except ValueError:
+        return False
+
+
+def _table_decides(x, y, z, t) -> bool:
+    return has_rational_apex(
+        _as_pair(dist_sq(x, y)), _as_pair(dist_sq(x, z)), _as_pair(dist_sq(y, z)), t
+    )
+
+
+def _ring_charts(charts, i):
+    """The charts of X_{i-1}, Y_i and Z_{i+1}, the three points under Q_i."""
+    return charts[(i - 1) % 5], charts[i], charts[(i + 1) % 5]
+
+
+def _ring_points(cert, i):
+    pts = cert.points
+    return pts[5 + (i - 1) % 5], pts[10 + i], pts[15 + (i + 1) % 5]
+
+
+@cache
+def _reference_hits(name: str):
+    """The certificate, its charts, and per ring i the chart parameters of
+    the certificate's own X_{i-1}, Y_i, Z_{i+1}: a known hit."""
+    cert, charts = _reference_charts(name)
+    hits = tuple(
+        tuple(chart.param_for_point(p) for chart, p in zip(_ring_charts(charts, i), _ring_points(cert, i)))
+        for i in range(5)
+    )
+    return cert, charts, hits
+
+
+def _near(s):
+    """s itself, or a nearby fraction (p+dp)/(q+dq) with |dp|, |dq| ≤ 2."""
+    if s is INF:
+        return st.one_of(st.just(INF), st.integers(-60, 60).map(F))
+    return st.one_of(
+        st.just(s),
+        st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+        .filter(lambda d: s.denominator + d[1] >= 1)
+        .map(lambda d: F(s.numerator + d[0], s.denominator + d[1])),
+    )
+
+
+SMALL_PARAMS = st.one_of(
+    st.just(INF),
+    st.builds(F, st.integers(-12, 12), st.integers(1, 12)),
+)
+
+
+@pytest.mark.parametrize("name", ["t34_order25.cert", "t66_order25.cert"])
+def test_table_test_accepts_every_reference_apex(name):
+    cert, charts, hits = _reference_hits(name)
+    for i in range(5):
+        pts = tuple(chart.point_at(s) for chart, s in zip(_ring_charts(charts, i), hits[i]))
+        assert pts == _ring_points(cert, i)
+        assert _table_decides(*pts, cert.t)
+        assert cert.points[20 + i] in apex_points_detailed(*pts, cert.t)[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    name=st.sampled_from(["t34_order25.cert", "t66_order25.cert"]),
+    ring=st.integers(0, 4),
+)
+def test_table_test_agrees_with_apex_solve(data, name, ring):
+    cert, charts, hits = _reference_hits(name)
+    params = [data.draw(st.one_of(_near(s), SMALL_PARAMS)) for s in hits[ring]]
+    x, y, z = (chart.point_at(s) for chart, s in zip(_ring_charts(charts, ring), params))
+    assert _table_decides(x, y, z, cert.t) == _apex_oracle(x, y, z, cert.t)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_grotzsch_type_hunt_takes_the_first_hit_in_product_order(reverse):
+    cycle, params = _oracle_params_34()
+    if reverse:
+        params = params[::-1]
+    graph, _, _ = grotzsch_type_hunt(34, list(cycle), params)
+    _, charts = _reference_charts("t34_order25.cert")
+    for i in range(5):
+        rows = [[chart.point_at(s) for s in params] for chart in _ring_charts(charts, i)]
+        first = next(
+            (a, b, c)
+            for a, b, c in product(range(len(params)), repeat=3)
+            if _apex_oracle(rows[0][a], rows[1][b], rows[2][c], 34)
+        )
+        found = (graph.xs[(i - 1) % 5], graph.ys[i], graph.zs[(i + 1) % 5])
+        assert found == (rows[0][first[0]], rows[1][first[1]], rows[2][first[2]])
+
+
+def test_collinear_triple_is_rejected_and_the_row_scan_moves_on():
+    x, y = point(0, 0, 0), point(2, 0, 0)
+    zs = (point(4, 0, 0), point(0, 2, 0), point(2, 2, 0))
+    # the first Z is collinear with X, Y; the other two share the apex (1, 1, 1)
+    with pytest.raises(ValueError, match="collinear"):
+        apex_points_detailed(x, y, zs[0], 3)
+    assert not _table_decides(x, y, zs[0], 3)
+    for z in zs[1:]:
+        assert point(1, 1, 1) in apex_points_detailed(x, y, z, 3)[0]
+    candidate = (
+        (4, 7),
+        _as_pair(dist_sq(x, y)),
+        [_as_pair(dist_sq(x, z)) for z in zs],
+        [_as_pair(dist_sq(y, z)) for z in zs],
+    )
+    assert _gt_first_apex(3, candidate) == (4, 7, 1)
 
 
 def _reference_device():
