@@ -19,6 +19,7 @@ from scavenger.numtheory import ChainCertificate
 from scavenger.qcore import dist_sq, parse_point
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *argv):
@@ -474,3 +475,15 @@ def test_hunt_grotzsch_subgraph_small_height_fails(capsys):
     assert code == 1
     assert out.splitlines()[0] == "cycle d=26"
     assert "HUNT FAIL" in out
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_hunt_grotzsch_subgraph_30_matches_golden(capsys, tmp_path, workers):
+    out_path = tmp_path / "device30.cert"
+    code, out, err = run(
+        capsys, "hunt-grotzsch-subgraph", "30", "--workers", workers, "--out", str(out_path)
+    )
+    assert code == 0
+    assert err == ""
+    assert out == (GOLDEN / "hunt_device30.out").read_text(encoding="utf-8")
+    assert out_path.read_bytes() == (GOLDEN / "hunt_device30.cert").read_bytes()
