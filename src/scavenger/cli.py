@@ -3,8 +3,8 @@
 Reports use a stable line grammar — `CHECK <name> PASS|FAIL|WARN <detail>`
 lines followed by a `VERDICT` line — so runs can be diffed.  Exit codes:
 0 pass, 1 fail, 2 pass with warnings, 64 usage or malformed input, 70
-internal error.  Worker counts never change output bytes;
-`SCAVENGER_WORKERS` overrides `--workers`.
+internal error, 141 when the reader of stdout closes it early.  Worker
+counts never change output bytes; `SCAVENGER_WORKERS` overrides `--workers`.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ EXIT_FAIL = 1
 EXIT_WARN = 2
 EXIT_USAGE = 64
 EXIT_INTERNAL = 70
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer whose reader left
 
 
 # --- file ingestion ---------------------------------------------------------------
@@ -424,7 +425,15 @@ def dispatch(argv) -> int:
 
 
 def main() -> int:
-    return dispatch(sys.argv[1:])
+    try:
+        code = dispatch(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout is gone (as after `| head -1`): stop quietly, with
+        # stdout on the null device so the interpreter's last flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -298,7 +298,10 @@ def _symmetric_cycle_for(t: int, d: Rational) -> SymCycle | None:
 # --- feasibility scan over d ------------------------------------------------------------
 
 
-def parallel_first(candidates, predicate, workers: int = 1, chunk: int = 16):
+PARALLEL_CHUNK = 16  # candidates per task sent to a worker
+
+
+def parallel_first(candidates, predicate, workers: int = 1):
     """`(candidate, value)` for the first candidate (in order) whose
     `value = predicate(candidate)` is truthy, or None.
 
@@ -315,10 +318,10 @@ def parallel_first(candidates, predicate, workers: int = 1, chunk: int = 16):
     it = iter(candidates)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         while True:
-            block = list(islice(it, chunk * workers))
+            block = list(islice(it, PARALLEL_CHUNK * workers))
             if not block:
                 return None
-            for x, value in zip(block, pool.map(predicate, block, chunksize=chunk)):
+            for x, value in zip(block, pool.map(predicate, block, chunksize=PARALLEL_CHUNK)):
                 if value:
                     return x, value
 

@@ -62,7 +62,6 @@ from .qcore import (
     parse_point,
     parse_point_line,
     parse_rational,
-    point,
     rational_square_root,
     vec,
 )
@@ -372,33 +371,17 @@ def grotzsch_type_hunt(
 # --- the forced-pair device --------------------------------------------------------------
 
 
-def _solve3(rows: tuple[QVec3, QVec3, QVec3], rhs: tuple[Rational, Rational, Rational]) -> QPoint3:
-    a, b, c = rows
-    det = a.dot(b.cross(c))
-    if det == 0:
-        raise ValueError("singular system")
-    dx = vec(rhs[0], a.dy, a.dz), vec(rhs[1], b.dy, b.dz), vec(rhs[2], c.dy, c.dz)
-    dy = vec(a.dx, rhs[0], a.dz), vec(b.dx, rhs[1], b.dz), vec(c.dx, rhs[2], c.dz)
-    dz = vec(a.dx, a.dy, rhs[0]), vec(b.dx, b.dy, rhs[1]), vec(c.dx, c.dy, rhs[2])
-    return point(
-        dx[0].dot(dx[1].cross(dx[2])) / det,
-        dy[0].dot(dy[1].cross(dy[2])) / det,
-        dz[0].dot(dz[1].cross(dz[2])) / det,
-    )
-
-
 def circle_plane_intersections(circle: RCircle, plane) -> tuple[QPoint3, ...]:
     """The rational intersection points of a circle with a plane (0, 1, or 2
     of them), via an exact one-parameter quadratic along the chord line."""
-    n, m = circle.plane.normal, plane.normal
-    direction = n.cross(m)
+    n = circle.plane.normal
+    direction = n.cross(plane.normal)
     if direction.is_zero():
         return ()
-    anchor = _solve3(
-        (n, m, direction),
-        (circle.plane.offset, plane.offset, direction.dot(vec(*circle.center.coords()))),
-    )
-    off = anchor - circle.center
+    # the chord line's point nearest the center: off the center along
+    # direction × n, which stays in the circle's plane, onto the other plane
+    off = direction.cross(n).scale(-plane.eval(circle.center) / direction.norm_sq())
+    anchor = circle.center + off
     lam_sq = (circle.radius_sq - off.norm_sq()) / direction.norm_sq()
     if lam_sq < 0:
         return ()
@@ -410,15 +393,20 @@ def circle_plane_intersections(circle: RCircle, plane) -> tuple[QPoint3, ...]:
     return (anchor + direction.scale(lam), anchor + direction.scale(-lam))
 
 
-def _device_z(chart0, chart1, t: int, mirror, pair):
-    """The two chosen circle points and the rational points z on the mirror
-    plane at squared distance t from both, or None when there is no such z."""
-    y0 = chart0.point_at(pair[0])
-    y1 = chart1.point_at(pair[1])
+def _first_device(
+    t: int, sym: SymCycle, pair: tuple[QPoint3, QPoint3]
+) -> tuple[Certificate, Report] | None:
+    """`(cert, report)` for the first rational z on the mirror plane at √t
+    from both circle points y0, y1 that assembles into a verified device, or
+    None."""
+    y0, y1 = pair
     if y0 == y1 or dist_sq(y0, y1) >= 4 * t:
         return None
-    zs = circle_plane_intersections(equidistant_circle(y0, y1, t), mirror)
-    return (y0, y1, zs) if zs else None
+    for z in circle_plane_intersections(equidistant_circle(y0, y1, t), sym.plane):
+        found = _assemble_device(t, sym, y0, y1, z)
+        if found is not None:
+            return found
+    return None
 
 
 def grotzsch_subgraph_hunt(
@@ -434,7 +422,8 @@ def grotzsch_subgraph_hunt(
     distance |x2-z|² meeting the membership criteria yields a certificate
     directly; otherwise the circle about (x1, x3) must have squared radius
     with denominator ≡ 2 (mod 4), certifying via the antipodal distance.
-    Returns the certificate with its verification report."""
+    Pairs are tried in order, each with its z in order; returns the first
+    certificate with its verification report."""
     t = int(t)
     if sym.t != t:
         raise ValueError(f"cycle was built for t={sym.t}, not {t}")
@@ -454,20 +443,13 @@ def grotzsch_subgraph_hunt(
         logger.info("a defining circle has no rational points")
         return None
 
-    remaining = list(pairs)
-    while remaining:
-        hit = parallel_first(
-            remaining, partial(_device_z, chart0, chart1, t, sym.plane), workers=workers
-        )
-        if hit is None:
-            return None
-        pair, (y0, y1, zs) = hit
-        for z in zs:
-            found = _assemble_device(t, sym, y0, y1, z)
-            if found is not None:
-                return found
-        remaining = remaining[remaining.index(pair) + 1 :]
-    return None
+    # each chart's point once per distinct parameter, in the calling process
+    ys0 = {s: chart0.point_at(s) for s in dict.fromkeys(a for a, _ in pairs)}
+    ys1 = {s: chart1.point_at(s) for s in dict.fromkeys(b for _, b in pairs)}
+    hit = parallel_first(
+        ((ys0[a], ys1[b]) for a, b in pairs), partial(_first_device, t, sym), workers=workers
+    )
+    return None if hit is None else hit[1]
 
 
 def _assemble_device(
@@ -478,9 +460,6 @@ def _assemble_device(
     pts = (sym.x0, sym.x1, sym.x2, sym.x3, sym.x4, y0, y1, y3, y4, z)
     if len(set(pts)) != 10:
         return None
-    for u, w in h_graph().edges:
-        if dist_sq(pts[u], pts[w]) != t:
-            return None
     h_direct = dist_sq(sym.x2, z)
     data: dict[str, object] = {"z": z}
     if phi_criteria(h_direct):
@@ -494,6 +473,8 @@ def _assemble_device(
         assert phi_criteria(h_anti)
         data["radius_sq"] = rho
         data["h"] = h_anti
+    # the 17 device edges hold by construction; the verifier's h-edges check
+    # confirms them
     cert = Certificate("h-device", t, pts, tuple(sorted(h_graph().edges)), data)
     report = verify_certificate(cert)
     if report.failed:
@@ -721,12 +702,19 @@ def _verify_grotzsch_type(cert: Certificate) -> list[Check]:
     pts = cert.points
     if len(pts) != 25:
         return [Check("order", "FAIL", f"expected 25 labeled points, got {len(pts)}")]
-    distinct = len(set(pts))
-    checks.append(Check("order", "PASS", f"25 labels, {distinct} distinct points"))
+    # one distance graph answers every adjacency question; labels may share a point
+    g = build_graph(list(pts), cert.t)
+    checks.append(Check("order", "PASS", f"25 labels, {g.order} distinct points"))
+    vertex = {p: i for i, p in enumerate(g.vertices)}
+
+    def adjacent(u: int, w: int) -> bool:
+        a, b = sorted((vertex[pts[u]], vertex[pts[w]]))
+        return (a, b) in g.edges
 
     def label_pairs(pairs):
         return " ".join(
-            f"{GT_LABELS[u]}-{GT_LABELS[w]}={format_rational(d)}" for u, w, d in pairs
+            f"{GT_LABELS[u]}-{GT_LABELS[w]}={format_rational(dist_sq(pts[u], pts[w]))}"
+            for u, w in pairs
         )
 
     structural = gt_structural_edges()
@@ -741,47 +729,31 @@ def _verify_grotzsch_type(cert: Certificate) -> list[Check]:
         "apex-edges": [e for e in structural if e[1] >= 20],
     }
     for name, pairs in groups.items():
-        bad = []
-        for u, w in pairs:
-            d = dist_sq(pts[u], pts[w])
-            if d != cert.t:
-                bad.append((u, w, d))
+        bad = [(u, w) for u, w in pairs if not adjacent(u, w)]
         checks.append(
             Check(name, "PASS", f"{len(pairs)} edges exact")
             if not bad
             else Check(name, "FAIL", label_pairs(bad))
         )
 
-    circle_indices = range(5, 20)
     exclusivity_bad = []
     for i in range(5):
         qi = 20 + i
         expected = {5 + (i - 1) % 5, 10 + i, 15 + (i + 1) % 5}
         expected_points = {pts[j] for j in expected}
-        for j in circle_indices:
-            hit = dist_sq(pts[qi], pts[j]) == cert.t
-            if hit and j not in expected and pts[j] not in expected_points:
-                exclusivity_bad.append((qi, j, dist_sq(pts[qi], pts[j])))
+        for j in range(5, 20):
+            if adjacent(qi, j) and j not in expected and pts[j] not in expected_points:
+                exclusivity_bad.append((qi, j))
     checks.append(
         Check("apex-exclusive", "PASS", "each apex meets exactly its three assigned circle points")
         if not exclusivity_bad
         else Check("apex-exclusive", "FAIL", label_pairs(exclusivity_bad))
     )
-
-    adjacency: dict[int, set[int]] = {i: set() for i in range(25)}
-    for u, w in structural:
-        adjacency[u].add(w)
-        adjacency[w].add(u)
-    degree3 = sum(1 for i in range(25) if len(adjacency[i]) == 3)
-    degree8 = sum(1 for i in range(25) if len(adjacency[i]) == 8)
-    checks.append(
-        Check("degrees", "PASS", "twenty structural degree-3 and five degree-8 vertices")
-        if degree3 == 20 and degree8 == 5
-        else Check("degrees", "FAIL", f"degree-3 count {degree3}, degree-8 count {degree8}")
-    )
+    # the census reads only the constant structural shape, so it always holds
+    # (test_structural_edge_census pins it)
+    checks.append(Check("degrees", "PASS", "twenty structural degree-3 and five degree-8 vertices"))
 
     structure_ok = not any(c.status == "FAIL" for c in checks)
-    g = build_graph(list(pts), cert.t)
     three = k_colorable(g, 3)
     checks.append(
         Check("chromatic", "PASS", f"no proper 3-coloring of the {g.order} distinct points")

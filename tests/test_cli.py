@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -20,6 +23,7 @@ from scavenger.qcore import dist_sq, parse_point
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -487,3 +491,40 @@ def test_hunt_grotzsch_subgraph_30_matches_golden(capsys, tmp_path, workers):
     assert err == ""
     assert out == (GOLDEN / "hunt_device30.out").read_text(encoding="utf-8")
     assert out_path.read_bytes() == (GOLDEN / "hunt_device30.cert").read_bytes()
+
+
+# --- a reader that leaves early -----------------------------------------------------
+
+
+def _spawn_greedy(unbuffered: bool) -> subprocess.Popen:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "scavenger.cli", "hunt-greedy", str(DATA / "t22_seed.txt")],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_closed_stdout_ends_quietly_with_141(unbuffered):
+    proc = _spawn_greedy(unbuffered)
+    proc.stdout.close()  # gone before the first line is written
+    err = proc.stderr.read()
+    assert proc.wait() == cli.EXIT_BROKEN_PIPE == 141
+    assert err == b""
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_head_one_reads_a_line_and_stderr_stays_empty(unbuffered):
+    proc = _spawn_greedy(unbuffered)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    # 0 when the whole report was written before the reader left, else 141
+    assert proc.wait() in (0, 141)
+    assert first == b"HUNT PASS order=53 edges=181 iterations=48\n"
+    assert err == b""

@@ -1,16 +1,20 @@
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction as F
 from functools import cache
 from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from scavenger import geom, hunts
 from scavenger.cycles import SymCycle
 from scavenger.geom import (
     INF,
+    Plane,
+    RCircle,
     apex_points_detailed,
     bisector_plane,
     circle_param,
@@ -35,7 +39,7 @@ from scavenger.hunts import (
     read_certificate,
     verify_certificate,
 )
-from scavenger.qcore import dist_sq, parse_point, point
+from scavenger.qcore import dist_sq, parse_point, point, rational_square_root, vec
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -536,6 +540,80 @@ def test_circle_plane_intersections_exact():
         assert dist_sq(r, y1) == 30
 
 
+# --- the chord anchor against the Cramer solve ------------------------------------
+
+
+def _solve3(rows, rhs):
+    """The 3×3 system rows · X = rhs by Cramer's rule."""
+    a, b, c = rows
+    det = a.dot(b.cross(c))
+    assert det != 0
+    dx = vec(rhs[0], a.dy, a.dz), vec(rhs[1], b.dy, b.dz), vec(rhs[2], c.dy, c.dz)
+    dy = vec(a.dx, rhs[0], a.dz), vec(b.dx, rhs[1], b.dz), vec(c.dx, rhs[2], c.dz)
+    dz = vec(a.dx, a.dy, rhs[0]), vec(b.dx, b.dy, rhs[1]), vec(c.dx, c.dy, rhs[2])
+    return point(*(d[0].dot(d[1].cross(d[2])) / det for d in (dx, dy, dz)))
+
+
+def _intersections_by_cramer(circle, plane):
+    """The reference: the chord line's anchor solved from both planes and the
+    plane through the center across the line, then the same quadratic."""
+    n, m = circle.plane.normal, plane.normal
+    direction = n.cross(m)
+    if direction.is_zero():
+        return ()
+    anchor = _solve3(
+        (n, m, direction),
+        (circle.plane.offset, plane.offset, direction.dot(circle.center - point(0, 0, 0))),
+    )
+    lam_sq = (circle.radius_sq - (anchor - circle.center).norm_sq()) / direction.norm_sq()
+    if lam_sq < 0:
+        return ()
+    lam = rational_square_root(lam_sq)
+    if lam is None:
+        return ()
+    if lam == 0:
+        return (anchor,)
+    return (anchor + direction.scale(lam), anchor + direction.scale(-lam))
+
+
+SMALL_Q = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+SMALL_VEC = st.builds(vec, SMALL_Q, SMALL_Q, SMALL_Q).filter(lambda v: not v.is_zero())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    center=st.builds(point, SMALL_Q, SMALL_Q, SMALL_Q),
+    n=SMALL_VEC,
+    e=SMALL_VEC,
+    m=SMALL_VEC,
+    alpha=SMALL_Q.filter(bool),
+    beta=SMALL_Q,
+    offset=SMALL_Q,
+    kind=st.sampled_from(["random", "through", "tangent", "parallel"]),
+)
+def test_chord_anchor_agrees_with_the_cramer_solve(center, n, e, m, alpha, beta, offset, kind):
+    # a circle through the rational point r = center + w, with w in its plane
+    w = n.cross(e)
+    assume(not w.is_zero())
+    circle = RCircle(center, w.norm_sq(), Plane(n, n.dot(center - point(0, 0, 0))))
+    r = center + w
+    if kind == "tangent":
+        m = w.scale(alpha) + n.scale(beta)
+    elif kind == "parallel":
+        m = n.scale(alpha)
+    plane = Plane(m, offset if kind in ("random", "parallel") else m.dot(r - point(0, 0, 0)))
+    got = circle_plane_intersections(circle, plane)
+    assert got == _intersections_by_cramer(circle, plane)
+    for p in got:
+        assert circle.contains(p) and plane.contains(p)
+    if kind == "tangent":
+        assert got == (r,)
+    elif kind == "parallel":
+        assert got == ()
+    elif kind == "through" and not n.cross(m).is_zero():
+        assert r in got
+
+
 def _reference_device_pair(cert, sym):
     c0 = equidistant_circle(sym.x4, sym.x1, 30)
     c1 = equidistant_circle(sym.x0, sym.x2, 30)
@@ -565,6 +643,75 @@ def test_subgraph_hunt_is_worker_count_invariant():
     two = grotzsch_subgraph_hunt(30, sym, pairs, workers=2)
     assert one is not None
     assert two == one
+
+
+def _reference_device_zs(cert, sym):
+    """The two rational mirror-plane points z of the reference (y0, y1), in
+    the order the hunt tries them."""
+    locus = equidistant_circle(cert.points[5], cert.points[6], 30)
+    return circle_plane_intersections(locus, sym.plane)
+
+
+def _reject_first(monkeypatch, rejected: int) -> list:
+    """Make the device assembler turn down the first `rejected` z it is
+    offered; the returned list records every z offered."""
+    offered = []
+    assemble = hunts._assemble_device
+
+    def fake(t, sym, y0, y1, z):
+        offered.append(z)
+        return None if len(offered) <= rejected else assemble(t, sym, y0, y1, z)
+
+    monkeypatch.setattr(hunts, "_assemble_device", fake)
+    return offered
+
+
+def test_subgraph_hunt_takes_the_first_z_that_assembles(monkeypatch):
+    cert, sym = _reference_device()
+    pair = _reference_device_pair(cert, sym)
+    zs = _reference_device_zs(cert, sym)
+    assert len(zs) == 2
+    found, _ = grotzsch_subgraph_hunt(30, sym, [pair])
+    assert found.points[9] == zs[0]
+    offered = _reject_first(monkeypatch, 1)
+    found, report = grotzsch_subgraph_hunt(30, sym, [pair])
+    assert offered == list(zs)
+    assert found.points[9] == zs[1] == cert.points[9]
+    assert not report.failed
+
+
+def test_subgraph_hunt_skips_a_pair_whose_every_z_fails(monkeypatch):
+    cert, sym = _reference_device()
+    pair = _reference_device_pair(cert, sym)
+    zs = _reference_device_zs(cert, sym)
+    expected = grotzsch_subgraph_hunt(30, sym, [pair])
+    offered = _reject_first(monkeypatch, len(zs))
+    assert grotzsch_subgraph_hunt(30, sym, [pair]) is None
+    assert offered == list(zs)
+    offered.clear()
+    # the first pair's z all fail, (0, 0) has none, and the search goes on
+    assert grotzsch_subgraph_hunt(30, sym, [pair, (F(0), F(0)), pair]) == expected
+    assert offered == [*zs, zs[0]]
+
+
+def test_subgraph_hunt_computes_each_chart_point_once(monkeypatch):
+    cert, sym = _reference_device()
+    calls = Counter()
+    point_at = geom.CircleParam.point_at
+
+    def counted(self, s):
+        calls[id(self), s] += 1
+        return point_at(self, s)
+
+    monkeypatch.setattr(geom.CircleParam, "point_at", counted)
+    a, b = _reference_device_pair(cert, sym)
+    params = farey_parameters(2)
+    firsts, seconds = set(params) | {a}, set(params) | {b}
+    found = grotzsch_subgraph_hunt(30, sym, product(params + (a,), params + (b,)))
+    assert found is not None
+    assert set(calls.values()) == {1}
+    charts = Counter(chart for chart, _ in calls)
+    assert sorted(charts.values()) == sorted([len(firsts), len(seconds)])
 
 
 def test_subgraph_hunt_exhausts_empty_and_mismatched():

@@ -10,6 +10,7 @@ lines after it must close it.
 
 from __future__ import annotations
 
+import argparse
 import re
 from pathlib import Path
 
@@ -19,12 +20,13 @@ from scavenger import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 BLOCK = re.compile(r"^```\n(.*?)^```$", re.S | re.M)
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def _examples() -> list[tuple[dict[str, list[str]], list[str], list[str]]]:
     """(files written so far in the block, argv, expected stdout lines)."""
     examples = []
-    for block in BLOCK.findall((ROOT / "README.md").read_text(encoding="utf-8")):
+    for block in BLOCK.findall(README):
         files: dict[str, list[str]] = {}
         command = None
         for line in block.splitlines() + ["$ end"]:
@@ -75,3 +77,28 @@ def test_readme_example(capsys, monkeypatch, tmp_path, files, argv, expected):
         assert got[len(got) - len(tail) :] == tail
     else:
         assert got == expected
+
+
+def _synopsis() -> dict[str, set[str]]:
+    """Subcommand -> the options its line of the README's command synopsis lists."""
+    (block,) = [b for b in BLOCK.findall(README) if b.startswith("scavenger verify <file>")]
+    return {
+        line.split()[1]: set(re.findall(r"--[a-z][a-z-]*", line)) for line in block.splitlines()
+    }
+
+
+def _parser_options() -> dict[str, set[str]]:
+    (sub,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: {o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")}
+        for name, p in sub.choices.items()
+    }
+
+
+def test_synopsis_names_every_subcommand():
+    assert list(_synopsis()) == list(_parser_options())
+
+
+@pytest.mark.parametrize("command", sorted(_parser_options()))
+def test_synopsis_lists_exactly_the_parser_options(command):
+    assert _synopsis().get(command) == _parser_options()[command]
