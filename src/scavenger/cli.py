@@ -4,7 +4,10 @@ Reports use a stable line grammar — `CHECK <name> PASS|FAIL|WARN <detail>`
 lines followed by a `VERDICT` line — so runs can be diffed.  Exit codes:
 0 pass, 1 fail, 2 pass with warnings, 64 usage or malformed input, 70
 internal error, 141 when the reader of stdout closes it early.  Worker
-counts never change output bytes; `SCAVENGER_WORKERS` overrides `--workers`.
+counts never change output bytes; `SCAVENGER_WORKERS` overrides `--workers` on
+the commands that have it (hunt-grotzsch-type, hunt-grotzsch-subgraph, scan-d).
+Options are checked by argparse alone, so a bad value exits 64 before any
+search.  An `--out` file is written before the result is printed.
 """
 
 from __future__ import annotations
@@ -24,12 +27,12 @@ from .hunts import (
     Check,
     Report,
     farey_parameters,
+    format_certificate,
     greedy_hunt,
     grotzsch_subgraph_hunt,
     grotzsch_type_hunt,
     parse_certificate,
     verify_certificate,
-    write_certificate,
 )
 from .numtheory import TernaryForm, UnsolvableFormError, legendre_obstruction, legendre_solution
 from .qcore import (
@@ -70,6 +73,14 @@ def _read_text(path) -> str:
         raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
+def _write_text(path, text: str) -> None:
+    """Write an `--out` file; a path that cannot be written is a usage error."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def parse_vertex_text(text: str) -> VertexFile:
     t = None
     points: list[QPoint3] = []
@@ -108,51 +119,7 @@ def parse_vertex_file(path) -> VertexFile:
 def write_vertex_file(path, t: Rational, points) -> None:
     lines = [f"t={format_rational(Fraction(t))}"]
     lines.extend(format_point(p) for p in points)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated per-command bounds and plumbing."""
-
-    workers: int = 1
-    out: str | None = None
-    height: int = 12
-    box: Fraction = Fraction(10)
-    cap: int = 1000
-    denominator: int = 3
-    d_bound: int | None = None
-
-    def __post_init__(self):
-        if self.workers < 1:
-            raise ValueError(f"workers must be positive, got {self.workers}")
-        if self.height < 1:
-            raise ValueError(f"height must be positive, got {self.height}")
-        if self.box <= 0:
-            raise ValueError(f"box radius must be positive, got {self.box}")
-        if self.cap < 1:
-            raise ValueError(f"cap must be positive, got {self.cap}")
-        if self.d_bound is not None and self.d_bound < 1:
-            raise ValueError(f"d bound must be positive, got {self.d_bound}")
-
-
-def _config(args) -> RunConfig:
-    workers = getattr(args, "workers", 1)
-    env = os.environ.get("SCAVENGER_WORKERS")
-    if env is not None:
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ValueError(f"SCAVENGER_WORKERS must be an integer, got {env!r}") from None
-    return RunConfig(
-        workers=workers,
-        out=getattr(args, "out", None),
-        height=getattr(args, "height", 12),
-        box=parse_rational(getattr(args, "box", "10")),
-        cap=getattr(args, "cap", 1000),
-        denominator=getattr(args, "denominator", 3),
-        d_bound=getattr(args, "d_bound", None),
-    )
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 # --- subcommands ------------------------------------------------------------------
@@ -185,70 +152,66 @@ def _int_t(t: Rational, context: str) -> int:
     return int(t)
 
 
-def _emit_certificate(cert: Certificate, report: Report, cfg: RunConfig) -> int:
-    """Print `report`, the one verification of `cert`, and write `cert` to --out."""
+def _emit_certificate(head: str, cert: Certificate, report: Report, out) -> int:
+    """Write `cert` to `out`, then print `head` and `report`, the one
+    verification of `cert`.  A failed report is an internal error and writes
+    nothing."""
     if report.failed:
         raise RuntimeError("a hunt emitted a certificate that fails verification")
-    sys.stdout.write(report.render())
-    if cfg.out:
-        write_certificate(cert, cfg.out)
+    if out:
+        _write_text(out, format_certificate(cert))
+    sys.stdout.write(head + report.render())
     return report.exit_code
 
 
 def _cmd_hunt_greedy(args) -> int:
-    cfg = _config(args)
     vf = parse_vertex_file(args.seed)
     t = _int_t(vf.t, "hunt-greedy")
-    spec = ASpec(cfg.denominator, -cfg.box, cfg.box)
-    result = greedy_hunt(t, list(vf.points), spec, cap=cfg.cap)
+    spec = ASpec(args.denominator, -args.box, args.box)
+    result = greedy_hunt(t, list(vf.points), spec, cap=args.cap)
     if not result.succeeded:
         sys.stdout.write(
-            f"HUNT FAIL order={result.order} cap={cfg.cap} colors={result.coloring.color_count()}\n"
+            f"HUNT FAIL order={result.order} cap={args.cap} colors={result.coloring.color_count()}\n"
         )
         return EXIT_FAIL
     g = result.graph
-    sys.stdout.write(f"HUNT PASS order={g.order} edges={len(g.edges)} iterations={result.iterations}\n")
-    return _emit_certificate(result.certificate, result.report, cfg)
+    head = f"HUNT PASS order={g.order} edges={len(g.edges)} iterations={result.iterations}\n"
+    return _emit_certificate(head, result.certificate, result.report, args.out)
 
 
 def _cmd_hunt_grotzsch_type(args) -> int:
-    cfg = _config(args)
     vf = parse_vertex_file(args.cycle)
     t = _int_t(vf.t, "hunt-grotzsch-type")
     if len(vf.points) != 5:
         raise ValueError(f"cycle file must contain exactly 5 points, got {len(vf.points)}")
     out = grotzsch_type_hunt(
-        t, list(vf.points), farey_parameters(cfg.height), workers=cfg.workers
+        t, list(vf.points), farey_parameters(args.height), workers=args.workers
     )
     if out is None:
-        sys.stdout.write(f"HUNT FAIL height={cfg.height}\n")
+        sys.stdout.write(f"HUNT FAIL height={args.height}\n")
         return EXIT_FAIL
     _, cert, report = out
-    sys.stdout.write("HUNT PASS order=25\n")
-    return _emit_certificate(cert, report, cfg)
+    return _emit_certificate("HUNT PASS order=25\n", cert, report, args.out)
 
 
 def _cmd_hunt_grotzsch_subgraph(args) -> int:
-    cfg = _config(args)
     t = _int_t(parse_rational(args.t), "hunt-grotzsch-subgraph")
-    sym = find_symmetric_5cycle(t, d=args.d, d_bound=cfg.d_bound)
+    sym = find_symmetric_5cycle(t, d=args.d, d_bound=args.d_bound)
     if sym is None:
         sys.stdout.write("HUNT FAIL no symmetric 5-cycle within bounds\n")
         return EXIT_FAIL
     sys.stdout.write(f"cycle d={format_rational(Fraction(sym.base_dist_sq))}\n")
-    params = farey_parameters(cfg.height)
+    params = farey_parameters(args.height)
     found = grotzsch_subgraph_hunt(
-        t, sym, [(a, b) for a in params for b in params], workers=cfg.workers
+        t, sym, [(a, b) for a in params for b in params], workers=args.workers
     )
     if found is None:
-        sys.stdout.write(f"HUNT FAIL height={cfg.height}\n")
+        sys.stdout.write(f"HUNT FAIL height={args.height}\n")
         return EXIT_FAIL
-    sys.stdout.write("HUNT PASS order=10\n")
-    return _emit_certificate(*found, cfg)
+    return _emit_certificate("HUNT PASS order=10\n", *found, args.out)
 
 
 def _cmd_find_cycle(args) -> int:
-    cfg = _config(args)
     t = _int_t(parse_rational(args.t), "find-cycle")
     denominators = {int(d) for d in args.denominators.split(",")}
     pool = gen_vectors(t, denominators, args.height)
@@ -256,33 +219,31 @@ def _cmd_find_cycle(args) -> int:
     if cycle is None:
         sys.stdout.write("no 5-cycle found within bounds\n")
         return EXIT_FAIL
+    if args.out:
+        write_vertex_file(args.out, t, cycle)
     for p in cycle:
         sys.stdout.write(format_point(p) + "\n")
-    if cfg.out:
-        write_vertex_file(cfg.out, t, cycle)
     return EXIT_PASS
 
 
 def _cmd_find_symmetric_cycle(args) -> int:
-    cfg = _config(args)
     t = _int_t(parse_rational(args.t), "find-symmetric-cycle")
-    sym = find_symmetric_5cycle(t, d=args.d, d_bound=cfg.d_bound)
+    sym = find_symmetric_5cycle(t, d=args.d, d_bound=args.d_bound)
     if sym is None:
         sys.stdout.write("no symmetric 5-cycle found within bounds\n")
         return EXIT_FAIL
+    if args.out:
+        write_vertex_file(args.out, t, sym.points())
     sys.stdout.write(f"d={format_rational(Fraction(sym.base_dist_sq))}\n")
     for p in sym.points():
         sys.stdout.write(format_point(p) + "\n")
-    if cfg.out:
-        write_vertex_file(cfg.out, t, sym.points())
     return EXIT_PASS
 
 
 def _cmd_scan_d(args) -> int:
-    cfg = _config(args)
     t = _int_t(parse_rational(args.t), "scan-d")
     bound = args.bound if args.bound is not None else 4 * t - 1
-    d = scan_d(t, bound, workers=cfg.workers)
+    d = scan_d(t, bound, workers=args.workers)
     if d is None:
         sys.stdout.write(f"no admissible d up to {bound}\n")
         return EXIT_FAIL
@@ -308,7 +269,6 @@ def _cmd_solve_legendre(args) -> int:
 
 
 def _cmd_param_circle(args) -> int:
-    cfg = _config(args)
     vf = parse_vertex_file(args.foci)
     if len(vf.points) != 2:
         raise ValueError(f"foci file must contain exactly 2 points, got {len(vf.points)}")
@@ -321,7 +281,7 @@ def _cmd_param_circle(args) -> int:
     if args.params:
         values = [parse_rational(s) for s in args.params]
     else:
-        values = list(farey_parameters(cfg.height))[: args.count]
+        values = list(farey_parameters(args.height))[: args.count]
     for s in values:
         p = chart.point_at(s)
         sys.stdout.write(f"s={format_rational(s)} {format_point(p)}\n")
@@ -329,6 +289,14 @@ def _cmd_param_circle(args) -> int:
 
 
 # --- dispatch ---------------------------------------------------------------------
+
+
+def _positive(text: str) -> int:
+    """argparse type of the counts and bounds: an integer of at least 1."""
+    value = int(text) if text.strip().isdecimal() else 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -351,16 +319,16 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("hunt-greedy", help="grow a non-3-colorable set from a seed 5-cycle")
     p.add_argument("seed", help="vertex file with the seed 5-cycle")
-    p.add_argument("--box", default="10", help="half-width of the candidate box (default 10)")
-    p.add_argument("--cap", type=int, default=1000)
+    p.add_argument("--box", type=parse_rational, default="10", help="box half-width (default %(default)s)")
+    p.add_argument("--cap", type=_positive, default=1000)
     p.add_argument("--denominator", type=int, default=3)
     p.add_argument("--out", help="write the certificate here")
     p.set_defaults(func=_cmd_hunt_greedy)
 
     p = sub.add_parser("hunt-grotzsch-type", help="decorate a 5-cycle into the order-25 shape")
     p.add_argument("cycle", help="vertex file with the base 5-cycle")
-    p.add_argument("--height", type=int, default=12, help="parameter height bound (default 12)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--height", type=_positive, default=12, help="height bound (default %(default)s)")
+    p.add_argument("--workers", type=_positive, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_hunt_grotzsch_type)
 
@@ -369,15 +337,15 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("t")
     p.add_argument("--d", type=parse_rational, default=None, help="force this base squared distance")
-    p.add_argument("--d-bound", dest="d_bound", type=int, default=None)
-    p.add_argument("--height", type=int, default=12)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--d-bound", dest="d_bound", type=_positive, default=None)
+    p.add_argument("--height", type=_positive, default=12)
+    p.add_argument("--workers", type=_positive, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_hunt_grotzsch_subgraph)
 
     p = sub.add_parser("find-cycle", help="find a 5-cycle at a given squared distance")
     p.add_argument("t")
-    p.add_argument("--height", type=int, default=60)
+    p.add_argument("--height", type=_positive, default=60)
     p.add_argument("--denominators", default="1,3")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_find_cycle)
@@ -385,14 +353,14 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("find-symmetric-cycle", help="find a mirror-symmetric 5-cycle")
     p.add_argument("t")
     p.add_argument("--d", type=parse_rational, default=None)
-    p.add_argument("--d-bound", dest="d_bound", type=int, default=None)
+    p.add_argument("--d-bound", dest="d_bound", type=_positive, default=None)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_find_symmetric_cycle)
 
     p = sub.add_parser("scan-d", help="minimal d admitting both equidistant-pair triangles")
     p.add_argument("t")
     p.add_argument("--bound", type=int, default=None, help="search limit (default 4t-1)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive, default=1)
     p.set_defaults(func=_cmd_scan_d)
 
     p = sub.add_parser("solve-legendre", help="solve a x^2 + b y^2 + c z^2 = 0")
@@ -404,17 +372,22 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("param-circle", help="exact rational points on an equidistant circle")
     p.add_argument("foci", help="vertex file with the two foci; header t is the focal squared distance")
     p.add_argument("--params", nargs="*", default=None, help="explicit parameter values")
-    p.add_argument("--count", type=int, default=10, help="number of default parameters")
-    p.add_argument("--height", type=int, default=12)
+    p.add_argument("--count", type=_positive, default=10, help="number of default parameters")
+    p.add_argument("--height", type=_positive, default=12)
     p.set_defaults(func=_cmd_param_circle)
 
     return parser
 
 
 def dispatch(argv) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    env = os.environ.get("SCAVENGER_WORKERS")
     try:
+        if env is not None and "workers" in vars(args):
+            try:
+                args.workers = _positive(env)
+            except argparse.ArgumentTypeError as exc:
+                raise ValueError(f"SCAVENGER_WORKERS {exc}") from None
         return args.func(args)
     except (ValueError, UnsolvableFormError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -17,7 +17,6 @@ import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import product
 from math import gcd, isqrt
 
 from .cycles import SymCycle, gen_vectors, is_5cycle, parallel_first
@@ -301,7 +300,7 @@ def _gt_first_apex(t: int, candidate):
 def grotzsch_type_hunt(
     t: int,
     cycle: list[QPoint3],
-    parameter_list=None,
+    parameter_list,
     *,
     workers: int = 1,
 ) -> tuple[GrotzschTypeGraph, Certificate, Report] | None:
@@ -315,7 +314,7 @@ def grotzsch_type_hunt(
     t = int(t)
     if not is_5cycle(cycle, t):
         raise ValueError("cycle must be a 5-cycle at the target squared distance")
-    params = tuple(parameter_list) if parameter_list is not None else farey_parameters()
+    params = tuple(parameter_list)
     if not params:
         return None
     charts = []
@@ -412,7 +411,7 @@ def _first_device(
 def grotzsch_subgraph_hunt(
     t: int,
     sym: SymCycle,
-    parameter_pairs=None,
+    parameter_pairs,
     *,
     workers: int = 1,
 ) -> tuple[Certificate, Report] | None:
@@ -427,11 +426,7 @@ def grotzsch_subgraph_hunt(
     t = int(t)
     if sym.t != t:
         raise ValueError(f"cycle was built for t={sym.t}, not {t}")
-    if parameter_pairs is None:
-        params = farey_parameters()
-        pairs = tuple(product(params, repeat=2))
-    else:
-        pairs = tuple(tuple(p) for p in parameter_pairs)
+    pairs = tuple(tuple(p) for p in parameter_pairs)
     if not pairs:
         return None
     c0 = equidistant_circle(sym.x4, sym.x1, t)

@@ -96,15 +96,53 @@ def test_write_vertex_file_roundtrip(tmp_path):
     assert list(vf.points) == pts
 
 
-def test_runconfig_validation():
-    with pytest.raises(ValueError):
-        cli.RunConfig(workers=0)
-    with pytest.raises(ValueError):
-        cli.RunConfig(height=0)
-    with pytest.raises(ValueError):
-        cli.RunConfig(cap=0)
-    with pytest.raises(ValueError):
-        cli.RunConfig(box=F(0))
+# --- option checks -------------------------------------------------------------------
+
+
+def exit_code(argv) -> int:
+    """The status of `dispatch(argv)`, whether argparse or the command refused it."""
+    try:
+        return cli.dispatch(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "command,option,value",
+    [
+        (["scan-d", "30"], "--workers", "0"),
+        (["scan-d", "30"], "--workers", "soon"),
+        (["hunt-grotzsch-subgraph", "30"], "--workers", "0"),
+        (["hunt-grotzsch-subgraph", "30"], "--height", "0"),
+        (["hunt-grotzsch-subgraph", "30"], "--d-bound", "0"),
+        (["hunt-grotzsch-type", "t34_cycle"], "--height", "-1"),
+        (["hunt-grotzsch-type", "t34_cycle"], "--workers", "-2"),
+        (["hunt-greedy", "t22_seed"], "--cap", "0"),
+        (["hunt-greedy", "t22_seed"], "--box", "0"),
+        (["hunt-greedy", "t22_seed"], "--box", "ten"),
+        (["find-cycle", "22"], "--height", "0"),
+        (["find-symmetric-cycle", "30"], "--d-bound", "0"),
+        (["param-circle", "foci"], "--count", "-1"),
+        (["param-circle", "foci"], "--count", "0"),
+        (["param-circle", "foci"], "--height", "0"),
+    ],
+    ids=lambda x: x[0] if isinstance(x, list) else x,
+)
+def test_bad_option_value_exits_64_before_any_output(capsys, tmp_path, command, option, value):
+    files = {
+        "t22_seed": str(DATA / "t22_seed.txt"),
+        "t34_cycle": tmp_path / "cycle34.txt",
+        "foci": tmp_path / "foci.txt",
+    }
+    files["t34_cycle"].write_text("t=34\n0 0 0\n-5 0 3\n-8 5 3\n-4 2 0\n-4 -3 3\n")
+    files["foci"].write_text("t=30\n5 2 1\n-1 -2 5\n")
+    argv = [str(files.get(word, word)) for word in command] + [option, value]
+    code = exit_code(argv)
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_USAGE == 64
+    assert out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == err.splitlines()[-1:]
+    assert "Traceback" not in err
 
 
 # --- verify ------------------------------------------------------------------------
@@ -351,6 +389,37 @@ def test_bad_worker_env(capsys, monkeypatch):
     assert "SCAVENGER_WORKERS" in err
 
 
+def test_worker_env_overrides_the_option(capsys, monkeypatch):
+    seen = []
+
+    def fake_scan_d(t, bound, workers):
+        seen.append(workers)
+        return None
+
+    monkeypatch.setattr(cli, "scan_d", fake_scan_d)
+    monkeypatch.setenv("SCAVENGER_WORKERS", "2")
+    code, out, _ = run(capsys, "scan-d", "30", "--bound", "40", "--workers", "1")
+    assert seen == [2]
+    assert code == 1
+    assert out == "no admissible d up to 40\n"
+
+
+def test_worker_env_of_zero_names_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("SCAVENGER_WORKERS", "0")
+    code, out, err = run(capsys, "scan-d", "30", "--bound", "40")
+    assert code == 64
+    assert out == ""
+    assert err == "error: SCAVENGER_WORKERS must be a positive integer, got '0'\n"
+
+
+def test_worker_env_is_not_read_by_commands_without_workers(capsys, monkeypatch):
+    monkeypatch.setenv("SCAVENGER_WORKERS", "soon")
+    code, out, err = run(capsys, "find-symmetric-cycle", "30", "--d", "26")
+    assert code == 0
+    assert out.splitlines()[0] == "d=26"
+    assert err == ""
+
+
 # --- cycle finders -----------------------------------------------------------------
 
 
@@ -363,6 +432,14 @@ def test_find_cycle_output_is_valid(capsys, tmp_path):
     vf = cli.parse_vertex_file(out_path)
     assert vf.t == 22
     assert list(vf.points) == pts
+
+
+def test_find_cycle_unwritable_out_is_one_error_line(capsys, tmp_path):
+    out_path = tmp_path / "missing" / "cycle.txt"
+    code, out, err = run(capsys, "find-cycle", "22", "--out", str(out_path))
+    assert code == 64
+    assert out == ""
+    assert err == f"error: cannot write {out_path}: No such file or directory\n"
 
 
 def test_find_cycle_exhausted(capsys):
@@ -446,6 +523,16 @@ def test_hunt_greedy_end_to_end(capsys, tmp_path):
     assert report.verdict == "PASS"
 
 
+def test_hunt_greedy_unwritable_out_is_one_error_line(capsys, tmp_path):
+    out_path = tmp_path / "missing" / "greedy.cert"
+    code, out, err = run(
+        capsys, "hunt-greedy", str(DATA / "t22_seed.txt"), "--out", str(out_path)
+    )
+    assert code == 64
+    assert out == ""
+    assert err == f"error: cannot write {out_path}: No such file or directory\n"
+
+
 def test_hunt_greedy_cap_failure(capsys):
     code, out, _ = run(capsys, "hunt-greedy", str(DATA / "t22_seed.txt"), "--cap", "10")
     assert code == 1
@@ -496,13 +583,13 @@ def test_hunt_grotzsch_subgraph_30_matches_golden(capsys, tmp_path, workers):
 # --- a reader that leaves early -----------------------------------------------------
 
 
-def _spawn_greedy(unbuffered: bool) -> subprocess.Popen:
+def _spawn_greedy(unbuffered: bool, *options: str) -> subprocess.Popen:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.Popen(
-        [sys.executable, "-m", "scavenger.cli", "hunt-greedy", str(DATA / "t22_seed.txt")],
+        [sys.executable, "-m", "scavenger.cli", "hunt-greedy", str(DATA / "t22_seed.txt"), *options],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
@@ -528,3 +615,16 @@ def test_head_one_reads_a_line_and_stderr_stays_empty(unbuffered):
     assert proc.wait() in (0, 141)
     assert first == b"HUNT PASS order=53 edges=181 iterations=48\n"
     assert err == b""
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_closed_stdout_still_writes_the_out_file(capsys, tmp_path, unbuffered):
+    normal = tmp_path / "normal.cert"
+    assert run(capsys, "hunt-greedy", str(DATA / "t22_seed.txt"), "--out", str(normal))[0] == 0
+    early = tmp_path / "early.cert"
+    proc = _spawn_greedy(unbuffered, "--out", str(early))
+    proc.stdout.close()  # gone before the first line is written
+    err = proc.stderr.read()
+    assert proc.wait() == cli.EXIT_BROKEN_PIPE
+    assert err == b""
+    assert early.read_bytes() == normal.read_bytes()
