@@ -202,9 +202,7 @@ def _cmd_hunt_grotzsch_subgraph(args) -> int:
         return EXIT_FAIL
     sys.stdout.write(f"cycle d={format_rational(Fraction(sym.base_dist_sq))}\n")
     params = farey_parameters(args.height)
-    found = grotzsch_subgraph_hunt(
-        t, sym, [(a, b) for a in params for b in params], workers=args.workers
-    )
+    found = grotzsch_subgraph_hunt(sym, [(a, b) for a in params for b in params], workers=args.workers)
     if found is None:
         sys.stdout.write(f"HUNT FAIL height={args.height}\n")
         return EXIT_FAIL
@@ -299,6 +297,14 @@ def _positive(text: str) -> int:
     return value
 
 
+def _positive_rational(text: str) -> Fraction:
+    """argparse type of a forced squared distance: a rational greater than 0."""
+    value = parse_rational(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive rational, got {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -336,7 +342,7 @@ def _build_parser() -> _Parser:
         "hunt-grotzsch-subgraph", help="build the forced-pair device over a symmetric 5-cycle"
     )
     p.add_argument("t")
-    p.add_argument("--d", type=parse_rational, default=None, help="force this base squared distance")
+    p.add_argument("--d", type=_positive_rational, default=None, help="force this base squared distance")
     p.add_argument("--d-bound", dest="d_bound", type=_positive, default=None)
     p.add_argument("--height", type=_positive, default=12)
     p.add_argument("--workers", type=_positive, default=1)
@@ -352,7 +358,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("find-symmetric-cycle", help="find a mirror-symmetric 5-cycle")
     p.add_argument("t")
-    p.add_argument("--d", type=parse_rational, default=None)
+    p.add_argument("--d", type=_positive_rational, default=None)
     p.add_argument("--d-bound", dest="d_bound", type=_positive, default=None)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_find_symmetric_cycle)

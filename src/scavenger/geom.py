@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numtheory import TernaryForm, legendre_solution, three_rational_squares
+from .numtheory import _clear_denominators, legendre_solution, three_rational_squares
 from .qcore import (
     QPoint3,
     QVec3,
@@ -365,11 +365,7 @@ def rational_point_on_circle(c: RCircle) -> QPoint3:
     if c.degenerate:
         return c.center
     e1, e2 = _plane_frame(c.plane.normal)
-    E1, E2 = e1.dot(e1), e2.dot(e2)
-    coeffs = (E1, E2, -c.radius_sq)
-    l = math.lcm(*(x.denominator for x in map(_frac, coeffs)))
-    form = TernaryForm(*(int(x * l) for x in map(_frac, coeffs)))
-    X, Y, Z = legendre_solution(form)
+    X, Y, Z = legendre_solution(_clear_denominators((e1.dot(e1), e2.dot(e2), -c.radius_sq)))
     assert Z != 0, "definite part forces a nonzero third coordinate"
     lam = Fraction(X, Z)
     mu = Fraction(Y, Z)

@@ -392,85 +392,77 @@ def circle_plane_intersections(circle: RCircle, plane) -> tuple[QPoint3, ...]:
     return (anchor + direction.scale(lam), anchor + direction.scale(-lam))
 
 
-def _first_device(
-    t: int, sym: SymCycle, pair: tuple[QPoint3, QPoint3]
-) -> tuple[Certificate, Report] | None:
+def _first_device(sym: SymCycle, pair: tuple[QPoint3, QPoint3]) -> tuple[Certificate, Report] | None:
     """`(cert, report)` for the first rational z on the mirror plane at √t
     from both circle points y0, y1 that assembles into a verified device, or
     None."""
     y0, y1 = pair
-    if y0 == y1 or dist_sq(y0, y1) >= 4 * t:
+    if y0 == y1 or dist_sq(y0, y1) >= 4 * sym.t:
         return None
-    for z in circle_plane_intersections(equidistant_circle(y0, y1, t), sym.plane):
-        found = _assemble_device(t, sym, y0, y1, z)
+    for z in circle_plane_intersections(equidistant_circle(y0, y1, sym.t), sym.plane):
+        found = _assemble_device(sym, y0, y1, z)
         if found is not None:
             return found
     return None
 
 
 def grotzsch_subgraph_hunt(
-    t: int,
     sym: SymCycle,
     parameter_pairs,
     *,
     workers: int = 1,
 ) -> tuple[Certificate, Report] | None:
-    """From a symmetric 5-cycle, search for y0 (equidistant from x4, x1) and
-    y1 (equidistant from x0, x2) admitting a rational z at √t from both on
-    the mirror plane; y3, y4 are the mirror images of y1, y0.  The squared
-    distance |x2-z|² meeting the membership criteria yields a certificate
-    directly; otherwise the circle about (x1, x3) must have squared radius
-    with denominator ≡ 2 (mod 4), certifying via the antipodal distance.
-    Pairs are tried in order, each with its z in order; returns the first
-    certificate with its verification report."""
-    t = int(t)
-    if sym.t != t:
-        raise ValueError(f"cycle was built for t={sym.t}, not {t}")
+    """From a symmetric 5-cycle at integer squared edge length t, search for
+    y0 (equidistant from x4, x1) and y1 (equidistant from x0, x2) admitting a
+    rational z at √t from both on the mirror plane; y3, y4 are the mirror
+    images of y1, y0.  The squared distance |x2-z|² meeting the membership
+    criteria yields a certificate directly; otherwise the circle about
+    (x1, x3) must have squared radius with denominator ≡ 2 (mod 4),
+    certifying via the antipodal distance.  The circle about (x4, x1) is
+    charted from x0, which lies on it by two cycle edges.  Pairs are tried in
+    order, each with its z in order; returns the first certificate with its
+    verification report."""
+    if Fraction(sym.t).denominator != 1:
+        raise ValueError(f"cycle squared edge length {sym.t} is not an integer")
     pairs = tuple(tuple(p) for p in parameter_pairs)
     if not pairs:
         return None
-    c0 = equidistant_circle(sym.x4, sym.x1, t)
-    c1 = equidistant_circle(sym.x0, sym.x2, t)
+    c1 = equidistant_circle(sym.x0, sym.x2, sym.t)
     try:
-        chart0 = circle_param(c0, rational_point_on_circle(c0))
         chart1 = circle_param(c1, rational_point_on_circle(c1))
     except UnsolvableFormError:
-        logger.info("a defining circle has no rational points")
+        logger.info("the circle about (x0, x2) has no rational points")
         return None
+    chart0 = circle_param(equidistant_circle(sym.x4, sym.x1, sym.t), sym.x0)
 
     # each chart's point once per distinct parameter, in the calling process
     ys0 = {s: chart0.point_at(s) for s in dict.fromkeys(a for a, _ in pairs)}
     ys1 = {s: chart1.point_at(s) for s in dict.fromkeys(b for _, b in pairs)}
     hit = parallel_first(
-        ((ys0[a], ys1[b]) for a, b in pairs), partial(_first_device, t, sym), workers=workers
+        ((ys0[a], ys1[b]) for a, b in pairs), partial(_first_device, sym), workers=workers
     )
     return None if hit is None else hit[1]
 
 
 def _assemble_device(
-    t: int, sym: SymCycle, y0: QPoint3, y1: QPoint3, z: QPoint3
+    sym: SymCycle, y0: QPoint3, y1: QPoint3, z: QPoint3
 ) -> tuple[Certificate, Report] | None:
     y4 = reflect_point(y0, sym.plane)
     y3 = reflect_point(y1, sym.plane)
     pts = (sym.x0, sym.x1, sym.x2, sym.x3, sym.x4, y0, y1, y3, y4, z)
-    if len(set(pts)) != 10:
-        return None
     h_direct = dist_sq(sym.x2, z)
     data: dict[str, object] = {"z": z}
     if phi_criteria(h_direct):
         data["h"] = h_direct
     else:
-        s_circle = equidistant_circle(sym.x1, sym.x3, t)
-        rho = s_circle.radius_sq
+        rho = equidistant_circle(sym.x1, sym.x3, sym.t).radius_sq
         if rho.denominator % 4 != 2:
             return None
-        h_anti = antipodal_dist_sq(rho)
-        assert phi_criteria(h_anti)
         data["radius_sq"] = rho
-        data["h"] = h_anti
-    # the 17 device edges hold by construction; the verifier's h-edges check
-    # confirms them
-    cert = Certificate("h-device", t, pts, tuple(sorted(h_graph().edges)), data)
+        data["h"] = antipodal_dist_sq(rho)
+    # distinct points, the 17 device edges and the antipodal branch's
+    # membership criteria are all decided by the verifier's checks
+    cert = Certificate("h-device", int(sym.t), pts, tuple(sorted(h_graph().edges)), data)
     report = verify_certificate(cert)
     if report.failed:
         logger.info("assembled device failed verification:\n%s", report.render())
@@ -812,12 +804,12 @@ def _verify_h_device(cert: Certificate) -> list[Check]:
 
     x0, x4 = pts[0], pts[4]
     mirror = bisector_plane(x0, x4)
+    # x2 on the bisector plane of (x0, x4) is exactly |x2-x0|² = |x2-x4|²
     sym_ok = mirror.contains(pts[2]) and mirror.contains(midpoint(pts[1], pts[3]))
-    legs_equal = dist_sq(pts[2], x0) == dist_sq(pts[2], x4)
     checks.append(
         Check(
             "symmetric-cycle",
-            "PASS" if sym_ok and legs_equal else "FAIL",
+            "PASS" if sym_ok else "FAIL",
             f"x2 and midpoint(x1,x3) on the bisector plane; legs squared {format_rational(dist_sq(pts[2], x0))}",
         )
     )

@@ -19,7 +19,7 @@ from scavenger.hunts import (
     write_certificate,
 )
 from scavenger.numtheory import ChainCertificate
-from scavenger.qcore import dist_sq, parse_point
+from scavenger.qcore import dist_sq, format_rational, parse_point
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -115,6 +115,8 @@ def exit_code(argv) -> int:
         (["hunt-grotzsch-subgraph", "30"], "--workers", "0"),
         (["hunt-grotzsch-subgraph", "30"], "--height", "0"),
         (["hunt-grotzsch-subgraph", "30"], "--d-bound", "0"),
+        (["hunt-grotzsch-subgraph", "30"], "--d", "0"),
+        (["hunt-grotzsch-subgraph", "30"], "--d", "-3"),
         (["hunt-grotzsch-type", "t34_cycle"], "--height", "-1"),
         (["hunt-grotzsch-type", "t34_cycle"], "--workers", "-2"),
         (["hunt-greedy", "t22_seed"], "--cap", "0"),
@@ -122,6 +124,8 @@ def exit_code(argv) -> int:
         (["hunt-greedy", "t22_seed"], "--box", "ten"),
         (["find-cycle", "22"], "--height", "0"),
         (["find-symmetric-cycle", "30"], "--d-bound", "0"),
+        (["find-symmetric-cycle", "30"], "--d", "0"),
+        (["find-symmetric-cycle", "30"], "--d", "-3"),
         (["param-circle", "foci"], "--count", "-1"),
         (["param-circle", "foci"], "--count", "0"),
         (["param-circle", "foci"], "--height", "0"),
@@ -235,6 +239,24 @@ def test_verify_device_with_far_apart_x1_x3_fails(capsys, tmp_path):
     assert (
         "CHECK radius FAIL x1 and x3 are at squared distance 29630 > 4t; "
         "no point lies at squared distance 30 from both"
+    ) in out.splitlines()
+    assert out.endswith("VERDICT FAIL\n")
+
+
+def test_verify_device_with_x2_off_the_mirror_fails(capsys, tmp_path):
+    cert = read_certificate(DATA / "t30_device.cert")
+    pts = list(cert.points)
+    x0, x2, x4 = pts[0], pts[2], pts[4]
+    pts[2] = x2 + (x4 - x0)  # along the normal of the bisector plane of (x0, x4)
+    f = tmp_path / "off.cert"
+    write_certificate(Certificate(cert.kind, cert.t, tuple(pts), cert.edges, cert.data), f)
+    code, out, err = run(capsys, "verify", str(f))
+    assert code == 1
+    assert err == ""
+    legs = format_rational(dist_sq(pts[2], x0))
+    assert (
+        "CHECK symmetric-cycle FAIL x2 and midpoint(x1,x3) on the bisector plane; "
+        f"legs squared {legs}"
     ) in out.splitlines()
     assert out.endswith("VERDICT FAIL\n")
 

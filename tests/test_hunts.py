@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from scavenger import geom, hunts
-from scavenger.cycles import SymCycle
+from scavenger.cycles import SymCycle, find_symmetric_5cycle
 from scavenger.geom import (
     INF,
     Plane,
@@ -615,16 +615,51 @@ def test_chord_anchor_agrees_with_the_cramer_solve(center, n, e, m, alpha, beta,
 
 
 def _reference_device_pair(cert, sym):
+    """The hunt's parameters of the reference y0, y1: the circle about
+    (x4, x1) is charted from x0, the one about (x0, x2) from its solved base."""
     c0 = equidistant_circle(sym.x4, sym.x1, 30)
     c1 = equidistant_circle(sym.x0, sym.x2, 30)
-    a = circle_param(c0, rational_point_on_circle(c0)).param_for_point(cert.points[5])
+    a = circle_param(c0, sym.x0).param_for_point(cert.points[5])
     b = circle_param(c1, rational_point_on_circle(c1)).param_for_point(cert.points[6])
     return a, b
 
 
+def test_reference_device_cycle_has_a_solved_base_other_than_x0():
+    # so the reference pair above sits on a chart that moved when the hunt
+    # began charting the (x4, x1) circle from x0
+    _, sym = _reference_device()
+    assert rational_point_on_circle(equidistant_circle(sym.x4, sym.x1, 30)) != sym.x0
+
+
+@pytest.mark.parametrize("t", [10, 22, 30, 34])
+def test_small_cycles_have_x0_as_solved_base_of_the_x4_x1_circle(t):
+    # charting from x0 leaves these hunts' charts, and so their output, as
+    # they were when the circle was solved
+    sym = find_symmetric_5cycle(t)
+    assert rational_point_on_circle(equidistant_circle(sym.x4, sym.x1, t)) == sym.x0
+
+
+def test_subgraph_hunt_solves_only_the_x0_x2_circle(monkeypatch):
+    cert, sym = _reference_device()
+    solved = []
+
+    def counted(circle):
+        solved.append(circle)
+        return rational_point_on_circle(circle)
+
+    monkeypatch.setattr(hunts, "rational_point_on_circle", counted)
+    assert grotzsch_subgraph_hunt(sym, [_reference_device_pair(cert, sym)]) is not None
+    assert solved == [equidistant_circle(sym.x0, sym.x2, 30)]
+
+
+def test_subgraph_hunt_at_58_needs_no_solve_of_the_x4_x1_circle():
+    # that circle's normalised form has a Holzer box of about 10^27
+    assert grotzsch_subgraph_hunt(find_symmetric_5cycle(58), [(F(0), F(0))]) is None
+
+
 def test_subgraph_hunt_emits_verifying_certificate():
     cert, sym = _reference_device()
-    found = grotzsch_subgraph_hunt(30, sym, [_reference_device_pair(cert, sym)])
+    found = grotzsch_subgraph_hunt(sym, [_reference_device_pair(cert, sym)])
     assert found is not None
     found, hunt_report = found
     report = verify_certificate(found)
@@ -639,8 +674,8 @@ def test_subgraph_hunt_emits_verifying_certificate():
 def test_subgraph_hunt_is_worker_count_invariant():
     cert, sym = _reference_device()
     pairs = [_reference_device_pair(cert, sym)]
-    one = grotzsch_subgraph_hunt(30, sym, pairs, workers=1)
-    two = grotzsch_subgraph_hunt(30, sym, pairs, workers=2)
+    one = grotzsch_subgraph_hunt(sym, pairs, workers=1)
+    two = grotzsch_subgraph_hunt(sym, pairs, workers=2)
     assert one is not None
     assert two == one
 
@@ -658,9 +693,9 @@ def _reject_first(monkeypatch, rejected: int) -> list:
     offered = []
     assemble = hunts._assemble_device
 
-    def fake(t, sym, y0, y1, z):
+    def fake(sym, y0, y1, z):
         offered.append(z)
-        return None if len(offered) <= rejected else assemble(t, sym, y0, y1, z)
+        return None if len(offered) <= rejected else assemble(sym, y0, y1, z)
 
     monkeypatch.setattr(hunts, "_assemble_device", fake)
     return offered
@@ -671,10 +706,10 @@ def test_subgraph_hunt_takes_the_first_z_that_assembles(monkeypatch):
     pair = _reference_device_pair(cert, sym)
     zs = _reference_device_zs(cert, sym)
     assert len(zs) == 2
-    found, _ = grotzsch_subgraph_hunt(30, sym, [pair])
+    found, _ = grotzsch_subgraph_hunt(sym, [pair])
     assert found.points[9] == zs[0]
     offered = _reject_first(monkeypatch, 1)
-    found, report = grotzsch_subgraph_hunt(30, sym, [pair])
+    found, report = grotzsch_subgraph_hunt(sym, [pair])
     assert offered == list(zs)
     assert found.points[9] == zs[1] == cert.points[9]
     assert not report.failed
@@ -684,13 +719,13 @@ def test_subgraph_hunt_skips_a_pair_whose_every_z_fails(monkeypatch):
     cert, sym = _reference_device()
     pair = _reference_device_pair(cert, sym)
     zs = _reference_device_zs(cert, sym)
-    expected = grotzsch_subgraph_hunt(30, sym, [pair])
+    expected = grotzsch_subgraph_hunt(sym, [pair])
     offered = _reject_first(monkeypatch, len(zs))
-    assert grotzsch_subgraph_hunt(30, sym, [pair]) is None
+    assert grotzsch_subgraph_hunt(sym, [pair]) is None
     assert offered == list(zs)
     offered.clear()
     # the first pair's z all fail, (0, 0) has none, and the search goes on
-    assert grotzsch_subgraph_hunt(30, sym, [pair, (F(0), F(0)), pair]) == expected
+    assert grotzsch_subgraph_hunt(sym, [pair, (F(0), F(0)), pair]) == expected
     assert offered == [*zs, zs[0]]
 
 
@@ -707,19 +742,21 @@ def test_subgraph_hunt_computes_each_chart_point_once(monkeypatch):
     a, b = _reference_device_pair(cert, sym)
     params = farey_parameters(2)
     firsts, seconds = set(params) | {a}, set(params) | {b}
-    found = grotzsch_subgraph_hunt(30, sym, product(params + (a,), params + (b,)))
+    found = grotzsch_subgraph_hunt(sym, product(params + (a,), params + (b,)))
     assert found is not None
     assert set(calls.values()) == {1}
     charts = Counter(chart for chart, _ in calls)
     assert sorted(charts.values()) == sorted([len(firsts), len(seconds)])
 
 
-def test_subgraph_hunt_exhausts_empty_and_mismatched():
+def test_subgraph_hunt_exhausts_empty_and_refuses_non_integer_t():
     _, sym = _reference_device()
-    assert grotzsch_subgraph_hunt(30, sym, []) is None
-    assert grotzsch_subgraph_hunt(30, sym, [(F(0), F(0))]) is None
+    assert grotzsch_subgraph_hunt(sym, []) is None
+    assert grotzsch_subgraph_hunt(sym, [(F(0), F(0))]) is None
+    half = [point(*(c / 2 for c in p.coords())) for p in sym.points()]
+    halved = SymCycle(*half, F(15, 2), bisector_plane(half[0], half[4]))
     with pytest.raises(ValueError):
-        grotzsch_subgraph_hunt(22, sym, [])
+        grotzsch_subgraph_hunt(halved, [])
 
 
 # --- solver cross-checks on reference data -------------------------------------------
