@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction as F
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,8 +35,10 @@ from scavenger.geom import (
     reflect_point,
     tangent_param,
 )
+from scavenger.cycles import find_symmetric_5cycle
+from scavenger.hunts import farey_parameters
 from scavenger.numtheory import UnsolvableFormError
-from scavenger.qcore import dist_sq, midpoint, point, vec
+from scavenger.qcore import dist_sq, midpoint, parse_point, parse_rational, point, vec
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 
@@ -233,6 +236,56 @@ def test_circle_param_elimination_tie_breaking():
     c = RCircle(point(0, 0, 0), F(3), Plane(vec(1, 1, 0), 0))
     cp2 = circle_param(c, rational_point_on_circle(c))
     assert cp2.eliminated_axis == "y"
+
+
+# --- pinned chart table ---------------------------------------------------------------
+
+CHART_TABLE = Path(__file__).resolve().parent / "golden" / "chart_table.txt"
+
+
+def _hand_chart(center, normal, w):
+    """The circle about `center` in the plane normal to `normal`, through
+    center + w (w orthogonal to the normal), charted from that point."""
+    c, n, w = point(*center), vec(*normal), vec(*w)
+    circle = RCircle(c, w.dot(w), Plane(n, n.dot(vec(*c.coords()))))
+    return circle_param(circle, c + w), c + w
+
+
+def _pinned_charts():
+    """Name -> (chart, base): three hand-made circles eliminating x, y and z,
+    and the two device circles of the first symmetric 5-cycle at t=30, based
+    as the device hunt bases them."""
+    sym = find_symmetric_5cycle(30)
+    c02 = equidistant_circle(sym.x0, sym.x2, 30)
+    b02 = rational_point_on_circle(c02)
+    return {
+        "elim-x": _hand_chart((1, -2, F(1, 2)), (3, 1, 2), (1, -1, -1)),
+        "elim-y": _hand_chart((0, F(1, 3), 2), (1, -4, 2), (2, 0, -1)),
+        "elim-z": _hand_chart((-1, 0, F(3, 4)), (2, -1, 5), (1, 2, 0)),
+        "x0x2": (circle_param(c02, b02), b02),
+        "x4x1": (circle_param(equidistant_circle(sym.x4, sym.x1, 30), sym.x0), sym.x0),
+    }
+
+
+def test_chart_matches_pinned_table():
+    """Each table row `<circle> <s> <x> <y> <z>` is a chart point, both ways:
+    point_at(s) is the point and param_for_point(point) is s.  Each circle's
+    rows cover farey_parameters(3), inf and the base's own parameter."""
+    charts = _pinned_charts()
+    assert [chart.eliminated_axis for chart, _ in charts.values()] == ["x", "y", "z", "y", "z"]
+    covered = {name: set() for name in charts}
+    for line in CHART_TABLE.read_text(encoding="utf-8").splitlines():
+        name, s_text, coords = line.split(" ", 2)
+        chart, _ = charts[name]
+        s = INF if s_text == "inf" else parse_rational(s_text)
+        p = parse_point(coords)
+        assert chart.point_at(s) == p, line
+        assert chart.param_for_point(p) == s, line
+        covered[name].add(s)
+    for name, (chart, base) in charts.items():
+        own = chart.param_for_point(base)
+        assert chart.point_at(own) == base
+        assert covered[name] == {*farey_parameters(3), INF, own}, name
 
 
 # --- circumcenters and apexes -------------------------------------------------------
