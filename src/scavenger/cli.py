@@ -7,12 +7,14 @@ internal error, 141 when the reader of stdout closes it early.  Worker
 counts never change output bytes; `SCAVENGER_WORKERS` overrides `--workers` on
 the commands that have it (hunt-grotzsch-type, hunt-grotzsch-subgraph, scan-d).
 Options are checked by argparse alone, so a bad value exits 64 before any
-search.  An `--out` file is written before the result is printed.
+search.  An `--out` path that cannot be written is refused before the search,
+and the file is written before the result is printed.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from dataclasses import dataclass
@@ -79,6 +81,21 @@ def _write_text(path, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _check_out(path) -> None:
+    """Refuse an `--out` path before any search, with the reason its write
+    would fail: it is a directory, or its parent is no writable directory."""
+    parent = Path(path).parent
+    if Path(path).is_dir():
+        code = errno.EISDIR
+    elif not parent.is_dir():
+        code = errno.ENOTDIR if parent.exists() else errno.ENOENT
+    elif not os.access(parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ValueError(f"cannot write {path}: {os.strerror(code)}")
 
 
 def parse_vertex_text(text: str) -> VertexFile:
@@ -394,6 +411,8 @@ def dispatch(argv) -> int:
                 args.workers = _positive(env)
             except argparse.ArgumentTypeError as exc:
                 raise ValueError(f"SCAVENGER_WORKERS {exc}") from None
+        if getattr(args, "out", None):
+            _check_out(args.out)
         return args.func(args)
     except (ValueError, UnsolvableFormError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -1,8 +1,9 @@
 """Exact rational geometry in Q^3.
 
-Planes, reflections, equidistant circles, rational conic parameterization,
-circumcenters, apex points over triangles, and exact isosceles-triangle
-embeddings.  Everything is Fraction arithmetic; nothing is approximated.
+Planes, reflections, equidistant circles charted by the lines through a
+rational base point, circumcenters, apex points over triangles, and exact
+isosceles-triangle embeddings.  Everything is Fraction arithmetic; nothing
+is approximated.
 """
 
 from __future__ import annotations
@@ -26,17 +27,13 @@ from .qcore import (
 
 
 class _Infinity:
-    """Sentinel for the point at infinity of a rational parameter line."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """The point at infinity of a parameter line; it copies and unpickles as INF."""
 
     def __repr__(self) -> str:
         return "inf"
+
+    def __reduce__(self) -> str:
+        return "INF"
 
 
 INF = _Infinity()
@@ -127,127 +124,59 @@ def equidistant_circle(p: QPoint3, q: QPoint3, t: Rational) -> RCircle:
     return RCircle(midpoint(p, q), radius_sq, plane)
 
 
-# --- rational conic parameterization --------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConicParam:
-    """Conic a x^2 + b xy + c y^2 + d x + e y + f = 0 with a rational base point.
-
-    Chords through the base point parameterize the rational points by slope.
-    """
-
-    a: Rational
-    b: Rational
-    c: Rational
-    d: Rational
-    e: Rational
-    f: Rational
-    base: tuple[Rational, Rational]
-
-    def __post_init__(self):
-        xi, eta = self.base
-        val = (
-            self.a * xi * xi
-            + self.b * xi * eta
-            + self.c * eta * eta
-            + self.d * xi
-            + self.e * eta
-            + self.f
-        )
-        if val != 0:
-            raise ValueError(f"base point {self.base} is not on the conic (value {val})")
-
-    def value(self, x: Rational, y: Rational) -> Fraction:
-        return self.a * x * x + self.b * x * y + self.c * y * y + self.d * x + self.e * y + self.f
-
-
-def conic_point(cp: ConicParam, s: Rational | _Infinity) -> tuple[Fraction, Fraction]:
-    """The second intersection of the conic with the slope-s line through the base.
-
-    The parameter s = inf uses the vertical line through the base (requires a
-    nonzero y^2 coefficient).
-    """
-    a, b, c, d, e = cp.a, cp.b, cp.c, cp.d, cp.e
-    xi, eta = cp.base
-    if s is INF:
-        if c == 0:
-            raise ValueError("no vertical-line value: the y^2 coefficient is zero")
-        return (_frac(xi), (-b * xi - c * eta - e) / c)
-    s = _frac(s)
-    denom = a + b * s + c * s * s
-    if denom == 0:
-        raise ValueError(f"parameter {s} is an asymptotic direction of the conic")
-    x = (-d - a * xi - b * eta - (2 * c * eta + e) * s + c * xi * s * s) / denom
-    y = (a * eta - (2 * a * xi + d) * s - (b * xi + c * eta + e) * s * s) / denom
-    return (x, y)
-
-
-def tangent_param(cp: ConicParam) -> Fraction | _Infinity:
-    """The parameter value at which conic_point returns the base point itself:
-    the slope of the conic's tangent at the base."""
-    xi, eta = cp.base
-    num = 2 * cp.a * xi + cp.b * eta + cp.d
-    den = cp.b * xi + 2 * cp.c * eta + cp.e
-    if den == 0:
-        return INF
-    return -num / den
-
-
 # --- circles as one-parameter rational families -----------------------------------
 
 
 @dataclass(frozen=True)
 class CircleParam:
-    """A circle with its planar conic model and the data to lift points back.
-
-    The coordinate named `eliminated_axis` was solved out of the plane
-    equation; conic coordinates are the remaining two axes in x,y,z order.
+    """A circle charted by the lines through a rational base point on it:
+    parameter s names the line with direction `direction(s)`, and its chart
+    point is the line's second point on the circle (the base on the tangent).
     """
 
     circle: RCircle
-    conic: ConicParam
+    base: QPoint3
     eliminated_axis: str
 
-    def _axes(self) -> tuple[int, int, int]:
+    def direction(self, s: Rational | _Infinity) -> QVec3:
+        """D(s) = D(0) + s·D(inf) in the circle's plane: components 1 and s on
+        the two kept axes in x,y,z order (0 and 1 for INF)."""
         k = _AXES.index(self.eliminated_axis)
-        i, j = (n for n in range(3) if n != k)
-        return i, j, k
-
-    def lift(self, u: Rational, v: Rational) -> QPoint3:
-        """Recover the space point with kept coordinates (u, v)."""
-        i, j, k = self._axes()
+        i, j = (m for m in range(3) if m != k)
         n = self.circle.plane.normal.components()
-        coords = [Fraction(0)] * 3
-        coords[i], coords[j] = _frac(u), _frac(v)
-        coords[k] = (self.circle.plane.offset - n[i] * coords[i] - n[j] * coords[j]) / n[k]
-        return point(*coords)
+        d = [Fraction(0)] * 3
+        d[i], d[j] = (Fraction(0), Fraction(1)) if s is INF else (Fraction(1), _frac(s))
+        d[k] = -(n[i] * d[i] + n[j] * d[j]) / n[k]
+        return vec(*d)
 
     def point_at(self, s: Rational | _Infinity) -> QPoint3:
-        u, v = conic_point(self.conic, s)
-        return self.lift(u, v)
+        return conic_point(self, s)
 
     def param_for_point(self, p: QPoint3) -> Fraction | _Infinity:
-        """The parameter value s with point_at(s) = p, for p on the circle."""
+        """The s with point_at(s) = p, for p on the circle: the s whose D(s)
+        is parallel to p − base, or to the tangent n × (base − center) when
+        p is the base."""
         if not self.circle.contains(p):
             raise ValueError(f"{p} is not on the circle")
-        i, j, _ = self._axes()
-        u, v = p.coords()[i], p.coords()[j]
-        xi, eta = self.conic.base
-        if (u, v) == (xi, eta):
-            return tangent_param(self.conic)
-        if u == xi:
-            return INF
-        return (v - eta) / (u - xi)
+        n = self.circle.plane.normal
+        v = n.cross(self.base - self.circle.center) if p == self.base else p - self.base
+        slope = self.direction(INF).cross(v).dot(n)
+        return INF if slope == 0 else v.cross(self.direction(0)).dot(n) / slope
+
+
+def conic_point(chart: CircleParam, s: Rational | _Infinity) -> QPoint3:
+    """The chart point at s: base + λ·D(s) with λ = −2 (base − center)·D(s) / D(s)·D(s)."""
+    d = chart.direction(s)
+    lam = -2 * (chart.base - chart.circle.center).dot(d) / d.norm_sq()
+    return chart.base + d.scale(lam)
 
 
 def circle_param(c: RCircle, known_point: QPoint3) -> CircleParam:
-    """Model a circle as a rational one-parameter family seeded at a known point.
+    """Chart a circle by the lines through a known rational point on it.
 
-    The plane equation eliminates the coordinate with the largest absolute
-    normal component (ties prefer z, then y, then x), the sphere-about-center
-    equation becomes a planar conic in the other two, and the known point's
-    projection is the chord base point.
+    The eliminated axis is the one with the largest absolute normal
+    component (ties prefer z, then y, then x), so the lines are named by
+    slopes over the other two.
     """
     if c.degenerate:
         raise ValueError("degenerate circle has a single point; nothing to parameterize")
@@ -256,20 +185,7 @@ def circle_param(c: RCircle, known_point: QPoint3) -> CircleParam:
     n = c.plane.normal.components()
     biggest = max(abs(x) for x in n)
     k = max(i for i in range(3) if abs(n[i]) == biggest)
-    i, j = (m for m in range(3) if m != k)
-    # plane: n_i u + n_j v + n_k w = offset, so w = (W0 - n_i u - n_j v)/n_k
-    center = c.center.coords()
-    W = c.plane.offset - n[k] * center[k]
-    g = n[k]
-    a = 1 + n[i] * n[i] / (g * g)
-    b = 2 * n[i] * n[j] / (g * g)
-    cc = 1 + n[j] * n[j] / (g * g)
-    d = -2 * center[i] - 2 * n[i] * W / (g * g)
-    e = -2 * center[j] - 2 * n[j] * W / (g * g)
-    f = center[i] ** 2 + center[j] ** 2 + W * W / (g * g) - c.radius_sq
-    known = known_point.coords()
-    conic = ConicParam(a, b, cc, d, e, f, (known[i], known[j]))
-    return CircleParam(c, conic, _AXES[k])
+    return CircleParam(c, known_point, _AXES[k])
 
 
 # --- circumcenters and apexes ------------------------------------------------------

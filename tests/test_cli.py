@@ -555,10 +555,44 @@ def test_hunt_greedy_unwritable_out_is_one_error_line(capsys, tmp_path):
     assert err == f"error: cannot write {out_path}: No such file or directory\n"
 
 
+@pytest.mark.parametrize(
+    "where,reason",
+    [("missing/greedy.cert", "No such file or directory"), ("", "Is a directory")],
+)
+def test_unwritable_out_is_refused_before_the_search(capsys, monkeypatch, tmp_path, where, reason):
+    def searched(*args, **kwargs):
+        raise AssertionError("the hunt ran before --out was checked")
+
+    monkeypatch.setattr(cli, "greedy_hunt", searched)
+    out_path = tmp_path / where
+    code, out, err = run(
+        capsys, "hunt-greedy", str(DATA / "t22_seed.txt"), "--out", str(out_path)
+    )
+    assert code == 64
+    assert out == ""
+    assert err == f"error: cannot write {out_path}: {reason}\n"
+
+
+def test_write_failure_after_the_check_is_one_error_line(tmp_path):
+    with pytest.raises(ValueError) as exc:
+        cli._write_text(tmp_path, "t=22\n")
+    assert str(exc.value) == f"cannot write {tmp_path}: Is a directory"
+
+
 def test_hunt_greedy_cap_failure(capsys):
     code, out, _ = run(capsys, "hunt-greedy", str(DATA / "t22_seed.txt"), "--cap", "10")
     assert code == 1
     assert out.startswith("HUNT FAIL order=10")
+
+
+def test_failing_hunt_writes_no_out_file(capsys, tmp_path):
+    out_path = tmp_path / "greedy.cert"
+    code, out, _ = run(
+        capsys, "hunt-greedy", str(DATA / "t22_seed.txt"), "--cap", "10", "--out", str(out_path)
+    )
+    assert code == 1
+    assert out.startswith("HUNT FAIL order=10")
+    assert not out_path.exists()
 
 
 def test_hunt_greedy_rejects_bad_seed(capsys, tmp_path):

@@ -7,6 +7,8 @@ independent substitution, not trusted blindly).
 
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction as F
 from itertools import permutations, product
 from pathlib import Path
@@ -20,7 +22,6 @@ from scavenger.geom import (
     APEX_OK,
     APEX_TOO_FAR,
     CircleParam,
-    ConicParam,
     Plane,
     RCircle,
     apex_points_detailed,
@@ -33,7 +34,6 @@ from scavenger.geom import (
     has_rational_apex,
     rational_point_on_circle,
     reflect_point,
-    tangent_param,
 )
 from scavenger.cycles import find_symmetric_5cycle
 from scavenger.hunts import farey_parameters
@@ -145,42 +145,59 @@ def test_equidistant_circle_degenerate_and_empty():
         equidistant_circle(point(0, 0, 0), point(0, 0, 0), 5)
 
 
-# --- conic parameterization ----------------------------------------------------------
+# --- charts by lines through a base point ---------------------------------------------
 
-
-def unit_circle_conic(base: tuple[F, F]) -> ConicParam:
-    return ConicParam(1, 0, 1, 0, 0, -1, base)
+UNIT_CIRCLE = RCircle(point(0, 0, 0), F(1), Plane(vec(0, 0, 1), 0))
 
 
 def test_conic_point_unit_circle_values():
-    cp = unit_circle_conic((F(-1), F(0)))
-    assert conic_point(cp, 1) == (0, 1)
-    assert conic_point(cp, 0) == (1, 0)
-    assert conic_point(cp, INF) == (-1, 0)
+    chart = circle_param(UNIT_CIRCLE, point(-1, 0, 0))
+    assert conic_point(chart, 1) == point(0, 1, 0)
+    assert conic_point(chart, 0) == point(1, 0, 0)
+    assert conic_point(chart, INF) == point(-1, 0, 0)
 
 
-def test_conic_point_stays_on_conic():
-    cp = unit_circle_conic((F(3, 5), F(4, 5)))
+def test_conic_point_stays_on_circle():
+    chart = circle_param(UNIT_CIRCLE, point(F(3, 5), F(4, 5), 0))
     for k in range(-12, 13):
-        x, y = conic_point(cp, F(k, 5))
-        assert cp.value(x, y) == 0
-    x, y = conic_point(cp, INF)
-    assert cp.value(x, y) == 0
-
-
-def test_conic_base_must_lie_on_conic():
-    with pytest.raises(ValueError):
-        ConicParam(1, 0, 1, 0, 0, -1, (F(1), F(1)))
+        assert UNIT_CIRCLE.contains(conic_point(chart, F(k, 5)))
+    assert UNIT_CIRCLE.contains(conic_point(chart, INF))
 
 
 def test_tangent_parameter_returns_base():
-    cp = unit_circle_conic((F(0), F(1)))
-    s = tangent_param(cp)
+    chart = circle_param(UNIT_CIRCLE, point(0, 1, 0))
+    s = chart.param_for_point(point(0, 1, 0))
     assert s == 0
-    assert conic_point(cp, s) == (0, 1)
+    assert conic_point(chart, s) == point(0, 1, 0)
     # at a vertical-tangency point the tangent parameter is the infinite one
-    cp = unit_circle_conic((F(-1), F(0)))
-    assert tangent_param(cp) is INF
+    chart = circle_param(UNIT_CIRCLE, point(-1, 0, 0))
+    assert chart.param_for_point(point(-1, 0, 0)) is INF
+
+
+def test_inf_stays_itself_through_pickle_and_copy():
+    assert pickle.loads(pickle.dumps(INF)) is INF
+    assert copy.deepcopy([INF])[0] is INF
+    assert repr(INF) == "inf"
+
+
+small_vectors = st.builds(vec, *[st.integers(min_value=-5, max_value=5)] * 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.builds(point, rationals, rationals, rationals), small_vectors, small_vectors, rationals)
+def test_chart_roundtrips_on_constructed_circles(center, normal, other, s):
+    """A circle about `center` in the plane normal to `normal`, through
+    center + normal × other: every chart point lies on it, and
+    param_for_point inverts point_at at rational s, inf and the tangent."""
+    w = normal.cross(other)
+    if w.is_zero():
+        return
+    chart, base = _hand_chart(center.coords(), normal.components(), w.components())
+    for param in (s, INF, chart.param_for_point(base)):
+        p = chart.point_at(param)
+        assert chart.circle.contains(p)
+        assert chart.param_for_point(p) == param
+    assert chart.point_at(chart.param_for_point(base)) == base
 
 
 # --- circles as rational families ------------------------------------------------------
