@@ -209,6 +209,31 @@ def test_legendre_solvable_known_forms(coeffs, solvable):
             legendre_solution(form)
 
 
+# Pinned outputs of the Holzer search, pulled back to the original form.  The
+# comment names the normalization steps each form takes: a common factor, a
+# square stripped from a coefficient, a gcd shared by two coefficients moved
+# onto the third.
+PINNED_SOLUTIONS = [
+    ((1, 1, -2), (1, 1, 1)),  # none (the README example)
+    ((41, -199, -181), (85, 38, 7)),  # none
+    ((3, 3, -6), (1, 1, 1)),  # common
+    ((12, 18, -30), (1, 1, 1)),  # common
+    ((1, 1, -8), (2, 2, 1)),  # square
+    ((4, 9, -13), (9, 4, 6)),  # square, square
+    ((94, -14, -185), (13, 17, 8)),  # shared gcd
+    ((6, 10, -15), (5, 3, 4)),  # shared gcd, three times
+    ((-45, 38, -70), (8, 15, 9)),  # square, shared gcd twice
+    ((138, 78, -162), (3, 6, 5)),  # common, square
+    ((128, 30, -80), (5, 8, 8)),  # common, square, shared gcd
+    ((36, 50, -36), (1, 0, 1)),  # common, three squares, shared gcd
+]
+
+
+@pytest.mark.parametrize("coeffs,solution", PINNED_SOLUTIONS)
+def test_legendre_solution_matches_pinned_table(coeffs, solution):
+    assert legendre_solution(TernaryForm(*coeffs)) == solution
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     st.integers(min_value=1, max_value=12),
