@@ -36,7 +36,7 @@ from .hunts import (
     parse_certificate,
     verify_certificate,
 )
-from .numtheory import TernaryForm, UnsolvableFormError, legendre_obstruction, legendre_solution
+from .numtheory import TernaryForm, UnsolvableFormError, legendre_solution
 from .qcore import (
     QPoint3,
     Rational,
@@ -273,12 +273,11 @@ def _cmd_scan_d(args) -> int:
 
 
 def _cmd_solve_legendre(args) -> int:
-    form = TernaryForm(args.a, args.b, args.c)
-    reason = legendre_obstruction(form)
-    if reason is not None:
-        sys.stdout.write(f"unsolvable: {reason}\n")
+    try:
+        x, y, z = legendre_solution(TernaryForm(args.a, args.b, args.c))
+    except UnsolvableFormError as exc:
+        sys.stdout.write(f"unsolvable: {exc}\n")
         return EXIT_FAIL
-    x, y, z = legendre_solution(form)
     sys.stdout.write(f"solution: {x} {y} {z}\n")
     return EXIT_PASS
 
@@ -414,7 +413,7 @@ def dispatch(argv) -> int:
         if getattr(args, "out", None):
             _check_out(args.out)
         return args.func(args)
-    except (ValueError, UnsolvableFormError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except (AssertionError, RuntimeError) as exc:

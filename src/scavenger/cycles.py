@@ -197,7 +197,8 @@ def find_5cycle(t: int, pool: VectorPool) -> list[QPoint3] | None:
 class SymCycle:
     """A 5-cycle x0..x4 at squared edge length t that is mirror-symmetric
     across the bisector plane of (x0, x4): x2 and midpoint(x1, x3) both lie
-    on the plane."""
+    on the plane.  `base` is the solved rational point of the circle about
+    (x0, x2) at √t that x1 was charted from."""
 
     x0: QPoint3
     x1: QPoint3
@@ -206,6 +207,7 @@ class SymCycle:
     x4: QPoint3
     t: Rational
     plane: Plane
+    base: QPoint3
 
     def __post_init__(self):
         pts = self.points()
@@ -223,6 +225,8 @@ class SymCycle:
             raise ValueError("x2 is off the mirror plane")
         if not self.plane.contains(midpoint(self.x1, self.x3)):
             raise ValueError("midpoint of (x1, x3) is off the mirror plane")
+        if dist_sq(self.base, self.x0) != self.t or dist_sq(self.base, self.x2) != self.t:
+            raise ValueError("base is off the circle about (x0, x2)")
 
     def points(self) -> tuple[QPoint3, ...]:
         return (self.x0, self.x1, self.x2, self.x3, self.x4)
@@ -287,11 +291,8 @@ def _symmetric_cycle_for(t: int, d: Rational) -> SymCycle | None:
         x1 = chart.point_at(s)
         if mirror.contains(x1) or x1 == x4:
             continue
-        x3 = reflect_point(x1, mirror)
-        pts = (x0, x1, x2, x3, x4)
-        if len(set(pts)) != 5:
-            continue
-        return SymCycle(x0, x1, x2, x3, x4, Fraction(t), mirror)
+        # x1 off the mirror and not x4 makes the five points distinct
+        return SymCycle(x0, x1, x2, reflect_point(x1, mirror), x4, Fraction(t), mirror, base)
     return None
 
 

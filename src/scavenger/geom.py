@@ -275,8 +275,9 @@ def rational_point_on_circle(c: RCircle) -> QPoint3:
     """Some rational point of the circle, constructed exactly.
 
     Writes the circle as lambda^2 |e1|^2 + mu^2 |e2|^2 = radius_sq over an
-    orthogonal plane frame and solves the homogenized ternary form; raises
-    UnsolvableFormError when the circle has no rational points.
+    orthogonal plane frame and solves the homogenized ternary form.  The form
+    is decided before any search, so a circle with no rational points raises
+    UnsolvableFormError at once, naming the failing Legendre condition.
     """
     if c.degenerate:
         return c.center

@@ -42,7 +42,6 @@ from .graph import (
     k_colorable,
 )
 from .numtheory import (
-    UnsolvableFormError,
     antipodal_dist_sq,
     construct_chain,
     phi_criteria,
@@ -319,13 +318,9 @@ def grotzsch_type_hunt(
         return None
     charts = []
     for i in range(5):
+        # v_i lies on circle i, so its form is solvable
         circle = equidistant_circle(cycle[(i - 1) % 5], cycle[(i + 1) % 5], t)
-        try:
-            base = rational_point_on_circle(circle)
-        except UnsolvableFormError:
-            logger.info("no rational points on circle %d; search cannot proceed", i)
-            return None
-        charts.append(circle_param(circle, base))
+        charts.append(circle_param(circle, rational_point_on_circle(circle)))
 
     # each chart's points once, and each chart pair's squared distances once,
     # as (numerator, denominator) pairs, which pickle quickly for workers; a
@@ -419,21 +414,17 @@ def grotzsch_subgraph_hunt(
     criteria yields a certificate directly; otherwise the circle about
     (x1, x3) must have squared radius with denominator ≡ 2 (mod 4),
     certifying via the antipodal distance.  The circle about (x4, x1) is
-    charted from x0, which lies on it by two cycle edges.  Pairs are tried in
-    order, each with its z in order; returns the first certificate with its
-    verification report."""
+    charted from x0, which lies on it by two cycle edges, and the circle
+    about (x0, x2) from the cycle's solved base, so no circle is solved.
+    Pairs are tried in order, each with its z in order; returns the first
+    certificate with its verification report."""
     if Fraction(sym.t).denominator != 1:
         raise ValueError(f"cycle squared edge length {sym.t} is not an integer")
     pairs = tuple(tuple(p) for p in parameter_pairs)
     if not pairs:
         return None
-    c1 = equidistant_circle(sym.x0, sym.x2, sym.t)
-    try:
-        chart1 = circle_param(c1, rational_point_on_circle(c1))
-    except UnsolvableFormError:
-        logger.info("the circle about (x0, x2) has no rational points")
-        return None
     chart0 = circle_param(equidistant_circle(sym.x4, sym.x1, sym.t), sym.x0)
+    chart1 = circle_param(equidistant_circle(sym.x0, sym.x2, sym.t), sym.base)
 
     # each chart's point once per distinct parameter, in the calling process
     ys0 = {s: chart0.point_at(s) for s in dict.fromkeys(a for a, _ in pairs)}
@@ -635,7 +626,7 @@ def _chain_check(t: int, h: Rational) -> Check:
     target = vec(*rep)
     try:
         chain = construct_chain(target, h)
-    except (ValueError, UnsolvableFormError) as exc:
+    except ValueError as exc:
         return Check("chain", "FAIL", f"no step decomposition: {exc}")
     # construct_chain validated the runs exactly; N is the sum of multiplicities
     return Check(
@@ -831,11 +822,6 @@ def _verify_h_device(cert: Certificate) -> list[Check]:
             )
         )
         effective_h = h_direct
-        if claimed_h is not None and claimed_h != h_direct:
-            checks.append(
-                Check("membership-value", "FAIL",
-                      f"claimed h {format_rational(claimed_h)} != recomputed {format_rational(h_direct)}")
-            )
     else:
         span = dist_sq(pts[1], pts[3])
         if span > 4 * cert.t:
@@ -886,10 +872,10 @@ def _verify_h_device(cert: Certificate) -> list[Check]:
         if not anti_ok:
             return checks
         effective_h = h_anti
-        if claimed_h is not None and claimed_h != h_anti:
-            checks.append(
-                Check("membership-value", "FAIL",
-                      f"claimed h {format_rational(claimed_h)} != recomputed {format_rational(h_anti)}")
-            )
+    if claimed_h is not None and claimed_h != effective_h:
+        checks.append(
+            Check("membership-value", "FAIL",
+                  f"claimed h {format_rational(claimed_h)} != recomputed {format_rational(effective_h)}")
+        )
     checks.append(_chain_check(cert.t, effective_h))
     return checks

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .qcore import QVec3, _frac, factorize, norm_sq, squarefree_part, vec
+from .qcore import QVec3, _frac, factorize, squarefree_part, vec
 
 
 class UnsolvableFormError(ValueError):
@@ -99,51 +99,44 @@ def _square_part(n: int) -> int:
     return k
 
 
-def normalize_form(form: TernaryForm) -> tuple[tuple[int, int, int], list[tuple]]:
+def normalize_form(form: TernaryForm) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
     """Reduce to an equivalent form with square-free, pairwise-coprime
-    coefficients.  Returns the reduced coefficients plus the transform log
-    needed to pull solutions back to the original form.
+    coefficients.  Returns the reduced coefficients and one multiplier per
+    coordinate: a zero (x, y, z) of the reduced form gives the zero
+    (mx*x, my*y, mz*z) of the original.
 
-    Log entries: ("common", g) coefficients divided by g (solutions unchanged);
-    ("square", i, k) k^2 stripped from coefficient i (multiply the other two
-    solution coordinates by k); ("pair", i, j, k, g) gcd g moved from
-    coefficients i,j onto k (multiply solution coordinate k by g).
+    Dividing out a common factor changes no zero; stripping k^2 from
+    coefficient i multiplies the other two coordinates by k; moving the gcd g
+    of coefficients i, j onto coefficient k multiplies coordinate k by g.
+    Each step only multiplies, so the multipliers are their products.
     """
-    c = list(form.coeffs())
-    log: list[tuple] = []
-    g = math.gcd(math.gcd(abs(c[0]), abs(c[1])), abs(c[2]))
-    if g > 1:
-        c = [x // g for x in c]
-        log.append(("common", g))
+    g = math.gcd(*form.coeffs())
+    coeffs = [x // g for x in form.coeffs()]
+    mult = [1, 1, 1]
     while True:
         for i in range(3):
-            k = _square_part(c[i])
+            k = _square_part(coeffs[i])
             if k > 1:
-                c[i] //= k * k
-                log.append(("square", i, k))
+                coeffs[i] //= k * k
+                mult = [m if j == i else m * k for j, m in enumerate(mult)]
         for i, j in ((0, 1), (0, 2), (1, 2)):
-            g = math.gcd(abs(c[i]), abs(c[j]))
+            g = math.gcd(coeffs[i], coeffs[j])
             if g > 1:
                 k = 3 - i - j
-                c[i] //= g
-                c[j] //= g
-                c[k] *= g
-                log.append(("pair", i, j, k, g))
+                coeffs[i] //= g
+                coeffs[j] //= g
+                coeffs[k] *= g
+                mult[k] *= g
                 break
         else:
-            return (c[0], c[1], c[2]), log
+            return (coeffs[0], coeffs[1], coeffs[2]), (mult[0], mult[1], mult[2])
 
 
-def _definite(a: int, b: int, c: int) -> bool:
-    return (a > 0 and b > 0 and c > 0) or (a < 0 and b < 0 and c < 0)
-
-
-def legendre_obstruction(form: TernaryForm) -> str | None:
-    """Why a*x^2+b*y^2+c*z^2 = 0 has no nontrivial integer solution — the
-    normalized form is definite, or the first of Legendre's three residue
-    conditions that fails — or None when it has one (exact decision)."""
-    (a, b, c), _ = normalize_form(form)
-    if _definite(a, b, c):
+def _obstruction(a: int, b: int, c: int) -> str | None:
+    """Legendre's decision on a normalized form: why it has no nontrivial
+    zero (it is definite, or the first of the three residue conditions that
+    fails), or None when it has one."""
+    if (a > 0) == (b > 0) == (c > 0):
         return "definite form, only the trivial zero"
     for name, value, modulus in (
         ("-ab", -a * b, abs(c)),
@@ -155,16 +148,25 @@ def legendre_obstruction(form: TernaryForm) -> str | None:
     return None
 
 
+def legendre_obstruction(form: TernaryForm) -> str | None:
+    """Why a*x^2+b*y^2+c*z^2 = 0 has no nontrivial integer solution — the
+    normalized form is definite, or the first of Legendre's three residue
+    conditions that fails — or None when it has one (exact decision)."""
+    return _obstruction(*normalize_form(form)[0])
+
+
 def legendre_solvable(form: TernaryForm) -> bool:
     """Exact decision for nontrivial integer solvability of a*x^2+b*y^2+c*z^2 = 0."""
     return legendre_obstruction(form) is None
 
 
 def _holzer_search(a: int, b: int, c: int) -> tuple[int, int, int] | None:
-    """Exhaustive search within the Holzer bounds |x| <= sqrt|bc| etc.
+    """The first nontrivial zero of a normalized form within the Holzer
+    bounds |x| <= sqrt|bc|, |y| <= sqrt|ac|, |z| <= sqrt|ab|.
 
-    Complete for normalized forms: a solvable form has a solution inside
-    these bounds, so exhausting them decides solvability.
+    Searches a box known to hold a solution: Holzer's theorem puts a zero of
+    every solvable normalized form inside these bounds, so callers decide
+    solvability first and None means a broken search, not an unsolvable form.
     """
     coeffs = (a, b, c)
     bounds = (
@@ -197,31 +199,20 @@ def _holzer_search(a: int, b: int, c: int) -> tuple[int, int, int] | None:
 
 
 def legendre_solution(form: TernaryForm) -> tuple[int, int, int]:
-    """A primitive nontrivial solution of the form, found by Holzer-bounded
-    exhaustive search on the normalized form and pulled back exactly."""
-    (a, b, c), log = normalize_form(form)
-    if _definite(a, b, c):
-        raise UnsolvableFormError(f"definite form {form.coeffs()} has only the trivial zero")
+    """A primitive nontrivial solution of the form: the form is normalized
+    and decided once, raising UnsolvableFormError with the failing condition,
+    and only a solvable form is searched within the Holzer bounds; the zero
+    found is scaled back by the normalization's multipliers."""
+    (a, b, c), (mx, my, mz) = normalize_form(form)
+    reason = _obstruction(a, b, c)
+    if reason is not None:
+        raise UnsolvableFormError(reason)
     sol = _holzer_search(a, b, c)
     if sol is None:
-        raise UnsolvableFormError(f"form {form.coeffs()} fails Legendre's criterion")
-    x, y, z = sol
-    for entry in reversed(log):
-        if entry[0] == "square":
-            _, i, k = entry
-            coords = [x, y, z]
-            for j in range(3):
-                if j != i:
-                    coords[j] *= k
-            x, y, z = coords
-        elif entry[0] == "pair":
-            _, _, _, k, g = entry
-            coords = [x, y, z]
-            coords[k] *= g
-            x, y, z = coords
-    g = math.gcd(math.gcd(abs(x), abs(y)), abs(z))
-    if g > 1:
-        x, y, z = x // g, y // g, z // g
+        raise AssertionError(f"no zero of the solvable form {(a, b, c)} within the Holzer bounds")
+    x, y, z = sol[0] * mx, sol[1] * my, sol[2] * mz
+    g = math.gcd(x, y, z)
+    x, y, z = x // g, y // g, z // g
     assert form.value(x, y, z) == 0, "pullback must preserve the zero"
     return (x, y, z)
 
@@ -348,8 +339,8 @@ class ChainCertificate:
         for i, (s, k) in enumerate(self.runs):
             if k < 1:
                 raise AssertionError(f"run {i} has multiplicity {k}")
-            if norm_sq(s) != self.step_norm_sq:
-                raise AssertionError(f"run {i} has step squared length {norm_sq(s)}")
+            if s.norm_sq() != self.step_norm_sq:
+                raise AssertionError(f"run {i} has step squared length {s.norm_sq()}")
             total = total + s.scale(k)
         if total != self.target:
             raise AssertionError(f"chain sums to {total}, not {self.target}")
@@ -469,7 +460,7 @@ def construct_chain(v: QVec3, h: Fraction) -> ChainCertificate:
     d*v with step length h*d^2, which satisfies the same criteria bullet.
     """
     h = _frac(h)
-    t = norm_sq(v)
+    t = v.norm_sq()
     if t.denominator != 1 or not in_T(t.numerator):
         raise ValueError(f"target squared length {t} is not in the open-case set")
     if not phi_criteria(h):

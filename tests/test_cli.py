@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from scavenger import cli, hunts
+from scavenger import cli, hunts, numtheory
 from scavenger.cycles import is_5cycle
 from scavenger.hunts import (
     Certificate,
@@ -365,6 +365,14 @@ def test_solve_legendre_zero_coefficient(capsys):
     assert "zero coefficient" in err
 
 
+def test_search_without_a_zero_on_a_solvable_form_is_an_internal_error(capsys, monkeypatch):
+    monkeypatch.setattr(numtheory, "_holzer_search", lambda a, b, c: None)
+    code, out, err = run(capsys, "solve-legendre", "1", "1", "-2")
+    assert code == cli.EXIT_INTERNAL == 70
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("internal error: ")
+
+
 # --- scan-d ------------------------------------------------------------------------
 
 
@@ -522,6 +530,25 @@ def test_param_circle_explicit_params(capsys, foci_file):
     code, out, _ = run(capsys, "param-circle", str(foci_file), "--params", "23/11")
     assert code == 0
     assert out == "s=23/11 -8/21 52/21 40/21\n"
+
+
+def test_param_circle_without_rational_points_names_the_condition(tmp_path):
+    # the normalized form is (1, 320699, -1124287673410), whose Holzer box
+    # held the command for over 30 s before the form was decided first
+    foci = tmp_path / "foci.txt"
+    foci.write_text("t=1000003\n0 0 0\n123 457 311\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "scavenger.cli", "param-circle", str(foci)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=10,
+    )
+    assert proc.stdout == "no rational points: -ab = -320699 not a QR of 1124287673410\n"
+    assert proc.returncode == 1
+    assert proc.stderr == ""
 
 
 def test_param_circle_arity(capsys):

@@ -23,6 +23,7 @@ from scavenger.cycles import (
 from scavenger.geom import bisector_plane
 from scavenger.numtheory import eq_pair_feasible, in_T
 from scavenger.qcore import dist_sq, midpoint, parse_point, point, vec
+from symcycles import solved_base
 
 SEED_22 = [
     parse_point(s)
@@ -151,7 +152,7 @@ def test_find_5cycle_small_open_cases(t):
 def test_chart_30_is_a_symmetric_cycle():
     x0, x1, x2, x3, x4 = CHART_30
     plane = bisector_plane(x0, x4)
-    cycle = SymCycle(x0, x1, x2, x3, x4, Fraction(30), plane)
+    cycle = SymCycle(x0, x1, x2, x3, x4, Fraction(30), plane, solved_base(x0, x2, 30))
     assert cycle.base_dist_sq == 26
     assert dist_sq(x2, x4) == 26
     m = midpoint(x1, x3)
@@ -162,12 +163,15 @@ def test_chart_30_is_a_symmetric_cycle():
 def test_symcycle_rejects_broken_invariants():
     x0, x1, x2, x3, x4 = CHART_30
     plane = bisector_plane(x0, x4)
+    base = solved_base(x0, x2, 30)
     with pytest.raises(ValueError):
-        SymCycle(x0, x1, x2, x3, x4, Fraction(22), plane)
+        SymCycle(x0, x1, x2, x3, x4, Fraction(22), plane, base)
     with pytest.raises(ValueError):
-        SymCycle(x0, x1, x2, x3, x4, Fraction(30), bisector_plane(x0, x2))
+        SymCycle(x0, x1, x2, x3, x4, Fraction(30), bisector_plane(x0, x2), base)
     with pytest.raises(ValueError):
-        SymCycle(x0, x1, x4, x3, x4, Fraction(30), plane)
+        SymCycle(x0, x1, x4, x3, x4, Fraction(30), plane, base)
+    with pytest.raises(ValueError, match="base is off the circle"):
+        SymCycle(x0, x1, x2, x3, x4, Fraction(30), plane, x0)
 
 
 def test_find_symmetric_5cycle_t30():
@@ -177,6 +181,7 @@ def test_find_symmetric_5cycle_t30():
     assert is_5cycle(list(cycle.points()), 30)
     assert cycle.plane.contains(cycle.x2)
     assert cycle.plane.contains(midpoint(cycle.x1, cycle.x3))
+    assert cycle.base == solved_base(cycle.x0, cycle.x2, 30)
 
 
 @settings(max_examples=5, deadline=None)

@@ -40,6 +40,7 @@ from scavenger.hunts import (
     verify_certificate,
 )
 from scavenger.qcore import dist_sq, parse_point, point, rational_square_root, vec
+from symcycles import solved_base
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -524,7 +525,7 @@ def test_collinear_triple_is_rejected_and_the_row_scan_moves_on():
 def _reference_device():
     cert = _cert("t30_device.cert")
     pts = cert.points
-    sym = SymCycle(*pts[:5], F(30), bisector_plane(pts[0], pts[4]))
+    sym = SymCycle(*pts[:5], F(30), bisector_plane(pts[0], pts[4]), solved_base(pts[0], pts[2], 30))
     return cert, sym
 
 
@@ -616,11 +617,12 @@ def test_chord_anchor_agrees_with_the_cramer_solve(center, n, e, m, alpha, beta,
 
 def _reference_device_pair(cert, sym):
     """The hunt's parameters of the reference y0, y1: the circle about
-    (x4, x1) is charted from x0, the one about (x0, x2) from its solved base."""
+    (x4, x1) is charted from x0, the one about (x0, x2) from the cycle's
+    solved base."""
     c0 = equidistant_circle(sym.x4, sym.x1, 30)
     c1 = equidistant_circle(sym.x0, sym.x2, 30)
     a = circle_param(c0, sym.x0).param_for_point(cert.points[5])
-    b = circle_param(c1, rational_point_on_circle(c1)).param_for_point(cert.points[6])
+    b = circle_param(c1, sym.base).param_for_point(cert.points[6])
     return a, b
 
 
@@ -639,7 +641,9 @@ def test_small_cycles_have_x0_as_solved_base_of_the_x4_x1_circle(t):
     assert rational_point_on_circle(equidistant_circle(sym.x4, sym.x1, t)) == sym.x0
 
 
-def test_subgraph_hunt_solves_only_the_x0_x2_circle(monkeypatch):
+def test_subgraph_hunt_solves_no_circle(monkeypatch):
+    # both charts start from points the cycle already carries: x0 and its
+    # solved base
     cert, sym = _reference_device()
     solved = []
 
@@ -649,7 +653,7 @@ def test_subgraph_hunt_solves_only_the_x0_x2_circle(monkeypatch):
 
     monkeypatch.setattr(hunts, "rational_point_on_circle", counted)
     assert grotzsch_subgraph_hunt(sym, [_reference_device_pair(cert, sym)]) is not None
-    assert solved == [equidistant_circle(sym.x0, sym.x2, 30)]
+    assert solved == []
 
 
 def test_subgraph_hunt_at_58_needs_no_solve_of_the_x4_x1_circle():
@@ -754,7 +758,8 @@ def test_subgraph_hunt_exhausts_empty_and_refuses_non_integer_t():
     assert grotzsch_subgraph_hunt(sym, []) is None
     assert grotzsch_subgraph_hunt(sym, [(F(0), F(0))]) is None
     half = [point(*(c / 2 for c in p.coords())) for p in sym.points()]
-    halved = SymCycle(*half, F(15, 2), bisector_plane(half[0], half[4]))
+    base = solved_base(half[0], half[2], F(15, 2))
+    halved = SymCycle(*half, F(15, 2), bisector_plane(half[0], half[4]), base)
     with pytest.raises(ValueError):
         grotzsch_subgraph_hunt(halved, [])
 

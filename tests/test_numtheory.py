@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scavenger import numtheory
 from scavenger.numtheory import (
     ChainCertificate,
     TernaryForm,
@@ -234,6 +235,20 @@ def test_legendre_solution_matches_pinned_table(coeffs, solution):
     assert legendre_solution(TernaryForm(*coeffs)) == solution
 
 
+def test_legendre_solution_normalizes_once(monkeypatch):
+    seen = []
+
+    def counted(form):
+        seen.append(form)
+        return normalize_form(form)
+
+    monkeypatch.setattr(numtheory, "normalize_form", counted)
+    legendre_solution(TernaryForm(128, 30, -80))
+    with pytest.raises(UnsolvableFormError):
+        legendre_solution(TernaryForm(4, 9, -12))
+    assert seen == [TernaryForm(128, 30, -80), TernaryForm(4, 9, -12)]
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     st.integers(min_value=1, max_value=12),
@@ -265,6 +280,29 @@ def test_legendre_decision_is_certified_both_ways(a, b, c):
 )
 def test_legendre_obstruction_names_the_failing_condition(coeffs, reason):
     assert legendre_obstruction(TernaryForm(*coeffs)) == reason
+    if reason is not None:
+        with pytest.raises(UnsolvableFormError) as info:
+            legendre_solution(TernaryForm(*coeffs))
+        assert str(info.value) == reason
+
+
+_BIG = st.integers(min_value=-10**12, max_value=10**12).filter(lambda x: x != 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_BIG, _BIG, _BIG)
+def test_unsolvable_big_forms_are_refused_before_any_search(a, b, c):
+    # the Holzer box of such a form can hold 10^24 points; the decision
+    # needs only the factorizations of the coefficients
+    form = TernaryForm(a, b, c)
+    reason = legendre_obstruction(form)
+    if reason is None:
+        return
+    start = time.perf_counter()
+    with pytest.raises(UnsolvableFormError) as info:
+        legendre_solution(form)
+    assert time.perf_counter() - start < 1.0
+    assert str(info.value) == reason
 
 
 # --- step-length criteria ------------------------------------------------------
