@@ -663,6 +663,16 @@ def test_hunt_grotzsch_subgraph_30_matches_golden(capsys, tmp_path, workers):
     assert out_path.read_bytes() == (GOLDEN / "hunt_device30.cert").read_bytes()
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("t", ["10", "58"])
+def test_hunt_grotzsch_subgraph_full_sweep_matches_golden(capsys, t, workers):
+    # no pair at height 12 has a device, so every pair is decided
+    code, out, err = run(capsys, "hunt-grotzsch-subgraph", t, "--workers", workers)
+    assert code == 1
+    assert err == ""
+    assert out == (GOLDEN / f"hunt_device{t}.out").read_text(encoding="utf-8")
+
+
 # --- a reader that leaves early -----------------------------------------------------
 
 
