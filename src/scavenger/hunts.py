@@ -17,7 +17,7 @@ import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .cycles import SymCycle, gen_vectors, is_5cycle, parallel_first
 from .geom import (
@@ -387,12 +387,35 @@ def circle_plane_intersections(circle: RCircle, plane) -> tuple[QPoint3, ...]:
     return (anchor + direction.scale(lam), anchor + direction.scale(-lam))
 
 
-def _first_device(sym: SymCycle, pair: tuple[QPoint3, QPoint3]) -> tuple[Certificate, Report] | None:
+def _integral(p: QPoint3) -> tuple[int, int, int, int]:
+    """p as integers (X, Y, Z, D) with p = (X/D, Y/D, Z/D)."""
+    d = lcm(p.x.denominator, p.y.denominator, p.z.denominator)
+    return (*(c.numerator * (d // c.denominator) for c in p.coords()), d)
+
+
+def _integral_dist_sq(p, q) -> tuple[int, int]:
+    """|pq|² of two `_integral` points as an unreduced (numerator,
+    denominator) pair."""
+    (x, y, z, d), (u, v, w, e) = p, q
+    return (x * e - u * d) ** 2 + (y * e - v * d) ** 2 + (z * e - w * d) ** 2, (d * e) ** 2
+
+
+def _first_device(sym: SymCycle, candidate) -> tuple[Certificate, Report] | None:
     """`(cert, report)` for the first rational z on the mirror plane at √t
     from both circle points y0, y1 that assembles into a verified device, or
-    None."""
-    y0, y1 = pair
-    if y0 == y1 or dist_sq(y0, y1) >= 4 * sym.t:
+    None.  The candidate carries a = |y0y1|², b = |y0y4|² and c = |y1y4|²,
+    with y4 the mirror image of y0.  For y0 off the mirror, such a z is
+    exactly a rational apex at √t over (y0, y1, y4): it is at √t from y4 by
+    symmetry, and the points at √t from y0 and y4 lie on the mirror.  So
+    the pair is decided from a, b, c, and z is solved only for a pair that
+    has one."""
+    (y0, y1), a, b, c = candidate
+    t = int(sym.t)
+    if y0 == y1 or a[0] >= 4 * t * a[1]:
+        return None
+    if b[0] == 0:  # y0 on the mirror: y4 == y0, so the verifier refuses the device
+        return None
+    if not has_rational_apex(a, b, c, t):
         return None
     for z in circle_plane_intersections(equidistant_circle(y0, y1, sym.t), sym.plane):
         found = _assemble_device(sym, y0, y1, z)
@@ -416,8 +439,9 @@ def grotzsch_subgraph_hunt(
     certifying via the antipodal distance.  The circle about (x4, x1) is
     charted from x0, which lies on it by two cycle edges, and the circle
     about (x0, x2) from the cycle's solved base, so no circle is solved.
-    Pairs are tried in order, each with its z in order; returns the first
-    certificate with its verification report."""
+    Pairs are tried in order, each decided by the integer apex test of
+    `_first_device`; z is solved, in order, only for a pair that passes.
+    Returns the first certificate with its verification report."""
     if Fraction(sym.t).denominator != 1:
         raise ValueError(f"cycle squared edge length {sym.t} is not an integer")
     pairs = tuple(tuple(p) for p in parameter_pairs)
@@ -426,12 +450,23 @@ def grotzsch_subgraph_hunt(
     chart0 = circle_param(equidistant_circle(sym.x4, sym.x1, sym.t), sym.x0)
     chart1 = circle_param(equidistant_circle(sym.x0, sym.x2, sym.t), sym.base)
 
-    # each chart's point once per distinct parameter, in the calling process
-    ys0 = {s: chart0.point_at(s) for s in dict.fromkeys(a for a, _ in pairs)}
-    ys1 = {s: chart1.point_at(s) for s in dict.fromkeys(b for _, b in pairs)}
-    hit = parallel_first(
-        ((ys0[a], ys1[b]) for a, b in pairs), partial(_first_device, sym), workers=workers
+    # each chart's point once per distinct parameter, in the calling process,
+    # with its integer form; per y0 also its mirror image y4 and b = |y0y4|²
+    firsts = {}
+    for s in dict.fromkeys(a for a, _ in pairs):
+        y0 = chart0.point_at(s)
+        p0, p4 = _integral(y0), _integral(reflect_point(y0, sym.plane))
+        firsts[s] = y0, p0, p4, _integral_dist_sq(p0, p4)
+    seconds = {}
+    for s in dict.fromkeys(b for _, b in pairs):
+        y1 = chart1.point_at(s)
+        seconds[s] = y1, _integral(y1)
+    # candidates are built as the search reads them, in pair order
+    candidates = (
+        ((y0, y1), _integral_dist_sq(p0, p1), b, _integral_dist_sq(p1, p4))
+        for (y0, p0, p4, b), (y1, p1) in ((firsts[s0], seconds[s1]) for s0, s1 in pairs)
     )
+    hit = parallel_first(candidates, partial(_first_device, sym), workers=workers)
     return None if hit is None else hit[1]
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from scavenger import geom, hunts
+from scavenger import cli, geom, hunts
 from scavenger.cycles import SymCycle, find_symmetric_5cycle
 from scavenger.geom import (
     INF,
@@ -21,6 +21,7 @@ from scavenger.geom import (
     equidistant_circle,
     has_rational_apex,
     rational_point_on_circle,
+    reflect_point,
 )
 from scavenger.graph import build_graph, h_graph, is_proper, is_triangle_free, k_colorable
 from scavenger.hunts import (
@@ -43,6 +44,7 @@ from scavenger.qcore import dist_sq, parse_point, point, rational_square_root, v
 from symcycles import solved_base
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 SEED_22 = [
     parse_point(s)
@@ -615,15 +617,18 @@ def test_chord_anchor_agrees_with_the_cramer_solve(center, n, e, m, alpha, beta,
         assert r in got
 
 
+def _device_charts(sym):
+    """The device hunt's charts: the circle about (x4, x1) is charted from
+    x0, the one about (x0, x2) from the cycle's solved base."""
+    return (
+        circle_param(equidistant_circle(sym.x4, sym.x1, sym.t), sym.x0),
+        circle_param(equidistant_circle(sym.x0, sym.x2, sym.t), sym.base),
+    )
+
+
 def _reference_device_pair(cert, sym):
-    """The hunt's parameters of the reference y0, y1: the circle about
-    (x4, x1) is charted from x0, the one about (x0, x2) from the cycle's
-    solved base."""
-    c0 = equidistant_circle(sym.x4, sym.x1, 30)
-    c1 = equidistant_circle(sym.x0, sym.x2, 30)
-    a = circle_param(c0, sym.x0).param_for_point(cert.points[5])
-    b = circle_param(c1, sym.base).param_for_point(cert.points[6])
-    return a, b
+    """The hunt's parameters of a device certificate's y0, y1 on sym's charts."""
+    return tuple(chart.param_for_point(y) for chart, y in zip(_device_charts(sym), cert.points[5:7]))
 
 
 def test_reference_device_cycle_has_a_solved_base_other_than_x0():
@@ -762,6 +767,90 @@ def test_subgraph_hunt_exhausts_empty_and_refuses_non_integer_t():
     halved = SymCycle(*half, F(15, 2), bisector_plane(half[0], half[4]), base)
     with pytest.raises(ValueError):
         grotzsch_subgraph_hunt(halved, [])
+
+
+# --- the device pair test against the z solve ---------------------------------------
+
+
+def _device_candidate(sym, y0, y1):
+    """The hunt's candidate for the pair (y0, y1): a = |y0y1|², b = |y0y4|²
+    and c = |y1y4|² from the points' integer forms, y4 the mirror image of y0."""
+    p0, p1 = hunts._integral(y0), hunts._integral(y1)
+    p4 = hunts._integral(reflect_point(y0, sym.plane))
+    dist = hunts._integral_dist_sq
+    return (y0, y1), dist(p0, p1), dist(p0, p4), dist(p1, p4)
+
+
+def _z_solve(sym, y0, y1):
+    return circle_plane_intersections(equidistant_circle(y0, y1, sym.t), sym.plane)
+
+
+@cache
+def _device_case(name: str):
+    """A cycle, the hunt's two charts on it and a known hit pair (or None):
+    the CLI's cycle for t = 10, 22, 30, 34, or the cycle of the reference
+    device."""
+    if name == "t30_device.cert":
+        cert, sym = _reference_device()
+    else:
+        sym = find_symmetric_5cycle(int(name))
+        cert = read_certificate(GOLDEN / "hunt_device30.cert") if name == "30" else None
+    return sym, _device_charts(sym), None if cert is None else _reference_device_pair(cert, sym)
+
+
+DEVICE_CASES = ["10", "22", "30", "34", "t30_device.cert"]
+FAREY_12 = st.sampled_from(farey_parameters(12))
+
+
+@pytest.mark.parametrize("name", ["30", "t30_device.cert"])
+def test_pair_test_accepts_the_known_devices(name):
+    sym, charts, hit = _device_case(name)
+    y0, y1 = (chart.point_at(s) for chart, s in zip(charts, hit))
+    _, a, b, c = _device_candidate(sym, y0, y1)
+    assert has_rational_apex(a, b, c, int(sym.t))
+    assert _z_solve(sym, y0, y1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), name=st.sampled_from(DEVICE_CASES))
+def test_pair_test_agrees_with_the_z_solve(data, name):
+    sym, charts, hit = _device_case(name)
+    near = [st.one_of(FAREY_12, _near(s)) for s in hit] if hit else [FAREY_12, FAREY_12]
+    y0, y1 = (chart.point_at(data.draw(s)) for chart, s in zip(charts, near))
+    y4 = reflect_point(y0, sym.plane)
+    assume(y4 != y0 and 0 < dist_sq(y0, y1) < 4 * sym.t)
+    _, a, b, c = _device_candidate(sym, y0, y1)
+    assert (F(*a), F(*b), F(*c)) == (dist_sq(y0, y1), dist_sq(y0, y4), dist_sq(y1, y4))
+    assert has_rational_apex(a, b, c, int(sym.t)) == bool(_z_solve(sym, y0, y1))
+
+
+def test_pair_with_y0_on_the_mirror_is_rejected_unassembled(monkeypatch):
+    sym = find_symmetric_5cycle(10)
+    # y0 on the mirror at √10 from x2, which is on the mirror too, so the z
+    # solve offers x2 for the pair (y0, x1); with y4 == y0 the verifier would
+    # refuse the device
+    y0, y1 = rational_point_on_circle(RCircle(sym.x2, F(10), sym.plane)), sym.x1
+    assert sym.plane.contains(y0) and 0 < dist_sq(y0, y1) < 40
+    assert sym.x2 in _z_solve(sym, y0, y1)
+    offered = []
+    monkeypatch.setattr(hunts, "_assemble_device", lambda *args: offered.append(args))
+    assert hunts._first_device(sym, _device_candidate(sym, y0, y1)) is None
+    assert offered == []
+
+
+def test_device_hunt_at_30_solves_z_only_for_the_hit(monkeypatch, capsys):
+    solved = []
+    solve = hunts.circle_plane_intersections
+
+    def counted(circle, plane):
+        solved.append(solve(circle, plane))
+        return solved[-1]
+
+    monkeypatch.setattr(hunts, "circle_plane_intersections", counted)
+    assert cli.dispatch(["hunt-grotzsch-subgraph", "30"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "hunt_device30.out").read_text(encoding="utf-8")
+    z = read_certificate(GOLDEN / "hunt_device30.cert").data["z"]
+    assert len(solved) == 1 and z in solved[0]
 
 
 # --- solver cross-checks on reference data -------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -453,15 +454,16 @@ def _rotate(v, q):
     return vec(*(sum(Fraction(r[i]) * x[i] for i in range(3)) / n for r in rows))
 
 
-admissible_targets = (
-    st.tuples(*[st.integers(-7, 7)] * 3)
-    .filter(lambda u: in_T(u[0] ** 2 + u[1] ** 2 + u[2] ** 2))
-    .map(lambda u: vec(*u))
+# drawn from precomputed lists, so no draw is filtered away
+admissible_targets = st.sampled_from(
+    [vec(*u) for u in product(range(-7, 8), repeat=3) if in_T(sum(x * x for x in u))]
 )
-odd_quaternions = st.tuples(*[st.integers(-2, 2)] * 4).filter(
-    lambda q: sum(x * x for x in q) % 2 == 1
+odd_quaternions = st.sampled_from(
+    [q for q in product(range(-2, 3), repeat=4) if sum(x * x for x in q) % 2 == 1]
 )
-step_lengths = st.builds(Fraction, st.integers(1, 40), st.integers(1, 12)).filter(phi_criteria)
+step_lengths = st.sampled_from(
+    sorted(h for h in {Fraction(p, q) for p in range(1, 41) for q in range(1, 13)} if phi_criteria(h))
+)
 
 
 def _passes(check, cert: ChainCertificate) -> bool:
