@@ -622,6 +622,38 @@ def test_failing_hunt_writes_no_out_file(capsys, tmp_path):
     assert not out_path.exists()
 
 
+def _greedy_seed(tmp_path, image: bool) -> str:
+    """`data/t22_seed.txt`, or its (x, -y, -z) image written to tmp_path."""
+    if not image:
+        return str(DATA / "t22_seed.txt")
+    vf = cli.parse_vertex_file(DATA / "t22_seed.txt")
+    f = tmp_path / "seed_image.txt"
+    f.write_text(f"t={vf.t}\n" + "".join(f"{p.x} {-p.y} {-p.z}\n" for p in vf.points))
+    return str(f)
+
+
+@pytest.mark.parametrize(
+    "golden,image,options,code",
+    [
+        ("hunt_greedy_d3", False, ["--denominator", "3"], 0),
+        ("hunt_greedy_d9", False, ["--denominator", "9"], 0),
+        ("hunt_greedy_image_d9", True, ["--denominator", "9"], 0),  # 144 vertices
+        ("hunt_greedy_box20_3", False, ["--box", "20/3"], 0),
+        ("hunt_greedy_image_box13_2", True, ["--box", "13/2"], 0),  # the box binds
+        ("hunt_greedy_cap12", False, ["--cap", "12"], 1),
+    ],
+)
+def test_hunt_greedy_matches_golden(capsys, tmp_path, golden, image, options, code):
+    got = run(capsys, "hunt-greedy", _greedy_seed(tmp_path, image), *options)
+    assert got == (code, (GOLDEN / f"{golden}.out").read_text(encoding="utf-8"), "")
+
+
+def test_hunt_greedy_seed_outside_box_exits_64(capsys):
+    code, out, err = run(capsys, "hunt-greedy", str(DATA / "t22_seed.txt"), "--box", "2")
+    assert (code, out) == (64, "")
+    assert err == "error: seed point 14/3 1/3 1/3 is outside the candidate set\n"
+
+
 def test_hunt_greedy_rejects_bad_seed(capsys, tmp_path):
     f = tmp_path / "seed.txt"
     f.write_text("t=22\n0 0 0\n1 0 0\n2 0 0\n3 0 0\n4 0 0\n")
