@@ -10,7 +10,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from .qcore import QPoint3, Rational, _frac, dist_sq
+from .qcore import QPoint3, Rational, _frac, integral, integral_dist_sq
 
 
 @dataclass(frozen=True)
@@ -62,9 +62,16 @@ def build_graph(points: list[QPoint3], t: Rational) -> DistGraph:
             seen[p] = len(vertices)
             vertices.append(p)
     n = len(vertices)
-    edges = frozenset(
-        (i, j) for i in range(n) for j in range(i + 1, n) if dist_sq(vertices[i], vertices[j]) == t
-    )
+    # each vertex once as integers over its own denominator; a pair is
+    # adjacent iff its squared distance num/den equals t = a/b
+    forms = [integral(p) for p in vertices]
+    a, b = t.numerator, t.denominator
+
+    def adjacent(i: int, j: int) -> bool:
+        num, den = integral_dist_sq(forms[i], forms[j])
+        return b * num == a * den
+
+    edges = frozenset((i, j) for i in range(n) for j in range(i + 1, n) if adjacent(i, j))
     return DistGraph(n, edges, tuple(vertices), t, len(points) - n)
 
 

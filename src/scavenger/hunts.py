@@ -17,7 +17,7 @@ import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from math import gcd, isqrt, lcm
+from math import ceil, floor, gcd, isqrt
 
 from .cycles import SymCycle, gen_vectors, is_5cycle, parallel_first
 from .geom import (
@@ -56,6 +56,8 @@ from .qcore import (
     dist_sq,
     format_point,
     format_rational,
+    integral,
+    integral_dist_sq,
     midpoint,
     parse_point,
     parse_point_line,
@@ -99,6 +101,11 @@ class ASpec:
         divisors = {k for k in range(1, self.denominator + 1) if self.denominator % k == 0}
         return gen_vectors(t, divisors, isqrt(t * self.denominator**2) + 1).vectors
 
+    def lattice_bounds(self) -> tuple[int, int]:
+        """The box on the scaled lattice: a coordinate X/denominator lies in
+        [low, high] iff lo <= X <= hi."""
+        return ceil(self.low * self.denominator), floor(self.high * self.denominator)
+
 
 @dataclass(frozen=True)
 class GreedyResult:
@@ -136,44 +143,52 @@ def greedy_hunt(t: int, seed: list[QPoint3], spec: ASpec, cap: int = 1000) -> Gr
     if cap < len(seed):
         raise ValueError(f"cap {cap} is below the seed size")
 
-    steps = spec.step_vectors(t)
+    # the hunt runs on the integer lattice: a candidate is (X, Y, Z) for the
+    # point (X, Y, Z)/D, and only an admitted vertex becomes a QPoint3
+    d = spec.denominator
+    lo, hi = spec.lattice_bounds()
+    steps = [tuple(int(c * d) for c in w.components()) for w in spec.step_vectors(t)]
     vertices: list[QPoint3] = []
-    index: dict[QPoint3, int] = {}
+    index: dict[tuple[int, int, int], int] = {}
     edges: set[tuple[int, int]] = set()
-    neighbor_sets: dict[QPoint3, set[int]] = {}
+    # the frontier: each candidate's chosen neighbors, and the candidates
+    # bucketed by how many they have
+    neighbor_sets: dict[tuple[int, int, int], set[int]] = {}
+    buckets: dict[int, set[tuple[int, int, int]]] = {}
 
-    def admit(p: QPoint3) -> None:
+    def admit(key: tuple[int, int, int]) -> None:
         m = len(vertices)
-        vertices.append(p)
-        index[p] = m
-        for j in neighbor_sets.pop(p, ()):
-            edges.add((min(j, m), max(j, m)))
-        for w in steps:
-            q = p + w
-            if q in index:
+        vertices.append(QPoint3(*(Fraction(c, d) for c in key)))
+        index[key] = m
+        nbrs = neighbor_sets.pop(key, ())
+        if nbrs:
+            buckets[len(nbrs)].remove(key)
+        for j in nbrs:
+            edges.add((j, m))
+        x, y, z = key
+        for dx, dy, dz in steps:
+            q = (x + dx, y + dy, z + dz)
+            if q in index or not (lo <= q[0] <= hi and lo <= q[1] <= hi and lo <= q[2] <= hi):
                 continue
-            if spec.contains(q):
-                neighbor_sets.setdefault(q, set()).add(m)
+            qn = neighbor_sets.setdefault(q, set())
+            if qn:
+                buckets[len(qn)].remove(q)
+            qn.add(m)
+            buckets.setdefault(len(qn), set()).add(q)
 
     for p in seed:
-        admit(p)
+        admit(tuple(int(c * d) for c in p.coords()))
 
     iterations = 0
     while True:
         coloring = k_colorable(AbstractGraph(len(vertices), frozenset(edges)), 3)
         if coloring is None or len(vertices) >= cap or not neighbor_sets:
             break
-        best: QPoint3 | None = None
-        best_key: tuple[int, int] | None = None
-        for q, nbrs in neighbor_sets.items():
-            key = (len(nbrs), len({coloring[j] for j in nbrs}))
-            if (
-                best_key is None
-                or key > best_key
-                or (key == best_key and q.coords() < best.coords())
-            ):
-                best, best_key = q, key
-        admit(best)
+        # only the candidates with the most chosen neighbors are scored; with
+        # D > 0 the integer order is the order of the points
+        colors = coloring.assignment
+        top = buckets[max(c for c, bucket in buckets.items() if bucket)]
+        admit(min(top, key=lambda q: (-len({colors[j] for j in neighbor_sets[q]}), q)))
         iterations += 1
 
     # every candidate pair at squared distance t is joined by a step vector,
@@ -387,19 +402,6 @@ def circle_plane_intersections(circle: RCircle, plane) -> tuple[QPoint3, ...]:
     return (anchor + direction.scale(lam), anchor + direction.scale(-lam))
 
 
-def _integral(p: QPoint3) -> tuple[int, int, int, int]:
-    """p as integers (X, Y, Z, D) with p = (X/D, Y/D, Z/D)."""
-    d = lcm(p.x.denominator, p.y.denominator, p.z.denominator)
-    return (*(c.numerator * (d // c.denominator) for c in p.coords()), d)
-
-
-def _integral_dist_sq(p, q) -> tuple[int, int]:
-    """|pq|² of two `_integral` points as an unreduced (numerator,
-    denominator) pair."""
-    (x, y, z, d), (u, v, w, e) = p, q
-    return (x * e - u * d) ** 2 + (y * e - v * d) ** 2 + (z * e - w * d) ** 2, (d * e) ** 2
-
-
 def _first_device(sym: SymCycle, candidate) -> tuple[Certificate, Report] | None:
     """`(cert, report)` for the first rational z on the mirror plane at √t
     from both circle points y0, y1 that assembles into a verified device, or
@@ -455,15 +457,15 @@ def grotzsch_subgraph_hunt(
     firsts = {}
     for s in dict.fromkeys(a for a, _ in pairs):
         y0 = chart0.point_at(s)
-        p0, p4 = _integral(y0), _integral(reflect_point(y0, sym.plane))
-        firsts[s] = y0, p0, p4, _integral_dist_sq(p0, p4)
+        p0, p4 = integral(y0), integral(reflect_point(y0, sym.plane))
+        firsts[s] = y0, p0, p4, integral_dist_sq(p0, p4)
     seconds = {}
     for s in dict.fromkeys(b for _, b in pairs):
         y1 = chart1.point_at(s)
-        seconds[s] = y1, _integral(y1)
+        seconds[s] = y1, integral(y1)
     # candidates are built as the search reads them, in pair order
     candidates = (
-        ((y0, y1), _integral_dist_sq(p0, p1), b, _integral_dist_sq(p1, p4))
+        ((y0, y1), integral_dist_sq(p0, p1), b, integral_dist_sq(p1, p4))
         for (y0, p0, p4, b), (y1, p1) in ((firsts[s0], seconds[s1]) for s0, s1 in pairs)
     )
     hit = parallel_first(candidates, partial(_first_device, sym), workers=workers)

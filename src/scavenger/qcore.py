@@ -109,12 +109,22 @@ def point(a, b, c) -> QPoint3:
     return QPoint3(_frac(a), _frac(b), _frac(c))
 
 
-def norm_sq(v: QVec3) -> Fraction:
-    return v.norm_sq()
-
-
 def dist_sq(p: QPoint3, q: QPoint3) -> Fraction:
     return (p - q).norm_sq()
+
+
+def integral(p: QPoint3) -> tuple[int, int, int, int]:
+    """p as integers (X, Y, Z, D) with p = (X/D, Y/D, Z/D), D the lcm of
+    its coordinates' denominators."""
+    d = math.lcm(p.x.denominator, p.y.denominator, p.z.denominator)
+    return (*(c.numerator * (d // c.denominator) for c in p.coords()), d)
+
+
+def integral_dist_sq(p, q) -> tuple[int, int]:
+    """|pq|² of two `integral` points as an unreduced (numerator,
+    denominator) pair."""
+    (x, y, z, d), (u, v, w, e) = p, q
+    return (x * e - u * d) ** 2 + (y * e - v * d) ** 2 + (z * e - w * d) ** 2, (d * e) ** 2
 
 
 def midpoint(p: QPoint3, q: QPoint3) -> QPoint3:

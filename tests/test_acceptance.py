@@ -46,7 +46,7 @@ from scavenger.numtheory import (
     phi_criteria,
     three_squares,
 )
-from scavenger.qcore import dist_sq, midpoint, norm_sq, parse_point, vec
+from scavenger.qcore import dist_sq, midpoint, parse_point, vec
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -253,7 +253,7 @@ def test_criterion_7_chain_suite():
         46: vec(6, 3, 1),
     }
     for t, v in vectors.items():
-        assert norm_sq(v) == t
+        assert v.norm_sq() == t
     hs = [F(2), F(8), F(10), F(1078, 15), F(2, 9), F(50), F(18), F(32)]
     hs = [h for h in hs if phi_criteria(h)]
     for v in vectors.values():
@@ -264,14 +264,14 @@ def test_criterion_7_chain_suite():
         if len(pairs) == 20:
             break
     assert len(pairs) == 20
-    assert any(h == 2 and norm_sq(v) == 10 for v, h in pairs)
+    assert any(h == 2 and v.norm_sq() == 10 for v, h in pairs)
     for v, h in pairs:
         chain = construct_chain(v, h)
         chain.validate()
         assert chain.step_norm_sq == h
         total = vec(0, 0, 0)
         for s in chain.steps:
-            assert norm_sq(s) == h
+            assert s.norm_sq() == h
             total = total + s
         assert total == v
     print("CRITERION 7 PASS 20 chain certificates validate exactly (h=2 over norm 10 included)")

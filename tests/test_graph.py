@@ -246,6 +246,57 @@ def test_fractional_adjacency_is_exact():
     assert g.edges == frozenset([(0, 1)])
 
 
+def _oracle_dist_sq(p: QPoint3, q: QPoint3) -> Fraction:
+    return sum(((a - b) ** 2 for a, b in zip(p.coords(), q.coords())), Fraction(0))
+
+
+@st.composite
+def point_sets_and_t(draw):
+    """Points with per-point denominators (mixed, or pairwise coprime), some
+    drawn again as duplicates, and t the squared distance of a drawn pair, a
+    non-integer, or a value no pair reaches."""
+    denominators = draw(st.sampled_from([(1, 3, 9), (4, 6, 15), (1, 2, 3, 5, 7, 11, 13)]))
+
+    def one() -> QPoint3:
+        d = draw(st.sampled_from(denominators))
+        return point(*(Fraction(draw(st.integers(-2 * d, 2 * d)), d) for _ in range(3)))
+
+    pts = [one() for _ in range(draw(st.integers(1, 10)))]
+    for _ in range(draw(st.integers(0, 3))):
+        pts.insert(draw(st.integers(0, len(pts))), draw(st.sampled_from(pts)))
+    distinct = list(dict.fromkeys(pts))
+    kind = draw(st.sampled_from(["pair", "fraction", "unreachable"]))
+    if kind == "pair" and len(distinct) > 1:
+        i, j = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=2, max_size=2, unique=True))
+        t = _oracle_dist_sq(distinct[i], distinct[j])
+    elif kind == "fraction":
+        t = Fraction(draw(st.integers(1, 100)), draw(st.sampled_from([2, 4, 9, 25, 36, 49])))
+    else:
+        kind = "unreachable"
+        t = 1 + max((_oracle_dist_sq(p, q) for p, q in combinations(distinct, 2)), default=0)
+    return pts, t, kind
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_sets_and_t())
+def test_build_graph_matches_fraction_oracle(case):
+    pts, t, kind = case
+    g = build_graph(pts, t)
+    distinct = list(dict.fromkeys(pts))
+    assert g.vertices == tuple(distinct)
+    assert g.duplicates_merged == len(pts) - len(distinct)
+    want = frozenset(
+        (i, j)
+        for i, j in combinations(range(len(distinct)), 2)
+        if _oracle_dist_sq(distinct[i], distinct[j]) == t
+    )
+    assert g.edges == want
+    if kind == "pair":
+        assert want
+    if kind == "unreachable":
+        assert not want
+
+
 coord = st.integers(-3, 3)
 point_triples = st.lists(
     st.tuples(coord, coord, coord), min_size=2, max_size=6, unique=True

@@ -40,7 +40,15 @@ from scavenger.hunts import (
     read_certificate,
     verify_certificate,
 )
-from scavenger.qcore import dist_sq, parse_point, point, rational_square_root, vec
+from scavenger.qcore import (
+    dist_sq,
+    integral,
+    integral_dist_sq,
+    parse_point,
+    point,
+    rational_square_root,
+    vec,
+)
 from symcycles import solved_base
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -138,6 +146,47 @@ def test_greedy_deterministic():
     a = greedy_hunt(22, SEED_22, ASpec(3), cap=20)
     b = greedy_hunt(22, SEED_22, ASpec(3), cap=20)
     assert a.graph.vertices == b.graph.vertices
+
+
+SEED_22_IMAGE = [point(p.x, -p.y, -p.z) for p in SEED_22]
+
+
+@pytest.mark.parametrize(
+    "seed,spec,cap,succeeded",
+    [
+        (SEED_22, ASpec(3), 1000, True),
+        (SEED_22_IMAGE, ASpec(3, F(-13, 2), F(13, 2)), 1000, True),  # the box binds
+        (SEED_22, ASpec(15), 40, False),
+    ],
+)
+def test_greedy_edges_are_the_distance_graph(seed, spec, cap, succeeded):
+    # the hunt joins candidates by step vectors only; that finds every pair
+    # build_graph finds
+    res = greedy_hunt(22, seed, spec, cap=cap)
+    assert res.succeeded == succeeded
+    assert res.graph.vertices[:5] == tuple(seed)
+    assert all(spec.contains(p) for p in res.graph.vertices)
+    assert res.graph.edges == build_graph(list(res.graph.vertices), 22).edges
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([1, 3, 5, 9, 15]),
+    st.fractions(F(-7), F(7), max_denominator=12),
+    st.fractions(F(1), F(7), max_denominator=12),
+    st.integers(-3, 3),
+    st.integers(0, 2),
+)
+def test_aspec_lattice_bounds_agree_with_contains(d, low, width, offset, axis):
+    # boxes of width >= 1 hold a lattice point, on either side of 0 or across it
+    spec = ASpec(d, low, low + width)
+    lo, hi = spec.lattice_bounds()
+    inside = F(lo, d)
+    for bound in (lo, hi):
+        x = bound + offset
+        coords = [inside] * 3
+        coords[axis] = F(x, d)
+        assert spec.contains(point(*coords)) == (lo <= x <= hi)
 
 
 # --- the order-25 shape ------------------------------------------------------------
@@ -775,10 +824,9 @@ def test_subgraph_hunt_exhausts_empty_and_refuses_non_integer_t():
 def _device_candidate(sym, y0, y1):
     """The hunt's candidate for the pair (y0, y1): a = |y0y1|², b = |y0y4|²
     and c = |y1y4|² from the points' integer forms, y4 the mirror image of y0."""
-    p0, p1 = hunts._integral(y0), hunts._integral(y1)
-    p4 = hunts._integral(reflect_point(y0, sym.plane))
-    dist = hunts._integral_dist_sq
-    return (y0, y1), dist(p0, p1), dist(p0, p4), dist(p1, p4)
+    p0, p1 = integral(y0), integral(y1)
+    p4 = integral(reflect_point(y0, sym.plane))
+    return (y0, y1), integral_dist_sq(p0, p1), integral_dist_sq(p0, p4), integral_dist_sq(p1, p4)
 
 
 def _z_solve(sym, y0, y1):

@@ -35,7 +35,7 @@ from scavenger.numtheory import (
     three_rational_squares,
     three_squares,
 )
-from scavenger.qcore import factorize, norm_sq, vec
+from scavenger.qcore import factorize, vec
 
 
 # --- membership in the open-case distance set --------------------------------
@@ -355,7 +355,7 @@ def test_antipodal_distance_exact():
 def recompute_chain(cert: ChainCertificate) -> None:
     total = vec(0, 0, 0)
     for s in cert.steps:
-        assert norm_sq(s) == cert.step_norm_sq
+        assert s.norm_sq() == cert.step_norm_sq
         total = total + s
     assert total == cert.target
 
@@ -397,7 +397,7 @@ def test_chain_with_fractional_step_length():
 
 def test_chain_to_rational_target():
     v = vec(Fraction(1, 3), Fraction(13, 3), Fraction(10, 3))
-    assert norm_sq(v) == 30
+    assert v.norm_sq() == 30
     cert = construct_chain(v, Fraction(2))
     recompute_chain(cert)
 
@@ -410,7 +410,7 @@ def test_chain_to_rational_target_with_rational_steps():
 
 def test_chain_single_step_when_lengths_agree():
     v = vec(3, 3, 2)
-    assert norm_sq(v) == 22
+    assert v.norm_sq() == 22
     cert = construct_chain(v, Fraction(22))
     assert tuple(cert.steps) == (v,)
 
@@ -483,7 +483,7 @@ def _with_run(cert: ChainCertificate, i: int, run) -> ChainCertificate:
 @given(admissible_targets, odd_quaternions, step_lengths, st.data())
 def test_run_length_chain_matches_step_by_step_oracle(u, q, h, data):
     v = _rotate(u, q)
-    assert norm_sq(v) == norm_sq(u)
+    assert v.norm_sq() == u.norm_sq()
     cert = construct_chain(v, h)
     assert len(cert.steps) == sum(k for _, k in cert.runs)
     assert all(k >= 1 for _, k in cert.runs)

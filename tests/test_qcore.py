@@ -20,7 +20,6 @@ from scavenger.qcore import (
     format_point,
     format_rational,
     midpoint,
-    norm_sq,
     parse_point,
     parse_rational,
     point,
@@ -90,17 +89,17 @@ def test_point_vector_laws(a, b, c, d, e, f):
     assert dist_sq(p, q) == dist_sq(q, p)
     m = midpoint(p, q)
     assert dist_sq(p, m) == dist_sq(q, m)
-    assert norm_sq(q - p) == dist_sq(p, q)
+    assert (q - p).norm_sq() == dist_sq(p, q)
 
 
 def test_norm_sq_zero_only_at_origin():
-    assert norm_sq(vec(0, 0, 0)) == 0
+    assert vec(0, 0, 0).norm_sq() == 0
     assert vec(0, 0, 0).is_zero()
     assert not vec(Fraction(1, 7), 0, 0).is_zero()
 
 
 def test_exact_norm_example():
-    assert norm_sq(vec(Fraction(19, 3), Fraction(38, 15), Fraction(19, 15))) == Fraction(722, 15)
+    assert vec(Fraction(19, 3), Fraction(38, 15), Fraction(19, 15)).norm_sq() == Fraction(722, 15)
 
 
 def test_vector_scale_and_dataclass_equality():
