@@ -163,8 +163,7 @@ def greedy_hunt(t: int, seed: list[QPoint3], spec: ASpec, cap: int = 1000) -> Gr
         nbrs = neighbor_sets.pop(key, ())
         if nbrs:
             buckets[len(nbrs)].remove(key)
-        for j in nbrs:
-            edges.add((j, m))
+        edges.update((j, m) for j in nbrs)
         x, y, z = key
         for dx, dy, dz in steps:
             q = (x + dx, y + dy, z + dz)
