@@ -3,9 +3,9 @@
 Reports use a stable line grammar — `CHECK <name> PASS|FAIL|WARN <detail>`
 lines followed by a `VERDICT` line — so runs can be diffed.  Exit codes:
 0 pass, 1 fail, 2 pass with warnings, 64 usage or malformed input, 70
-internal error, 141 when the reader of stdout closes it early.  Worker
-counts never change output bytes; `SCAVENGER_WORKERS` overrides `--workers` on
-the commands that have it (hunt-grotzsch-type, hunt-grotzsch-subgraph, scan-d).
+internal error, 141 when the reader of stdout closes it early.  Every
+search is one sequential first-hit pass, so output bytes depend on the
+arguments alone.
 Options are checked by argparse alone, so a bad value exits 64 before any
 search.  An `--out` path that cannot be written is refused before the search,
 and the file is written before the result is printed.
@@ -201,9 +201,7 @@ def _cmd_hunt_grotzsch_type(args) -> int:
     t = _int_t(vf.t, "hunt-grotzsch-type")
     if len(vf.points) != 5:
         raise ValueError(f"cycle file must contain exactly 5 points, got {len(vf.points)}")
-    out = grotzsch_type_hunt(
-        t, list(vf.points), farey_parameters(args.height), workers=args.workers
-    )
+    out = grotzsch_type_hunt(t, list(vf.points), farey_parameters(args.height))
     if out is None:
         sys.stdout.write(f"HUNT FAIL height={args.height}\n")
         return EXIT_FAIL
@@ -219,7 +217,7 @@ def _cmd_hunt_grotzsch_subgraph(args) -> int:
         return EXIT_FAIL
     sys.stdout.write(f"cycle d={format_rational(Fraction(sym.base_dist_sq))}\n")
     params = farey_parameters(args.height)
-    found = grotzsch_subgraph_hunt(sym, [(a, b) for a in params for b in params], workers=args.workers)
+    found = grotzsch_subgraph_hunt(sym, [(a, b) for a in params for b in params])
     if found is None:
         sys.stdout.write(f"HUNT FAIL height={args.height}\n")
         return EXIT_FAIL
@@ -258,7 +256,7 @@ def _cmd_find_symmetric_cycle(args) -> int:
 def _cmd_scan_d(args) -> int:
     t = _int_t(parse_rational(args.t), "scan-d")
     bound = args.bound if args.bound is not None else 4 * t - 1
-    d = scan_d(t, bound, workers=args.workers)
+    d = scan_d(t, bound)
     if d is None:
         sys.stdout.write(f"no admissible d up to {bound}\n")
         return EXIT_FAIL
@@ -350,7 +348,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("hunt-grotzsch-type", help="decorate a 5-cycle into the order-25 shape")
     p.add_argument("cycle", help="vertex file with the base 5-cycle")
     p.add_argument("--height", type=_positive, default=12, help="height bound (default %(default)s)")
-    p.add_argument("--workers", type=_positive, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_hunt_grotzsch_type)
 
@@ -361,7 +358,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--d", type=_positive_rational, default=None, help="force this base squared distance")
     p.add_argument("--d-bound", dest="d_bound", type=_positive, default=None)
     p.add_argument("--height", type=_positive, default=12)
-    p.add_argument("--workers", type=_positive, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_hunt_grotzsch_subgraph)
 
@@ -382,7 +378,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("scan-d", help="minimal d admitting both equidistant-pair triangles")
     p.add_argument("t")
     p.add_argument("--bound", type=int, default=None, help="search limit (default 4t-1)")
-    p.add_argument("--workers", type=_positive, default=1)
     p.set_defaults(func=_cmd_scan_d)
 
     p = sub.add_parser("solve-legendre", help="solve a x^2 + b y^2 + c z^2 = 0")
@@ -403,13 +398,7 @@ def _build_parser() -> _Parser:
 
 def dispatch(argv) -> int:
     args = _build_parser().parse_args(argv)
-    env = os.environ.get("SCAVENGER_WORKERS")
     try:
-        if env is not None and "workers" in vars(args):
-            try:
-                args.workers = _positive(env)
-            except argparse.ArgumentTypeError as exc:
-                raise ValueError(f"SCAVENGER_WORKERS {exc}") from None
         if getattr(args, "out", None):
             _check_out(args.out)
         return args.func(args)

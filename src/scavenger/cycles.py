@@ -8,11 +8,10 @@ re-validated before it is returned.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import islice, permutations, product
+from itertools import permutations, product
 from math import gcd, isqrt, lcm
 
 from .geom import (
@@ -299,35 +298,22 @@ def _symmetric_cycle_for(t: int, d: Rational) -> SymCycle | None:
 # --- feasibility scan over d ------------------------------------------------------------
 
 
-PARALLEL_CHUNK = 16  # candidates per task sent to a worker
-
-
-def parallel_first(candidates, predicate, workers: int = 1):
+def parallel_first(candidates, predicate):
     """`(candidate, value)` for the first candidate (in order) whose
     `value = predicate(candidate)` is truthy, or None.
 
-    With workers > 1 the predicate is evaluated across a process pool in
-    chunks, but selection stays strictly by candidate order, so results are
-    identical for every worker count.
+    One sequential pass.  The name outlives the process pool it once drove:
+    the benchmark traces `scavenger.cycles:parallel_first` and counts
+    predicate calls through its second argument.
     """
-    if workers <= 1:
-        for x in candidates:
-            value = predicate(x)
-            if value:
-                return x, value
-        return None
-    it = iter(candidates)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        while True:
-            block = list(islice(it, PARALLEL_CHUNK * workers))
-            if not block:
-                return None
-            for x, value in zip(block, pool.map(predicate, block, chunksize=PARALLEL_CHUNK)):
-                if value:
-                    return x, value
+    for x in candidates:
+        value = predicate(x)
+        if value:
+            return x, value
+    return None
 
 
-def scan_d(t: int, d_bound: int, *, workers: int = 1) -> Rational | None:
+def scan_d(t: int, d_bound: int) -> Rational | None:
     """Smallest integer d ≤ d_bound with eq_pair_feasible(t, d); when no
     integer qualifies, the first feasible rational by ascending denominator
     (then ascending numerator), or None."""
@@ -336,5 +322,5 @@ def scan_d(t: int, d_bound: int, *, workers: int = 1) -> Rational | None:
         raise ValueError(f"{t} is not an admissible squared distance")
     if d_bound < 1:
         raise ValueError(f"d bound must be at least 1, got {d_bound}")
-    hit = parallel_first(_d_candidates(t, d_bound), partial(eq_pair_feasible, t), workers=workers)
+    hit = parallel_first(_d_candidates(t, d_bound), partial(eq_pair_feasible, t))
     return None if hit is None else hit[0]

@@ -27,13 +27,10 @@ from .qcore import (
 
 
 class _Infinity:
-    """The point at infinity of a parameter line; it copies and unpickles as INF."""
+    """The point at infinity of a parameter line."""
 
     def __repr__(self) -> str:
         return "inf"
-
-    def __reduce__(self) -> str:
-        return "INF"
 
 
 INF = _Infinity()

@@ -294,7 +294,7 @@ def farey_parameters(height: int = 12) -> tuple[Fraction, ...]:
 def _gt_rows(xy, xz, yz):
     """One candidate per index pair (i, j), in product order: the pair, the
     squared distance |X_i Y_j|², and the rows |X_i Z_k|² and |Y_j Z_k|² over
-    k.  Each candidate carries its own rows, so a worker gets no whole table."""
+    k."""
     for i, (xy_row, xz_row) in enumerate(zip(xy, xz)):
         for j, (a, yz_row) in enumerate(zip(xy_row, yz)):
             yield (i, j), a, xz_row, yz_row
@@ -314,8 +314,6 @@ def grotzsch_type_hunt(
     t: int,
     cycle: list[QPoint3],
     parameter_list,
-    *,
-    workers: int = 1,
 ) -> tuple[GrotzschTypeGraph, Certificate, Report] | None:
     """Decorate a 5-cycle into the order-25 graph: for each i, search
     parameter triples for rational points on the circles about
@@ -336,18 +334,22 @@ def grotzsch_type_hunt(
         circle = equidistant_circle(cycle[(i - 1) % 5], cycle[(i + 1) % 5], t)
         charts.append(circle_param(circle, rational_point_on_circle(circle)))
 
-    # each chart's points once, and each chart pair's squared distances once,
-    # as (numerator, denominator) pairs, which pickle quickly for workers; a
-    # table is built when a ring first reads it, so a hunt that stops early
-    # builds only the tables it read
+    # each chart's points once, with their integer forms, and each chart
+    # pair's squared distances once, as reduced (numerator, denominator)
+    # pairs (unreduced ones slow the apex test); a table is built when a ring
+    # first reads it, so a hunt that stops early builds only the tables it read
     points = [[chart.point_at(s) for s in params] for chart in charts]
+    forms = [[integral(u) for u in row] for row in points]
     tables: dict[tuple[int, int], list[list[tuple[int, int]]]] = {}
+
+    def reduced(n: int, m: int) -> tuple[int, int]:
+        g = gcd(n, m)
+        return n // g, m // g
 
     def table(p: int, q: int) -> list[list[tuple[int, int]]]:
         if (p, q) not in tables:
             tables[p, q] = [
-                [(d.numerator, d.denominator) for d in (dist_sq(u, w) for w in points[q])]
-                for u in points[p]
+                [reduced(*integral_dist_sq(u, w)) for w in forms[q]] for u in forms[p]
             ]
         return tables[p, q]
 
@@ -358,7 +360,7 @@ def grotzsch_type_hunt(
     for i in range(5):
         h, k = (i - 1) % 5, (i + 1) % 5
         rows = _gt_rows(table(h, i), table(h, k), table(i, k))
-        hit = parallel_first(rows, partial(_gt_first_apex, t), workers=workers)
+        hit = parallel_first(rows, partial(_gt_first_apex, t))
         if hit is None:
             logger.info("parameter list exhausted at i=%d (progress: %d of 5)", i, i)
             return None
@@ -425,12 +427,7 @@ def _first_device(sym: SymCycle, candidate) -> tuple[Certificate, Report] | None
     return None
 
 
-def grotzsch_subgraph_hunt(
-    sym: SymCycle,
-    parameter_pairs,
-    *,
-    workers: int = 1,
-) -> tuple[Certificate, Report] | None:
+def grotzsch_subgraph_hunt(sym: SymCycle, parameter_pairs) -> tuple[Certificate, Report] | None:
     """From a symmetric 5-cycle at integer squared edge length t, search for
     y0 (equidistant from x4, x1) and y1 (equidistant from x0, x2) admitting a
     rational z at √t from both on the mirror plane; y3, y4 are the mirror
@@ -445,29 +442,28 @@ def grotzsch_subgraph_hunt(
     Returns the first certificate with its verification report."""
     if Fraction(sym.t).denominator != 1:
         raise ValueError(f"cycle squared edge length {sym.t} is not an integer")
-    pairs = tuple(tuple(p) for p in parameter_pairs)
-    if not pairs:
-        return None
     chart0 = circle_param(equidistant_circle(sym.x4, sym.x1, sym.t), sym.x0)
     chart1 = circle_param(equidistant_circle(sym.x0, sym.x2, sym.t), sym.base)
 
-    # each chart's point once per distinct parameter, in the calling process,
-    # with its integer form; per y0 also its mirror image y4 and b = |y0y4|²
-    firsts = {}
-    for s in dict.fromkeys(a for a, _ in pairs):
-        y0 = chart0.point_at(s)
-        p0, p4 = integral(y0), integral(reflect_point(y0, sym.plane))
-        firsts[s] = y0, p0, p4, integral_dist_sq(p0, p4)
-    seconds = {}
-    for s in dict.fromkeys(b for _, b in pairs):
-        y1 = chart1.point_at(s)
-        seconds[s] = y1, integral(y1)
-    # candidates are built as the search reads them, in pair order
-    candidates = (
-        ((y0, y1), integral_dist_sq(p0, p1), b, integral_dist_sq(p1, p4))
-        for (y0, p0, p4, b), (y1, p1) in ((firsts[s0], seconds[s1]) for s0, s1 in pairs)
-    )
-    hit = parallel_first(candidates, partial(_first_device, sym), workers=workers)
+    def candidates():
+        # each chart's point once per distinct parameter, when a pair first
+        # reads it, with its integer form; per y0 also its mirror image y4 and
+        # b = |y0y4|²
+        firsts, seconds = {}, {}
+        for s0, s1 in parameter_pairs:
+            first = firsts.get(s0)
+            if first is None:
+                y0 = chart0.point_at(s0)
+                p0, p4 = integral(y0), integral(reflect_point(y0, sym.plane))
+                first = firsts[s0] = y0, p0, p4, integral_dist_sq(p0, p4)
+            second = seconds.get(s1)
+            if second is None:
+                y1 = chart1.point_at(s1)
+                second = seconds[s1] = y1, integral(y1)
+            (y0, p0, p4, b), (y1, p1) = first, second
+            yield (y0, y1), integral_dist_sq(p0, p1), b, integral_dist_sq(p1, p4)
+
+    hit = parallel_first(candidates(), partial(_first_device, sym))
     return None if hit is None else hit[1]
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import os
 import subprocess
 import sys
@@ -99,6 +100,18 @@ def test_write_vertex_file_roundtrip(tmp_path):
 # --- option checks -------------------------------------------------------------------
 
 
+def _argv(tmp_path, command) -> list[str]:
+    """`command` with the names t22_seed, t34_cycle and foci replaced by files."""
+    files = {
+        "t22_seed": str(DATA / "t22_seed.txt"),
+        "t34_cycle": tmp_path / "cycle34.txt",
+        "foci": tmp_path / "foci.txt",
+    }
+    files["t34_cycle"].write_text("t=34\n0 0 0\n-5 0 3\n-8 5 3\n-4 2 0\n-4 -3 3\n")
+    files["foci"].write_text("t=30\n5 2 1\n-1 -2 5\n")
+    return [str(files.get(word, word)) for word in command]
+
+
 def exit_code(argv) -> int:
     """The status of `dispatch(argv)`, whether argparse or the command refused it."""
     try:
@@ -110,15 +123,11 @@ def exit_code(argv) -> int:
 @pytest.mark.parametrize(
     "command,option,value",
     [
-        (["scan-d", "30"], "--workers", "0"),
-        (["scan-d", "30"], "--workers", "soon"),
-        (["hunt-grotzsch-subgraph", "30"], "--workers", "0"),
         (["hunt-grotzsch-subgraph", "30"], "--height", "0"),
         (["hunt-grotzsch-subgraph", "30"], "--d-bound", "0"),
         (["hunt-grotzsch-subgraph", "30"], "--d", "0"),
         (["hunt-grotzsch-subgraph", "30"], "--d", "-3"),
         (["hunt-grotzsch-type", "t34_cycle"], "--height", "-1"),
-        (["hunt-grotzsch-type", "t34_cycle"], "--workers", "-2"),
         (["hunt-greedy", "t22_seed"], "--cap", "0"),
         (["hunt-greedy", "t22_seed"], "--box", "0"),
         (["hunt-greedy", "t22_seed"], "--box", "ten"),
@@ -133,15 +142,7 @@ def exit_code(argv) -> int:
     ids=lambda x: x[0] if isinstance(x, list) else x,
 )
 def test_bad_option_value_exits_64_before_any_output(capsys, tmp_path, command, option, value):
-    files = {
-        "t22_seed": str(DATA / "t22_seed.txt"),
-        "t34_cycle": tmp_path / "cycle34.txt",
-        "foci": tmp_path / "foci.txt",
-    }
-    files["t34_cycle"].write_text("t=34\n0 0 0\n-5 0 3\n-8 5 3\n-4 2 0\n-4 -3 3\n")
-    files["foci"].write_text("t=30\n5 2 1\n-1 -2 5\n")
-    argv = [str(files.get(word, word)) for word in command] + [option, value]
-    code = exit_code(argv)
+    code = exit_code(_argv(tmp_path, command) + [option, value])
     out, err = capsys.readouterr()
     assert code == cli.EXIT_USAGE == 64
     assert out == ""
@@ -404,50 +405,44 @@ def test_scan_d_exhausted(capsys):
     assert "no admissible d" in out
 
 
-def test_scan_d_worker_env_override(capsys, monkeypatch):
-    code, base, _ = run(capsys, "scan-d", "30", "--bound", "40")
-    monkeypatch.setenv("SCAVENGER_WORKERS", "2")
-    code2, env_out, _ = run(capsys, "scan-d", "30", "--bound", "40")
-    assert code == code2 == 0
-    assert base == env_out
-
-
-def test_bad_worker_env(capsys, monkeypatch):
-    monkeypatch.setenv("SCAVENGER_WORKERS", "soon")
-    code, _, err = run(capsys, "scan-d", "30", "--bound", "40")
-    assert code == 64
-    assert "SCAVENGER_WORKERS" in err
-
-
-def test_worker_env_overrides_the_option(capsys, monkeypatch):
-    seen = []
-
-    def fake_scan_d(t, bound, workers):
-        seen.append(workers)
-        return None
-
-    monkeypatch.setattr(cli, "scan_d", fake_scan_d)
-    monkeypatch.setenv("SCAVENGER_WORKERS", "2")
-    code, out, _ = run(capsys, "scan-d", "30", "--bound", "40", "--workers", "1")
-    assert seen == [2]
-    assert code == 1
-    assert out == "no admissible d up to 40\n"
-
-
-def test_worker_env_of_zero_names_the_variable(capsys, monkeypatch):
-    monkeypatch.setenv("SCAVENGER_WORKERS", "0")
-    code, out, err = run(capsys, "scan-d", "30", "--bound", "40")
-    assert code == 64
+@pytest.mark.parametrize(
+    "command",
+    [["scan-d", "30"], ["hunt-grotzsch-subgraph", "30"], ["hunt-grotzsch-type", "t34_cycle"]],
+    ids=lambda command: command[0],
+)
+def test_workers_option_is_refused(capsys, tmp_path, command):
+    code = exit_code(_argv(tmp_path, command) + ["--workers", "1"])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_USAGE == 64
     assert out == ""
-    assert err == "error: SCAVENGER_WORKERS must be a positive integer, got '0'\n"
+    assert "--workers" in err
 
 
-def test_worker_env_is_not_read_by_commands_without_workers(capsys, monkeypatch):
+EVERY_COMMAND = {
+    "verify": ["verify", str(DATA / "t22_vertices.txt")],
+    "hunt-greedy": ["hunt-greedy", "t22_seed", "--cap", "12"],
+    "hunt-grotzsch-type": ["hunt-grotzsch-type", "t34_cycle", "--height", "2"],
+    "hunt-grotzsch-subgraph": ["hunt-grotzsch-subgraph", "30", "--height", "2"],
+    "find-cycle": ["find-cycle", "22", "--height", "10"],
+    "find-symmetric-cycle": ["find-symmetric-cycle", "30", "--d", "26"],
+    "scan-d": ["scan-d", "30", "--bound", "40"],
+    "solve-legendre": ["solve-legendre", "1", "1", "-2"],
+    "param-circle": ["param-circle", "foci", "--count", "3"],
+}
+
+
+def test_every_command_has_a_worker_env_case():
+    (sub,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(EVERY_COMMAND) == sorted(sub.choices)
+
+
+@pytest.mark.parametrize("command", sorted(EVERY_COMMAND))
+def test_worker_env_is_not_read_by_commands_without_workers(capsys, monkeypatch, tmp_path, command):
+    argv = _argv(tmp_path, EVERY_COMMAND[command])
+    plain = run(capsys, *argv)
     monkeypatch.setenv("SCAVENGER_WORKERS", "soon")
-    code, out, err = run(capsys, "find-symmetric-cycle", "30", "--d", "26")
-    assert code == 0
-    assert out.splitlines()[0] == "d=26"
-    assert err == ""
+    assert run(capsys, *argv) == plain
+    assert plain[2] == ""
 
 
 # --- cycle finders -----------------------------------------------------------------
@@ -683,23 +678,19 @@ def test_hunt_grotzsch_subgraph_small_height_fails(capsys):
     assert "HUNT FAIL" in out
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_hunt_grotzsch_subgraph_30_matches_golden(capsys, tmp_path, workers):
+def test_hunt_grotzsch_subgraph_30_matches_golden(capsys, tmp_path):
     out_path = tmp_path / "device30.cert"
-    code, out, err = run(
-        capsys, "hunt-grotzsch-subgraph", "30", "--workers", workers, "--out", str(out_path)
-    )
+    code, out, err = run(capsys, "hunt-grotzsch-subgraph", "30", "--out", str(out_path))
     assert code == 0
     assert err == ""
     assert out == (GOLDEN / "hunt_device30.out").read_text(encoding="utf-8")
     assert out_path.read_bytes() == (GOLDEN / "hunt_device30.cert").read_bytes()
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("t", ["10", "58"])
-def test_hunt_grotzsch_subgraph_full_sweep_matches_golden(capsys, t, workers):
+def test_hunt_grotzsch_subgraph_full_sweep_matches_golden(capsys, t):
     # no pair at height 12 has a device, so every pair is decided
-    code, out, err = run(capsys, "hunt-grotzsch-subgraph", t, "--workers", workers)
+    code, out, err = run(capsys, "hunt-grotzsch-subgraph", t)
     assert code == 1
     assert err == ""
     assert out == (GOLDEN / f"hunt_device{t}.out").read_text(encoding="utf-8")

@@ -244,10 +244,8 @@ def test_scan_d_rejections():
 
 def test_parallel_first_matches_sequential():
     items = list(range(200))
-    assert parallel_first(items, _over_150, workers=1) == (151, 1)
-    assert parallel_first(items, _over_150, workers=2) == (151, 1)
-    assert parallel_first(items, _never, workers=2) is None
-    assert parallel_first(items, _never, workers=1) is None
+    assert parallel_first(items, _over_150) == (151, 1)
+    assert parallel_first(items, _never) is None
 
 
 def _over_150(x):
@@ -257,7 +255,3 @@ def _over_150(x):
 
 def _never(x):
     return False
-
-
-def test_scan_d_worker_count_invariance():
-    assert scan_d(30, 119, workers=2) == scan_d(30, 119, workers=1) == 26

@@ -7,8 +7,6 @@ independent substitution, not trusted blindly).
 
 from __future__ import annotations
 
-import copy
-import pickle
 from fractions import Fraction as F
 from itertools import permutations, product
 from pathlib import Path
@@ -174,9 +172,7 @@ def test_tangent_parameter_returns_base():
     assert chart.param_for_point(point(-1, 0, 0)) is INF
 
 
-def test_inf_stays_itself_through_pickle_and_copy():
-    assert pickle.loads(pickle.dumps(INF)) is INF
-    assert copy.deepcopy([INF])[0] is INF
+def test_inf_reprs_as_inf():
     assert repr(INF) == "inf"
 
 

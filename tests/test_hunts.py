@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from scavenger import cli, geom, hunts
-from scavenger.cycles import SymCycle, find_symmetric_5cycle
+from scavenger.cycles import SymCycle, find_symmetric_5cycle, parallel_first
 from scavenger.geom import (
     INF,
     Plane,
@@ -408,8 +408,8 @@ def _reference_charts(name: str):
     return cert, charts
 
 
-def _oracle_params_34():
-    cert, charts = _reference_charts("t34_order25.cert")
+def _oracle_params(name="t34_order25.cert"):
+    cert, charts = _reference_charts(name)
     rings = cert.points[5:20]
     values = set()
     for i, chart in enumerate(charts):
@@ -422,7 +422,7 @@ def _oracle_params_34():
 
 
 def test_grotzsch_type_hunt_succeeds_on_reference_cycle():
-    cycle, params = _oracle_params_34()
+    cycle, params = _oracle_params()
     out = grotzsch_type_hunt(34, list(cycle), params)
     assert out is not None
     graph, cert, report = out
@@ -431,16 +431,8 @@ def test_grotzsch_type_hunt_succeeds_on_reference_cycle():
     assert cert.points[:5] == cycle
 
 
-def test_grotzsch_type_hunt_is_worker_count_invariant():
-    cycle, params = _oracle_params_34()
-    one = grotzsch_type_hunt(34, list(cycle), params, workers=1)
-    two = grotzsch_type_hunt(34, list(cycle), params, workers=2)
-    assert one is not None
-    assert two == one
-
-
 def test_grotzsch_type_hunt_exhausts_small_list():
-    cycle, _ = _oracle_params_34()
+    cycle, _ = _oracle_params()
     assert grotzsch_type_hunt(34, list(cycle), [F(0)]) is None
     assert grotzsch_type_hunt(34, list(cycle), []) is None
 
@@ -539,7 +531,7 @@ def test_table_test_agrees_with_apex_solve(data, name, ring):
 
 @pytest.mark.parametrize("reverse", [False, True])
 def test_grotzsch_type_hunt_takes_the_first_hit_in_product_order(reverse):
-    cycle, params = _oracle_params_34()
+    cycle, params = _oracle_params()
     if reverse:
         params = params[::-1]
     graph, _, _ = grotzsch_type_hunt(34, list(cycle), params)
@@ -553,6 +545,30 @@ def test_grotzsch_type_hunt_takes_the_first_hit_in_product_order(reverse):
         )
         found = (graph.xs[(i - 1) % 5], graph.ys[i], graph.zs[(i + 1) % 5])
         assert found == (rows[0][first[0]], rows[1][first[1]], rows[2][first[2]])
+
+
+@pytest.mark.parametrize("name", ["t34_order25.cert", "t66_order25.cert"])
+def test_grotzsch_type_tables_hold_the_reduced_dist_sq(monkeypatch, name):
+    cycle, params = _oracle_params(name)
+    params = [*farey_parameters(2), *params]
+    _, charts = _reference_charts(name)
+    read = []
+
+    def checked(candidates, predicate):
+        ring = len(read)
+        xs, ys, zs = ([chart.point_at(s) for s in params] for chart in _ring_charts(charts, ring))
+        candidates = list(candidates)
+        for (i, j), a, xz_row, yz_row in candidates:
+            assert a == _as_pair(dist_sq(xs[i], ys[j]))
+            assert xz_row == [_as_pair(dist_sq(xs[i], z)) for z in zs]
+            assert yz_row == [_as_pair(dist_sq(ys[j], z)) for z in zs]
+        read.append(len(candidates))
+        return parallel_first(candidates, predicate)
+
+    monkeypatch.setattr(hunts, "parallel_first", checked)
+    cert = _cert(name)
+    assert grotzsch_type_hunt(cert.t, list(cycle), params) is not None
+    assert read == [len(params) ** 2] * 5
 
 
 def test_collinear_triple_is_rejected_and_the_row_scan_moves_on():
@@ -729,15 +745,6 @@ def test_subgraph_hunt_emits_verifying_certificate():
     assert found.points[6] == cert.points[6]
 
 
-def test_subgraph_hunt_is_worker_count_invariant():
-    cert, sym = _reference_device()
-    pairs = [_reference_device_pair(cert, sym)]
-    one = grotzsch_subgraph_hunt(sym, pairs, workers=1)
-    two = grotzsch_subgraph_hunt(sym, pairs, workers=2)
-    assert one is not None
-    assert two == one
-
-
 def _reference_device_zs(cert, sym):
     """The two rational mirror-plane points z of the reference (y0, y1), in
     the order the hunt tries them."""
@@ -805,6 +812,24 @@ def test_subgraph_hunt_computes_each_chart_point_once(monkeypatch):
     assert set(calls.values()) == {1}
     charts = Counter(chart for chart, _ in calls)
     assert sorted(charts.values()) == sorted([len(firsts), len(seconds)])
+
+
+def test_subgraph_hunt_that_hits_the_first_pair_reads_each_chart_once(monkeypatch):
+    cert, sym = _reference_device()
+    calls = Counter()
+    point_at = geom.CircleParam.point_at
+
+    def counted(self, s):
+        calls[id(self), s] += 1
+        return point_at(self, s)
+
+    monkeypatch.setattr(geom.CircleParam, "point_at", counted)
+    a, b = _reference_device_pair(cert, sym)
+    params = farey_parameters(2)
+    assert grotzsch_subgraph_hunt(sym, [(a, b), *product(params, params)]) is not None
+    assert sorted(s for _, s in calls) == sorted([a, b])
+    assert set(calls.values()) == {1}
+    assert len({chart for chart, _ in calls}) == 2
 
 
 def test_subgraph_hunt_exhausts_empty_and_refuses_non_integer_t():
