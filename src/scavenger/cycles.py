@@ -1,8 +1,8 @@
 """Rational vectors of fixed squared norm, 5-cycle search, and the
 feasibility scan for symmetric-cycle base distances.
 
-All searches are exact: vector pools hold rationals with integer-scaled
-internals, meet-in-the-middle keys are integer triples, and every result is
+All searches are exact: vector pools hold integer triples over one common
+denominator, meet-in-the-middle keys are integer triples, and every result is
 re-validated before it is returned.
 """
 
@@ -24,28 +24,34 @@ from .geom import (
     reflect_point,
 )
 from .numtheory import eq_pair_feasible, in_T
-from .qcore import QPoint3, QVec3, Rational, _frac, dist_sq, midpoint, point, vec
+from .qcore import QPoint3, Rational, _frac, dist_sq, midpoint, point
 
 
 @dataclass(frozen=True)
 class VectorPool:
     """All rational vectors of squared norm t with denominators from a fixed
-    set and bounded numerator height, closed under signed permutation."""
+    set and bounded numerator height, closed under signed permutation.  Each
+    is an integer triple (x, y, z) standing for (x, y, z)/scale, with scale
+    the lcm of the admissible denominators; they are ordered by the largest
+    reduced denominator of a component, then by value."""
 
     t: int
     denominators: frozenset[int]
     height_bound: int
-    vectors: tuple[QVec3, ...]
+    scale: int
+    vectors: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        for v in self.vectors:
-            if v.norm_sq() != self.t:
-                raise ValueError(f"pool vector {v} has squared norm {v.norm_sq()}, not {self.t}")
+        target = self.t * self.scale * self.scale
+        for x, y, z in self.vectors:
+            if x * x + y * y + z * z != target:
+                raise ValueError(f"pool vector ({x}, {y}, {z})/{self.scale} is off norm {self.t}")
 
 
 def gen_vectors(t: int, denominators, height_bound: int) -> VectorPool:
     """Enumerate integer solutions a²+b²+c² = t·k² per admissible denominator
-    k and emit (a/k, b/k, c/k) in every signed permutation.
+    k and emit (a/k, b/k, c/k) in every signed permutation, over the pool's
+    scale and in the pool's order.
 
     Only triples whose content is coprime to k are kept, so each vector
     appears for exactly one denominator.  Even k are excluded when
@@ -61,10 +67,11 @@ def gen_vectors(t: int, denominators, height_bound: int) -> VectorPool:
         raise ValueError(f"denominators must be positive, got {denoms}")
     if height_bound <= 0:
         raise ValueError(f"height bound must be positive, got {height_bound}")
-    vectors: list[QVec3] = []
-    for k in denoms:
-        if t % 4 == 2 and k % 2 == 0:
-            continue
+    admissible = [k for k in denoms if t % 4 != 2 or k % 2 == 1]
+    scale = lcm(*admissible)
+    vectors: list[tuple[int, int, int]] = []
+    for k in admissible:
+        m = scale // k
         target = t * k * k
         a_max = min(height_bound, isqrt(target))
         for a in range(a_max, -1, -1):
@@ -76,17 +83,11 @@ def gen_vectors(t: int, denominators, height_bound: int) -> VectorPool:
                     continue
                 if gcd(gcd(gcd(a, b), c), k) != 1:
                     continue
-                for arr in sorted(set(permutations((a, b, c)))):
+                for arr in set(permutations((a * m, b * m, c * m))):
                     choices = [(x,) if x == 0 else (x, -x) for x in arr]
-                    for signed in product(*choices):
-                        vectors.append(
-                            vec(Fraction(signed[0], k), Fraction(signed[1], k), Fraction(signed[2], k))
-                        )
-    keyed = sorted(
-        set(vectors),
-        key=lambda v: (max(c.denominator for c in v.components()), v.components()),
-    )
-    return VectorPool(t, frozenset(denoms), height_bound, tuple(keyed))
+                    vectors.extend(product(*choices))
+    vectors.sort(key=lambda w: (max(scale // gcd(x, scale) for x in w), w))
+    return VectorPool(t, frozenset(denoms), height_bound, scale, tuple(vectors))
 
 
 # --- 5-cycle search -------------------------------------------------------------------
@@ -111,38 +112,26 @@ def is_5cycle(points: list[QPoint3], t: Rational) -> bool:
     )
 
 
-def _scaled_integer_pool(pool: VectorPool) -> tuple[int, list[tuple[int, int, int]]]:
-    scale = lcm(*(max(c.denominator for c in v.components()) for v in pool.vectors))
-    ints = []
-    for v in pool.vectors:
-        comps = v.components()
-        ints.append(tuple(int(c * scale) for c in comps))
-    return scale, ints
-
-
 def find_5cycle(t: int, pool: VectorPool) -> list[QPoint3] | None:
     """Five pool vectors summing to zero, realized as a closed walk from the
-    origin; meet-in-the-middle over exact integer-scaled triples.
+    origin; meet-in-the-middle over the pool's integer triples.
 
-    All pairwise sums are indexed by exact value; each (w1,w2,w3) triple sum
-    probes the table for its negation.  The first step w1 ranges only over
+    The sums of all pairs of distinct pool vectors form a set; each
+    (w1,w2,w3) triple sum probes it for its negation, and a hit is read back
+    as the pairs (i, j), i < j, with w_j = probe − w_i, in ascending i, each
+    tried as (i, j) and (j, i).  The first step w1 ranges only over
     descending-sorted nonnegative triples: the pool is closed under signed
     coordinate permutation, so any solution maps to one with canonical w1.
     """
     if pool.t != t:
         raise ValueError(f"pool was built for t={pool.t}, not {t}")
-    if not pool.vectors:
-        return None
-    scale, ints = _scaled_integer_pool(pool)
+    scale, ints = pool.scale, pool.vectors
     n = len(ints)
-
-    pair_sums: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
-    for i in range(n):
-        wi = ints[i]
-        for j in range(i + 1, n):
-            wj = ints[j]
-            key = (wi[0] + wj[0], wi[1] + wj[1], wi[2] + wj[2])
-            pair_sums.setdefault(key, []).append((i, j))
+    pair_sums = {
+        (wi[0] + wj[0], wi[1] + wj[1], wi[2] + wj[2])
+        for i, wi in enumerate(ints)
+        for wj in ints[i + 1 :]
+    }
 
     canonical = sorted(
         {tuple(sorted((abs(w[0]), abs(w[1]), abs(w[2])), reverse=True)) for w in ints}
@@ -176,10 +165,12 @@ def find_5cycle(t: int, pool: VectorPool) -> list[QPoint3] | None:
                     continue
                 w3 = ints[i3]
                 probe = (-s12[0] - w3[0], -s12[1] - w3[1], -s12[2] - w3[2])
-                bucket = pair_sums.get(probe)
-                if bucket is None:
+                if probe not in pair_sums:
                     continue
-                for i, j in bucket:
+                for i, w in enumerate(ints):
+                    j = index_of.get((probe[0] - w[0], probe[1] - w[1], probe[2] - w[2]))
+                    if j is None or j <= i:
+                        continue
                     for i4, i5 in ((i, j), (j, i)):
                         if i4 == neg[i3] or i5 == neg[i1]:
                             continue
@@ -269,30 +260,27 @@ def find_symmetric_5cycle(
     bound = d_bound if d_bound is not None else 4 * t - 1
     candidates = [_frac(d)] if d is not None else _d_candidates(t, bound)
     for cand in candidates:
-        if not eq_pair_feasible(t, cand):
-            continue
-        built = _symmetric_cycle_for(t, cand)
-        if built is not None:
-            return built
+        if eq_pair_feasible(t, cand):
+            return _symmetric_cycle_for(t, cand)
     return None
 
 
-def _symmetric_cycle_for(t: int, d: Rational) -> SymCycle | None:
+def _symmetric_cycle_for(t: int, d: Rational) -> SymCycle:
     x0, x4, x2 = embed_isosceles(t, d)
     mirror = bisector_plane(x0, x4)
     circle = equidistant_circle(x0, x2, t)
     base = rational_point_on_circle(circle)
     chart = circle_param(circle, base)
-    params = [Fraction(0)]
-    for m in range(1, 40):
-        params.extend((Fraction(m), Fraction(-m)))
-    for s in params:
-        x1 = chart.point_at(s)
+    # distinct parameters chart distinct points and at most three are refused:
+    # x4, and where the circle meets the mirror (its plane bisects (x0, x2),
+    # the mirror (x0, x4), and x2 ≠ x4), so one of four parameters serves
+    for s in (0, 1, -1, 2):
+        x1 = chart.point_at(Fraction(s))
         if mirror.contains(x1) or x1 == x4:
             continue
         # x1 off the mirror and not x4 makes the five points distinct
         return SymCycle(x0, x1, x2, reflect_point(x1, mirror), x4, Fraction(t), mirror, base)
-    return None
+    raise AssertionError(f"all four chart parameters refused at t={t}, d={d}")
 
 
 # --- feasibility scan over d ------------------------------------------------------------

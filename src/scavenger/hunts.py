@@ -49,7 +49,6 @@ from .numtheory import (
 )
 from .qcore import (
     QPoint3,
-    QVec3,
     Rational,
     _frac,
     content_lines,
@@ -96,8 +95,9 @@ class ASpec:
             for c in p.coords()
         )
 
-    def step_vectors(self, t: int) -> tuple[QVec3, ...]:
-        """All vectors of squared norm t joining two candidate points."""
+    def step_vectors(self, t: int) -> tuple[tuple[int, int, int], ...]:
+        """All vectors of squared norm t joining two candidate points, as
+        integer triples (x, y, z) standing for (x, y, z)/denominator."""
         divisors = {k for k in range(1, self.denominator + 1) if self.denominator % k == 0}
         return gen_vectors(t, divisors, isqrt(t * self.denominator**2) + 1).vectors
 
@@ -147,7 +147,7 @@ def greedy_hunt(t: int, seed: list[QPoint3], spec: ASpec, cap: int = 1000) -> Gr
     # point (X, Y, Z)/D, and only an admitted vertex becomes a QPoint3
     d = spec.denominator
     lo, hi = spec.lattice_bounds()
-    steps = [tuple(int(c * d) for c in w.components()) for w in spec.step_vectors(t)]
+    steps = spec.step_vectors(t)
     vertices: list[QPoint3] = []
     index: dict[tuple[int, int, int], int] = {}
     edges: set[tuple[int, int]] = set()

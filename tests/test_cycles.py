@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations, product
+from math import gcd, isqrt, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from scavenger.cycles import (
 )
 from scavenger.geom import bisector_plane
 from scavenger.numtheory import eq_pair_feasible, in_T
-from scavenger.qcore import dist_sq, midpoint, parse_point, point, vec
+from scavenger.qcore import dist_sq, format_point, midpoint, parse_point, point
 from symcycles import solved_base
 
 SEED_22 = [
@@ -40,10 +42,10 @@ CHART_30 = [
 
 def test_pool_anchors_t22():
     pool = gen_vectors(22, {1, 3}, 60)
-    comps = {v.components() for v in pool.vectors}
-    assert (Fraction(3), Fraction(3), Fraction(2)) in comps
-    assert (Fraction(14, 3), Fraction(1, 3), Fraction(1, 3)) in comps
-    assert all(v.norm_sq() == 22 for v in pool.vectors)
+    assert pool.scale == 3
+    assert (9, 9, 6) in pool.vectors  # (3, 3, 2)
+    assert (14, 1, 1) in pool.vectors  # (14/3, 1/3, 1/3)
+    assert all(x * x + y * y + z * z == 22 * 9 for x, y, z in pool.vectors)
 
 
 def test_pool_parity_exclusion():
@@ -55,23 +57,20 @@ def test_pool_parity_exclusion():
 
 def test_pool_closed_under_signed_permutation():
     pool = gen_vectors(22, {1, 3}, 60)
-    comps = {v.components() for v in pool.vectors}
-    for c in comps:
-        for arr in permutations(c):
+    triples = set(pool.vectors)
+    for w in triples:
+        for arr in permutations(w):
             for signs in product(*[(1,) if x == 0 else (1, -1) for x in arr]):
-                assert tuple(s * x for s, x in zip(signs, arr)) in comps
+                assert tuple(s * x for s, x in zip(signs, arr)) in triples
 
 
 def test_pool_heights_and_denominators():
     pool = gen_vectors(22, {1, 3}, 4)
-    for v in pool.vectors:
-        for c in v.components():
-            assert c.denominator in (1, 3)
-            assert abs(c.numerator) <= 4 * c.denominator  # numerator of w = c*k
+    assert pool.scale == 3 and pool.vectors
+    for w in pool.vectors:
+        assert all(abs(x) <= 4 * pool.scale for x in w)  # numerators up to 4 at denominator 1
     # height 4 excludes every denominator-3 vector (needs numerators up to 14)
-    assert all(
-        max(c.denominator for c in v.components()) == 1 for v in pool.vectors
-    )
+    assert all(x % pool.scale == 0 for w in pool.vectors for x in w)
 
 
 def test_pool_deterministic_and_duplicate_free():
@@ -91,15 +90,60 @@ def test_pool_rejections():
     with pytest.raises(ValueError):
         gen_vectors(21, {1}, 60)  # odd, not an open case
     with pytest.raises(ValueError):
-        VectorPool(22, frozenset({1}), 60, (vec(1, 0, 0),))
+        VectorPool(22, frozenset({1}), 60, 1, ((1, 0, 0),))
+    with pytest.raises(ValueError):
+        VectorPool(22, frozenset({1, 3}), 60, 3, ((3, 3, 2),))  # norm 22 only at scale 1
+    assert VectorPool(22, frozenset({1, 3}), 60, 3, ((9, 9, 6),)).vectors == ((9, 9, 6),)
 
 
 @settings(max_examples=10, deadline=None)
 @given(st.sampled_from([10, 22, 30, 34, 46, 58, 66, 70]))
 def test_pool_vectors_reduced_to_listed_denominators(t):
     pool = gen_vectors(t, {1, 3}, 45)
-    for v in pool.vectors:
-        assert max(c.denominator for c in v.components()) in (1, 3)
+    assert pool.scale == 3
+    assert {pool.scale // gcd(*w, pool.scale) for w in pool.vectors} == {1, 3}
+
+
+@pytest.mark.parametrize("denominators", [{1, 3}, {1, 3, 9}, {1, 15}, {1, 3, 5, 15}])
+@pytest.mark.parametrize("t", [22, 30])
+def test_pool_matches_brute_force_enumeration(t, denominators):
+    """Every rational vector of squared norm t whose reduced denominator is
+    listed, with numerators over it of height at most 60, sorted by the
+    largest reduced denominator of a component and then by value."""
+    height = 60
+    expected = set()
+    for k in denominators:
+        for a in range(-height, height + 1):
+            for b in range(-height, height + 1):
+                c_sq = t * k * k - a * a - b * b
+                c = isqrt(c_sq) if c_sq >= 0 else -1
+                if c * c != c_sq or c > height:
+                    continue
+                for cc in {c, -c}:
+                    v = (Fraction(a, k), Fraction(b, k), Fraction(cc, k))
+                    if lcm(*(c.denominator for c in v)) == k:
+                        expected.add(v)
+    expected = sorted(expected, key=lambda v: (max(c.denominator for c in v), v))
+    pool = gen_vectors(t, denominators, height)
+    assert [tuple(Fraction(x, pool.scale) for x in w) for w in pool.vectors] == expected
+
+
+FIND_CYCLE = Path(__file__).resolve().parent / "golden" / "find_cycle.txt"
+
+
+def test_first_cycles_match_golden():
+    """The first 5-cycle at height 60 for every admissible t < 500 over
+    denominators {1, 3}, and for (426, {1, 3, 9}) and (22, {1, 3, 5, 7})."""
+    lines = FIND_CYCLE.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 63
+    for line in lines:
+        head, walk = line.split(": ", 1)
+        t_field, denominators_field = head.split()
+        t = int(t_field.removeprefix("t="))
+        denominators = {int(k) for k in denominators_field.removeprefix("denominators=").split(",")}
+        cycle = find_5cycle(t, gen_vectors(t, denominators, 60))
+        assert cycle is not None, line
+        assert "  ".join(format_point(p) for p in cycle) == walk, line
 
 
 # --- 5-cycle search -------------------------------------------------------------------

@@ -88,12 +88,11 @@ def test_aspec_step_vectors_link_candidates():
     spec = ASpec(3)
     steps = spec.step_vectors(22)
     assert steps
-    assert all(w.norm_sq() == 22 for w in steps)
-    base = point(F(1, 3), 0, 0)
-    assert all(spec.contains(base + w) or True for w in steps)
-    # steps land back inside the lattice: coordinates always have denominator 1 or 3
-    for w in steps:
-        assert all(c.denominator in (1, 3) for c in w.components())
+    # integer triples over the candidate denominator 3
+    assert all(x * x + y * y + z * z == 22 * 9 for x, y, z in steps)
+    assert (9, 9, 6) in steps and (14, 1, 1) in steps  # denominators 1 and 3
+    # steps land back inside the lattice: (1/3, 0, 0) + w/3 is a candidate
+    assert all(spec.contains(point(F(1 + x, 3), F(y, 3), F(z, 3))) for x, y, z in steps)
 
 
 # --- greedy accumulation -----------------------------------------------------------
