@@ -46,7 +46,7 @@ from scavenger.numtheory import (
     phi_criteria,
     three_squares,
 )
-from scavenger.qcore import dist_sq, midpoint, parse_point, vec
+from scavenger.qcore import dist_sq, format_rational, midpoint, parse_point, vec
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -281,13 +281,18 @@ def test_criterion_8_scan_d_sweep():
     start = time.monotonic()
     members = _members_of_T(2000)
     assert len(members) == 261
+    # the first feasible d of each scan, in scan order, as first committed
+    golden = (Path(__file__).resolve().parent / "golden" / "scan_d.txt").read_text(encoding="utf-8")
     rational = []
+    found = []
     for t in members:
         d = scan_d(t, 4 * t - 1)
         assert d is not None, t
         assert eq_pair_feasible(t, d), (t, d)
+        found.append(f"t={t} d={format_rational(F(d))}\n")
         if F(d).denominator != 1:
             rational.append((t, d))
+    assert "".join(found) == golden
     elapsed = time.monotonic() - start
     assert elapsed < 600
     print(

@@ -405,6 +405,18 @@ def test_scan_d_exhausted(capsys):
     assert "no admissible d" in out
 
 
+def test_symmetric_cycle_commands_match_golden(capsys):
+    """`scan-d <t>` and `find-symmetric-cycle <t>` for every open t below 400,
+    plus two exhausted searches: each block of the golden is a `$ argv` line,
+    an `[exit N]` line and the command's stdout."""
+    blocks = (GOLDEN / "symmetric_cycles.txt").read_text(encoding="utf-8").split("$ ")[1:]
+    assert len(blocks) == 100
+    for block in blocks:
+        argv, status, expected = block.split("\n", 2)
+        code, out, err = run(capsys, *argv.split())
+        assert (f"[exit {code}]", out, err) == (status, expected, ""), argv
+
+
 @pytest.mark.parametrize(
     "command",
     [["scan-d", "30"], ["hunt-grotzsch-subgraph", "30"], ["hunt-grotzsch-type", "t34_cycle"]],
