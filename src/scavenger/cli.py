@@ -377,7 +377,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("scan-d", help="minimal d admitting both equidistant-pair triangles")
     p.add_argument("t")
-    p.add_argument("--bound", type=int, default=None, help="search limit (default 4t-1)")
+    p.add_argument("--bound", type=_positive, default=None, help="search limit (default 4t-1)")
     p.set_defaults(func=_cmd_scan_d)
 
     p = sub.add_parser("solve-legendre", help="solve a x^2 + b y^2 + c z^2 = 0")

@@ -250,19 +250,19 @@ def find_symmetric_5cycle(
     d: Rational | None = None,
     d_bound: int | None = None,
 ) -> SymCycle | None:
-    """Construct a symmetric 5-cycle: pick a feasible leg length d, embed the
-    isosceles triangle (x0, x4, x2) with |x0-x4|² = t and legs² = d, then take
-    x1 rational on the circle equidistant from x0 and x2 at √t, off the mirror
-    plane, and x3 as its mirror image."""
+    """Construct a symmetric 5-cycle: take the leg length d from `scan_d`
+    (or check a forced one), embed the isosceles triangle (x0, x4, x2) with
+    |x0-x4|² = t and legs² = d, then take x1 rational on the circle
+    equidistant from x0 and x2 at √t, off the mirror plane, and x3 as its
+    mirror image."""
     t = int(t)
     if not in_T(t):
         raise ValueError(f"{t} is not an admissible squared distance")
-    bound = d_bound if d_bound is not None else 4 * t - 1
-    candidates = [_frac(d)] if d is not None else _d_candidates(t, bound)
-    for cand in candidates:
-        if eq_pair_feasible(t, cand):
-            return _symmetric_cycle_for(t, cand)
-    return None
+    if d is None:
+        d = scan_d(t, d_bound if d_bound is not None else 4 * t - 1)
+    elif not eq_pair_feasible(t, _frac(d)):
+        return None
+    return None if d is None else _symmetric_cycle_for(t, d)
 
 
 def _symmetric_cycle_for(t: int, d: Rational) -> SymCycle:

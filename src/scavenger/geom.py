@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numtheory import _clear_denominators, legendre_solution, three_rational_squares
+from .numtheory import TernaryForm, legendre_solution, three_rational_squares
 from .qcore import (
     QPoint3,
     QVec3,
@@ -266,6 +266,11 @@ def _plane_frame(n: QVec3) -> tuple[QVec3, QVec3]:
         if not e1.is_zero():
             return e1, n.cross(e1)
     raise AssertionError("nonzero vector has a nonzero cross product with some axis")
+
+
+def _clear_denominators(coeffs: tuple[Fraction, Fraction, Fraction]) -> TernaryForm:
+    l = math.lcm(*(c.denominator for c in coeffs))
+    return TernaryForm(*(int(c * l) for c in coeffs))
 
 
 def rational_point_on_circle(c: RCircle) -> QPoint3:

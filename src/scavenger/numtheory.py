@@ -240,22 +240,25 @@ def three_squares(n: int) -> tuple[int, int, int] | None:
     return None
 
 
+def _four_free(n: int) -> int:
+    """n with every factor of 4 divided out."""
+    while n % 4 == 0:
+        n //= 4
+    return n
+
+
 def three_rational_squares(q: Fraction) -> tuple[Fraction, Fraction, Fraction] | None:
     """Canonical a >= b >= c >= 0 in Q with a^2+b^2+c^2 = q, or None."""
     q = _frac(q)
     if q <= 0:
         raise ValueError(f"expected positive rational, got {q}")
     m, n = q.numerator, q.denominator
-    prod = m * n
-    alpha = 0
-    while prod % 4 == 0:
-        prod //= 4
-        alpha += 1
-    rep = three_squares(prod)
+    core = _four_free(m * n)
+    rep = three_squares(core)
     if rep is None:
         # stripped of 4s, only residue 7 mod 8 remains unrepresentable
         return None
-    scale = Fraction(2**alpha, n)
+    scale = Fraction(math.isqrt(m * n // core), n)  # 2^alpha/n, with m*n = 4^alpha * core
     return tuple(x * scale for x in rep)  # type: ignore[return-value]
 
 
@@ -521,34 +524,27 @@ def construct_chain(v: QVec3, h: Fraction) -> ChainCertificate:
 # --- isosceles embeddability and the equation pair ---------------------------
 
 
-def _clear_denominators(coeffs: tuple[Fraction, Fraction, Fraction]) -> TernaryForm:
-    l = math.lcm(*(c.denominator for c in coeffs))
-    return TernaryForm(*(int(c * l) for c in coeffs))
-
-
-def isosceles_embeddable(r: Fraction, d: Fraction, rep: tuple[Fraction, Fraction, Fraction] | None = None) -> bool:
+def isosceles_embeddable(r: Fraction, d: Fraction) -> bool:
     """Whether a triangle with side lengths sqrt(r), sqrt(d), sqrt(d) embeds
-    in Q^3: equivalent to nontrivial solvability of
-    x^2 + r*y^2 - (4d - r)(a^2 + b^2) z^2 = 0 for any representation
-    r = a^2 + b^2 + c^2 with a, b not both zero."""
-    r, d = _frac(r), _frac(d)
-    if r <= 0 or d <= 0:
+    in Q^3, decided on the integers of r = R/S and d = P/Q (int or Fraction).
+
+    r must be a sum of three rational squares (R*S stripped of factors of 4
+    is not 7 mod 8) and the apex height positive (4PS > RQ).  The same test on
+    P*Q only rejects early: a zero of the form below places the apex.  With
+    r = a^2 + b^2 + c^2 the representation of `three_rational_squares`, the
+    triangle embeds exactly when x^2 + r*y^2 - (4d - r)(a^2 + b^2) z^2 = 0 has
+    a nontrivial zero.  That form times S*Q, with the rational square
+    (2^alpha/S)^2 of a = A*2^alpha/S and b = B*2^alpha/S taken into z, is
+    <S*Q, R*Q, -(4PS - RQ)(A^2 + B^2)> over the primitive three-squares triple
+    (A, B, C) of R*S/4^alpha."""
+    R, S, P, Q = r.numerator, r.denominator, d.numerator, d.denominator
+    if R <= 0 or P <= 0:
         raise ValueError("side squared lengths must be positive")
-    if rep is None:
-        rep = three_rational_squares(r)
-        if rep is None:
-            return False  # no segment of squared length r exists at all
-    a, b, c = rep
-    if a * a + b * b + c * c != r:
-        raise ValueError(f"{rep} does not represent {r}")
-    if a == 0 and b == 0:
-        raise ValueError("representation must have a, b not both zero")
-    if three_rational_squares(d) is None:
+    core = _four_free(R * S)
+    if core % 8 == 7 or _four_free(P * Q) % 8 == 7 or 4 * P * S <= R * Q:
         return False
-    if 4 * d - r <= 0:
-        return False
-    form = _clear_denominators((Fraction(1), r, -(4 * d - r) * (a * a + b * b)))
-    return legendre_solvable(form)
+    A, B, _ = three_squares(core)
+    return legendre_solvable(TernaryForm(S * Q, R * Q, -(4 * P * S - R * Q) * (A * A + B * B)))
 
 
 def eq_pair_feasible(t: int, d: Fraction) -> bool:
@@ -556,11 +552,6 @@ def eq_pair_feasible(t: int, d: Fraction) -> bool:
     T(sqrt d, sqrt t, sqrt t) embed in Q^3, via the paired ternary forms."""
     if not in_T(t):
         raise ValueError(f"t={t} is not in the open-case set")
-    d = _frac(d)
     if d <= 0:
         return False
-    if 4 * d - t <= 0 or 4 * Fraction(t) - d <= 0:
-        return False
-    if three_rational_squares(d) is None:
-        return False
-    return isosceles_embeddable(Fraction(t), d) and isosceles_embeddable(d, Fraction(t))
+    return isosceles_embeddable(t, d) and isosceles_embeddable(d, t)

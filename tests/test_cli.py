@@ -135,6 +135,8 @@ def exit_code(argv) -> int:
         (["find-symmetric-cycle", "30"], "--d-bound", "0"),
         (["find-symmetric-cycle", "30"], "--d", "0"),
         (["find-symmetric-cycle", "30"], "--d", "-3"),
+        (["scan-d", "30"], "--bound", "0"),
+        (["scan-d", "30"], "--bound", "-4"),
         (["param-circle", "foci"], "--count", "-1"),
         (["param-circle", "foci"], "--count", "0"),
         (["param-circle", "foci"], "--height", "0"),

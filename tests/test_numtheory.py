@@ -546,29 +546,91 @@ def test_chain_with_huge_bezout_counts_is_quick():
 # --- isosceles embeddability -----------------------------------------------------
 
 
+def _clear_denominators(coeffs):
+    l = math.lcm(*(c.denominator for c in coeffs))
+    return TernaryForm(*(int(c * l) for c in coeffs))
+
+
+def _fraction_isosceles(r, d, rep=None):
+    """The Fraction-form decision the integer test replaced, kept as its
+    oracle: it takes any representation r = a^2 + b^2 + c^2 with (a, b) != 0."""
+    if rep is None:
+        rep = three_rational_squares(r)
+        if rep is None:
+            return False
+    a, b, c = rep
+    assert a * a + b * b + c * c == r and (a, b) != (0, 0)
+    if three_rational_squares(d) is None or 4 * d - r <= 0:
+        return False
+    return legendre_solvable(_clear_denominators((Fraction(1), r, -(4 * d - r) * (a * a + b * b))))
+
+
+def _fraction_eq_pair(t, d):
+    if d <= 0 or 4 * d - t <= 0 or 4 * Fraction(t) - d <= 0:
+        return False
+    if three_rational_squares(d) is None:
+        return False
+    return _fraction_isosceles(Fraction(t), d) and _fraction_isosceles(d, Fraction(t))
+
+
+OPEN_BELOW_400 = [t for t in range(400) if in_T(t)]
+
+
+def _agrees_with_fraction_oracle(t, d):
+    for r, legs in ((Fraction(t), d), (d, Fraction(t))):
+        assert isosceles_embeddable(r, legs) == _fraction_isosceles(r, legs), (r, legs)
+    assert eq_pair_feasible(t, d) == _fraction_eq_pair(t, d), (t, d)
+
+
+@st.composite
+def open_t_and_d(draw):
+    t = draw(st.sampled_from(OPEN_BELOW_400))
+    q = draw(st.integers(1, 12))
+    return t, Fraction(draw(st.integers(1, (4 * t + 1) * q)), q)
+
+
+@settings(max_examples=400, deadline=None)
+@given(open_t_and_d())
+def test_integer_isosceles_test_matches_fraction_oracle(case):
+    _agrees_with_fraction_oracle(*case)
+
+
+@pytest.mark.parametrize(
+    "t,d",
+    [
+        (30, Fraction(15, 2)),  # 4d = t: no apex height
+        (30, Fraction(120)),  # d = 4t
+        (58, Fraction(29, 2)),  # 4d = t at the rational-fallback t
+        (10, Fraction(15)),  # d ≡ 7 mod 8
+        (10, Fraction(28, 9)),  # p·q = 4·63, and 63 ≡ 7 mod 8
+        (10, Fraction(63, 16)),  # p·q = 16·63
+        (58, Fraction(314, 9)),  # scan_d's rational fallback at t=58
+        (58, Fraction(34)),  # the last integer the exhausted `--d-bound 34` scan tries
+    ],
+)
+def test_integer_isosceles_test_matches_fraction_oracle_at_edges(t, d):
+    _agrees_with_fraction_oracle(t, d)
+
+
 def test_isosceles_embeddable_is_representation_independent():
+    # the Fraction oracle gives one verdict for every representation of 30,
+    # the integer test's among them
     reps = [
         (Fraction(5), Fraction(2), Fraction(1)),
         (Fraction(13, 3), Fraction(10, 3), Fraction(1, 3)),
         (Fraction(26, 5), Fraction(7, 5), Fraction(1)),
     ]
-    for rep in reps:
-        a, b, c = rep
-        assert a * a + b * b + c * c == 30
     for d in (Fraction(9), Fraction(11), Fraction(19), Fraction(25), Fraction(49, 4)):
-        verdicts = {isosceles_embeddable(Fraction(30), d, rep) for rep in reps}
-        assert len(verdicts) == 1, (d, verdicts)
-
-
-def test_isosceles_embeddable_rejects_bad_representation():
-    with pytest.raises(ValueError):
-        isosceles_embeddable(Fraction(30), Fraction(11), (Fraction(1), Fraction(1), Fraction(1)))
+        verdicts = {_fraction_isosceles(Fraction(30), d, rep) for rep in reps}
+        assert verdicts == {isosceles_embeddable(Fraction(30), d)}, d
 
 
 def test_isosceles_degenerate_cases():
     assert isosceles_embeddable(Fraction(30), Fraction(7)) is False  # 4d - r < 0
     assert isosceles_embeddable(Fraction(36), Fraction(9)) is False  # flat triangle
     assert isosceles_embeddable(Fraction(28), Fraction(9)) is False  # base length unrealizable
+    for r, d in ((36, 9), (28, 9)):
+        assert _fraction_isosceles(Fraction(r), Fraction(d)) is False
 
 
 def test_eq_pair_requires_open_case_t():
