@@ -362,6 +362,11 @@ def test_solve_legendre_solution_verified(capsys):
     assert (x, y, z) != (0, 0, 0)
 
 
+def test_solve_legendre_sweep_form_is_pinned(capsys):
+    code, out, err = run(capsys, "solve-legendre", "1237", "3727", "-3557")
+    assert (code, out, err) == (0, "solution: 1571 523 1070\n", "")
+
+
 def test_solve_legendre_zero_coefficient(capsys):
     code, _, err = run(capsys, "solve-legendre", "0", "1", "-1")
     assert code == 64

@@ -228,6 +228,11 @@ PINNED_SOLUTIONS = [
     ((138, 78, -162), (3, 6, 5)),  # common, square
     ((128, 30, -80), (5, 8, 8)),  # common, square, shared gcd
     ((36, 50, -36), (1, 0, 1)),  # common, three squares, shared gcd
+    ((1237, 3727, -3557), (1571, 523, 1070)),  # slow perfbench sweep form
+    ((1439, 3037, -2531), (2491, 350, 1917)),  # slow perfbench sweep form
+    ((1531, 3449, -1439), (585, 149, 646)),  # slow perfbench sweep form
+    ((3187, 1878, -2137), (325, 2103, 2011)),  # solved coefficient 1878 = 2*3*313
+    ((4217, 2701, -2438), (67, 1277, 1347)),  # solved coefficient -2438 = -2*23*53
 ]
 
 
