@@ -68,6 +68,37 @@ def is_quadratic_residue(a: int, m: int) -> bool:
     return all(_qr_prime_power(a, p, e) for p, e in factorize(m).items())
 
 
+def _sqrt_mod_prime(a: int, p: int) -> int:
+    """A square root of the unit quadratic residue a mod the odd prime p (Tonelli-Shanks)."""
+    q, e, z = p - 1, 0, 2
+    while q % 2 == 0:
+        q, e = q // 2, e + 1
+    while pow(z, (p - 1) // 2, p) == 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (e - i - 1), p)
+        e, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def _sqrt_mod(k: int, m: int) -> list[int]:
+    """Sorted r in [0, m) with r^2 = k (mod m), for square-free m >= 1 and k a
+    unit mod m: the roots modulo each prime of m, combined by CRT."""
+    roots, mod = [0], 1
+    for p in factorize(m):
+        if p > 2 and pow(k, (p - 1) // 2, p) != 1:
+            return []
+        r = _sqrt_mod_prime(k % p, p) if p > 2 else 1
+        inv = pow(mod, -1, p)
+        roots = [x + mod * ((y - x) * inv % p) for x in roots for y in {r, p - r}]
+        mod *= p
+    return sorted(roots)
+
+
 # --- Legendre's theorem on ax^2 + by^2 + cz^2 = 0 ---------------------------
 
 
@@ -108,17 +139,18 @@ def normalize_form(form: TernaryForm) -> tuple[tuple[int, int, int], tuple[int, 
     Dividing out a common factor changes no zero; stripping k^2 from
     coefficient i multiplies the other two coordinates by k; moving the gcd g
     of coefficients i, j onto coefficient k multiplies coordinate k by g.
-    Each step only multiplies, so the multipliers are their products.
+    Each step only multiplies, so the multipliers are their products.  Squares
+    are stripped once: no prime divides all three coefficients, and neither
+    step makes one do so, so g is coprime to coefficient k and no square returns.
     """
     g = math.gcd(*form.coeffs())
     coeffs = [x // g for x in form.coeffs()]
     mult = [1, 1, 1]
+    for i in range(3):
+        k = _square_part(coeffs[i])
+        coeffs[i] //= k * k
+        mult = [m if j == i else m * k for j, m in enumerate(mult)]
     while True:
-        for i in range(3):
-            k = _square_part(coeffs[i])
-            if k > 1:
-                coeffs[i] //= k * k
-                mult = [m if j == i else m * k for j, m in enumerate(mult)]
         for i, j in ((0, 1), (0, 2), (1, 2)):
             g = math.gcd(coeffs[i], coeffs[j])
             if g > 1:
@@ -167,6 +199,9 @@ def _holzer_search(a: int, b: int, c: int) -> tuple[int, int, int] | None:
     Searches a box known to hold a solution: Holzer's theorem puts a zero of
     every solvable normalized form inside these bounds, so callers decide
     solvability first and None means a broken search, not an unsolvable form.
+    The smallest coefficient cs is solved for.  The coefficients being square-free
+    and pairwise coprime, cs divides ca*u^2 + cb*w^2 exactly when w = R*u mod |cs|
+    for a square root R of -ca/cb, so only those classes of w are scanned.
     """
     coeffs = (a, b, c)
     bounds = (
@@ -179,21 +214,22 @@ def _holzer_search(a: int, b: int, c: int) -> tuple[int, int, int] | None:
     scan = [i for i in range(3) if i != solve_idx]
     ca, cb = coeffs[scan[0]], coeffs[scan[1]]
     cs = coeffs[solve_idx]
+    m = abs(cs)
+    roots = _sqrt_mod(-ca * pow(cb, -1, m), m)
     for u in range(bounds[scan[0]] + 1):
-        for w in range(bounds[scan[1]] + 1):
-            rhs = -(ca * u * u + cb * w * w)
-            if rhs % cs != 0:
-                continue
-            s2 = rhs // cs
-            if s2 < 0:
-                continue
-            s = math.isqrt(s2)
-            if s * s != s2 and s2 != 0:
-                continue
-            if u == 0 and w == 0 and s2 == 0:
-                continue
+        hit, top = None, bounds[scan[1]]
+        for start in {r * u % m for r in roots}:
+            for w in range(start, top + 1, m):
+                s2 = -(ca * u * u + cb * w * w) // cs
+                if s2 < 0:
+                    continue
+                s = math.isqrt(s2)
+                if s * s == s2 and (u or w):
+                    hit, top = (w, s), w - 1
+                    break
+        if hit is not None:
             out = [0, 0, 0]
-            out[scan[0]], out[scan[1]], out[solve_idx] = u, w, s
+            out[scan[0]], (out[scan[1]], out[solve_idx]) = u, hit
             return (out[0], out[1], out[2])
     return None
 

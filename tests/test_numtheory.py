@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from scavenger import numtheory
 from scavenger.numtheory import (
@@ -86,6 +86,21 @@ def test_quadratic_residue_matches_exhaustive_squaring(a, m):
 def test_quadratic_residue_rejects_bad_modulus():
     with pytest.raises(ValueError):
         is_quadratic_residue(3, 0)
+
+
+def test_sqrt_mod_matches_exhaustive_squaring():
+    """Every root r in [0, m) of r^2 = k, for each square-free m <= 300 and each
+    unit k mod m (the empty list when k is no square)."""
+    for m in range(1, 301):
+        if any(e > 1 for e in factorize(m).values()):
+            continue
+        roots = {k: [] for k in range(m)}
+        for r in range(m):
+            roots[r * r % m].append(r)
+        for k in range(m):
+            if math.gcd(k, m) == 1:
+                assert numtheory._sqrt_mod(k, m) == roots[k], (k, m)
+                assert numtheory._sqrt_mod(k - m, m) == roots[k], (k - m, m)
 
 
 # --- three squares ------------------------------------------------------------
@@ -172,6 +187,46 @@ def test_normalize_form_output_is_reduced(a, b, c):
     assert math.gcd(x, y) == math.gcd(x, z) == math.gcd(y, z) == 1
 
 
+def _normalize_form_refactoring_each_pass(form):
+    """`normalize_form` as it was before it factorized only once: every pass
+    strips the square part of all three coefficients again."""
+    g = math.gcd(*form.coeffs())
+    coeffs = [x // g for x in form.coeffs()]
+    mult = [1, 1, 1]
+    while True:
+        for i in range(3):
+            k = numtheory._square_part(coeffs[i])
+            if k > 1:
+                coeffs[i] //= k * k
+                mult = [m if j == i else m * k for j, m in enumerate(mult)]
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            g = math.gcd(coeffs[i], coeffs[j])
+            if g > 1:
+                k = 3 - i - j
+                coeffs[i] //= g
+                coeffs[j] //= g
+                coeffs[k] *= g
+                mult[k] *= g
+                break
+        else:
+            return tuple(coeffs), tuple(mult)
+
+
+# products of shared small primes, so that squares and gcd moves both happen
+_SMOOTH = st.builds(
+    lambda sign, exps: sign * math.prod(p**e for p, e in zip((2, 3, 5, 7, 11), exps)),
+    st.sampled_from((1, -1)),
+    st.lists(st.integers(min_value=0, max_value=3), min_size=5, max_size=5),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_SMOOTH, _SMOOTH, _SMOOTH)
+def test_normalize_form_matches_refactoring_oracle(a, b, c):
+    form = TernaryForm(a, b, c)
+    assert normalize_form(form) == _normalize_form_refactoring_each_pass(form)
+
+
 def brute_nontrivial_zero(form: TernaryForm, bound: int) -> tuple[int, int, int] | None:
     for x in range(bound + 1):
         for y in range(bound + 1):
@@ -239,6 +294,79 @@ PINNED_SOLUTIONS = [
 @pytest.mark.parametrize("coeffs,solution", PINNED_SOLUTIONS)
 def test_legendre_solution_matches_pinned_table(coeffs, solution):
     assert legendre_solution(TernaryForm(*coeffs)) == solution
+
+
+def _holzer_full_box(a, b, c):
+    """`_holzer_search` as it was before the residue classes: every w of the
+    box is tried, in (u, w) order, and tested for divisibility."""
+    coeffs = (a, b, c)
+    bounds = (math.isqrt(abs(b * c)), math.isqrt(abs(a * c)), math.isqrt(abs(a * b)))
+    solve_idx = min(range(3), key=lambda i: (abs(coeffs[i]), i))
+    scan = [i for i in range(3) if i != solve_idx]
+    ca, cb = coeffs[scan[0]], coeffs[scan[1]]
+    cs = coeffs[solve_idx]
+    for u in range(bounds[scan[0]] + 1):
+        for w in range(bounds[scan[1]] + 1):
+            rhs = -(ca * u * u + cb * w * w)
+            if rhs % cs != 0:
+                continue
+            s2 = rhs // cs
+            if s2 < 0:
+                continue
+            s = math.isqrt(s2)
+            if s * s != s2 and s2 != 0:
+                continue
+            if u == 0 and w == 0 and s2 == 0:
+                continue
+            out = [0, 0, 0]
+            out[scan[0]], out[scan[1]], out[solve_idx] = u, w, s
+            return (out[0], out[1], out[2])
+    return None
+
+
+# normalized solvable forms, one or more per kind of solved coefficient (the
+# first coefficient of least absolute value, as the search picks it)
+@pytest.mark.parametrize(
+    "coeffs,solved",
+    [
+        ((1, 1, -2), 1),
+        ((155, 1, -1), 1),
+        ((11, 166, -1), -1),
+        ((2, 37, -5), 2),
+        ((7, 5, -3), -3),  # the least w is not in the first class scanned
+        ((11, 10, -21), 10),  # the least w is not in the first class scanned
+        ((57, 167, -230), 57),  # the least w is not in the first class scanned
+        ((277, 5, -2), -2),
+        ((345, 199, -274), 199),  # odd prime
+        ((251, 347, -199), -199),  # negative odd prime
+        ((367, 195, -283), 195),  # 3*5*13
+        ((353, 194, -283), 194),  # 2*97
+        ((215, 209, -194), -194),  # -2*97
+        ((113, 73, -42), -42),  # -2*3*7
+        ((1531, 3449, -1439), -1439),  # perfbench sweep form
+        ((3187, 1878, -2137), 1878),  # 2*3*313
+        ((4217, 2701, -2438), -2438),  # -2*23*53
+    ],
+)
+def test_holzer_search_matches_full_box_scan(coeffs, solved):
+    assert normalize_form(TernaryForm(*coeffs))[0] == coeffs
+    assert numtheory._obstruction(*coeffs) is None
+    assert min(coeffs, key=abs) == solved
+    assert numtheory._holzer_search(*coeffs) == _holzer_full_box(*coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=300),
+    st.integers(min_value=1, max_value=300),
+    st.integers(min_value=-300, max_value=-1),
+    st.permutations(range(3)),
+)
+def test_holzer_search_matches_full_box_scan_on_random_forms(a, b, c, order):
+    reduced, _ = normalize_form(TernaryForm(a, b, c))
+    coeffs = tuple(reduced[i] for i in order)
+    assume(numtheory._obstruction(*coeffs) is None)
+    assert numtheory._holzer_search(*coeffs) == _holzer_full_box(*coeffs)
 
 
 def test_legendre_solution_normalizes_once(monkeypatch):
