@@ -199,9 +199,10 @@ def _holzer_search(a: int, b: int, c: int) -> tuple[int, int, int] | None:
     Searches a box known to hold a solution: Holzer's theorem puts a zero of
     every solvable normalized form inside these bounds, so callers decide
     solvability first and None means a broken search, not an unsolvable form.
-    The smallest coefficient cs is solved for.  The coefficients being square-free
-    and pairwise coprime, cs divides ca*u^2 + cb*w^2 exactly when w = R*u mod |cs|
-    for a square root R of -ca/cb, so only those classes of w are scanned.
+    The coefficient cs of least |cs| is solved for.  The coefficients being
+    square-free and pairwise coprime, cs divides ca*u^2 + cb*w^2 exactly when
+    w = R*u mod |cs| for a square root R of -ca/cb, so only those classes of w
+    are scanned.
     """
     coeffs = (a, b, c)
     bounds = (
@@ -228,8 +229,9 @@ def _holzer_search(a: int, b: int, c: int) -> tuple[int, int, int] | None:
                     hit, top = (w, s), w - 1
                     break
         if hit is not None:
+            w, s = hit
             out = [0, 0, 0]
-            out[scan[0]], (out[scan[1]], out[solve_idx]) = u, hit
+            out[scan[0]], out[scan[1]], out[solve_idx] = u, w, s
             return (out[0], out[1], out[2])
     return None
 
