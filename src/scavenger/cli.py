@@ -226,8 +226,7 @@ def _cmd_hunt_grotzsch_subgraph(args) -> int:
 
 def _cmd_find_cycle(args) -> int:
     t = _int_t(parse_rational(args.t), "find-cycle")
-    denominators = {int(d) for d in args.denominators.split(",")}
-    pool = gen_vectors(t, denominators, args.height)
+    pool = gen_vectors(t, args.denominators, args.height)
     cycle = find_5cycle(t, pool)
     if cycle is None:
         sys.stdout.write("no 5-cycle found within bounds\n")
@@ -311,6 +310,11 @@ def _positive(text: str) -> int:
     return value
 
 
+def _positive_list(text: str) -> list[int]:
+    """argparse type of a denominator set: comma-separated positive integers."""
+    return [_positive(part) for part in text.split(",")]
+
+
 def _positive_rational(text: str) -> Fraction:
     """argparse type of a forced squared distance: a rational greater than 0."""
     value = parse_rational(text)
@@ -364,7 +368,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("find-cycle", help="find a 5-cycle at a given squared distance")
     p.add_argument("t")
     p.add_argument("--height", type=_positive, default=60)
-    p.add_argument("--denominators", default="1,3")
+    p.add_argument("--denominators", type=_positive_list, default="1,3")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_find_cycle)
 

@@ -112,32 +112,37 @@ def is_5cycle(points: list[QPoint3], t: Rational) -> bool:
     )
 
 
+def _canon(w: tuple[int, int, int]) -> tuple[int, int, int]:
+    """w's orbit representative under signed coordinate permutation."""
+    return tuple(sorted((abs(w[0]), abs(w[1]), abs(w[2])), reverse=True))
+
+
 def find_5cycle(t: int, pool: VectorPool) -> list[QPoint3] | None:
     """Five pool vectors summing to zero, realized as a closed walk from the
     origin; meet-in-the-middle over the pool's integer triples.
 
-    The sums of all pairs of distinct pool vectors form a set; each
+    The pool must be closed under signed coordinate permutation (checked on
+    three generators), so the first step w1 ranges only over canonical
+    vectors, and the sums of two distinct pool vectors are closed too: a probe
+    is one exactly when its canonical form is that of some c + w, c canonical
+    and w ≠ c, a table of |canonical|·n sums in place of n²/2.  Each
     (w1,w2,w3) triple sum probes it for its negation, and a hit is read back
     as the pairs (i, j), i < j, with w_j = probe − w_i, in ascending i, each
-    tried as (i, j) and (j, i).  The first step w1 ranges only over
-    descending-sorted nonnegative triples: the pool is closed under signed
-    coordinate permutation, so any solution maps to one with canonical w1.
+    tried as (i, j) and (j, i).
     """
     if pool.t != t:
         raise ValueError(f"pool was built for t={pool.t}, not {t}")
     scale, ints = pool.scale, pool.vectors
     n = len(ints)
-    pair_sums = {
-        (wi[0] + wj[0], wi[1] + wj[1], wi[2] + wj[2])
-        for i, wi in enumerate(ints)
-        for wj in ints[i + 1 :]
-    }
-
-    canonical = sorted(
-        {tuple(sorted((abs(w[0]), abs(w[1]), abs(w[2])), reverse=True)) for w in ints}
-    )
     index_of = {w: i for i, w in enumerate(ints)}
+    for x, y, z in ints:
+        if (-x, y, z) not in index_of or (y, x, z) not in index_of or (y, z, x) not in index_of:
+            raise ValueError(f"pool for t={t} is not closed under signed permutation")
     neg = {i: index_of[(-w[0], -w[1], -w[2])] for i, w in enumerate(ints)}
+    canonical = sorted({_canon(w) for w in ints})
+    pair_sums = {
+        _canon((c[0] + w[0], c[1] + w[1], c[2] + w[2])) for c in canonical for w in ints if w != c
+    }
 
     def realize(steps: tuple[int, ...]) -> list[QPoint3] | None:
         walk = [point(0, 0, 0)]
@@ -165,7 +170,7 @@ def find_5cycle(t: int, pool: VectorPool) -> list[QPoint3] | None:
                     continue
                 w3 = ints[i3]
                 probe = (-s12[0] - w3[0], -s12[1] - w3[1], -s12[2] - w3[2])
-                if probe not in pair_sums:
+                if _canon(probe) not in pair_sums:
                     continue
                 for i, w in enumerate(ints):
                     j = index_of.get((probe[0] - w[0], probe[1] - w[1], probe[2] - w[2]))

@@ -132,6 +132,8 @@ def exit_code(argv) -> int:
         (["hunt-greedy", "t22_seed"], "--box", "0"),
         (["hunt-greedy", "t22_seed"], "--box", "ten"),
         (["find-cycle", "22"], "--height", "0"),
+        (["find-cycle", "22"], "--denominators", "x"),
+        (["find-cycle", "22"], "--denominators", "1,,3"),
         (["find-symmetric-cycle", "30"], "--d-bound", "0"),
         (["find-symmetric-cycle", "30"], "--d", "0"),
         (["find-symmetric-cycle", "30"], "--d", "-3"),
@@ -492,6 +494,29 @@ def test_find_cycle_exhausted(capsys):
     code, out, _ = run(capsys, "find-cycle", "22", "--height", "8")
     assert code == 1
     assert "no 5-cycle" in out
+
+
+@pytest.mark.parametrize("value", ["x", "1,,3", "0", "-1", ""])
+def test_find_cycle_bad_denominators_are_refused_by_the_parser(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.dispatch(["find-cycle", "22", "--denominators", value])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 64
+    assert out == ""
+    assert err.splitlines()[-1].startswith("error: argument --denominators: must be a positive")
+
+
+def test_find_cycle_exhausted_over_denominator_3(capsys):
+    # 96 vectors, all over 3, and no five of them close a cycle
+    code, out, _ = run(capsys, "find-cycle", "58", "--denominators", "3")
+    assert code == 1
+    assert out == "no 5-cycle found within bounds\n"
+
+
+def test_find_cycle_with_no_admissible_denominator_is_an_empty_pool(capsys):
+    # t ≡ 2 (mod 4) admits no even denominator
+    code, out, err = run(capsys, "find-cycle", "22", "--denominators", "2")
+    assert (code, out, err) == (1, "no 5-cycle found within bounds\n", "")
 
 
 def test_find_symmetric_cycle(capsys):

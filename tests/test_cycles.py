@@ -176,6 +176,75 @@ def test_find_5cycle_exhausted_pool():
     assert find_5cycle(22, pool) is None
 
 
+def test_find_5cycle_exhausted_nonempty_pool():
+    pool = gen_vectors(58, {3}, 60)
+    assert len(pool.vectors) == 96
+    assert find_5cycle(58, pool) is None
+
+
+def test_find_5cycle_rejects_a_pool_not_closed_under_signed_permutation():
+    pool = VectorPool(22, frozenset({1, 3}), 60, 3, ((9, 9, 6),))
+    with pytest.raises(ValueError, match="t=22"):
+        find_5cycle(22, pool)
+
+
+def _find_5cycle_full_table(t, pool):
+    """The search as it was with the table of all n(n-1)/2 pair sums: the
+    oracle for the table kept up to signed permutation."""
+    scale, ints = pool.scale, pool.vectors
+    n = len(ints)
+    pair_sums = {
+        (wi[0] + wj[0], wi[1] + wj[1], wi[2] + wj[2])
+        for i, wi in enumerate(ints)
+        for wj in ints[i + 1 :]
+    }
+    canonical = sorted({tuple(sorted(map(abs, w), reverse=True)) for w in ints})
+    index_of = {w: i for i, w in enumerate(ints)}
+    neg = {i: index_of[(-w[0], -w[1], -w[2])] for i, w in enumerate(ints)}
+
+    def realize(steps):
+        walk = [point(0, 0, 0)]
+        for s in steps[:-1]:
+            prev = walk[-1]
+            walk.append(point(*(c + Fraction(x, scale) for c, x in zip(prev.coords(), ints[s]))))
+        return walk if is_5cycle(walk, t) else None
+
+    for w1 in canonical:
+        i1 = index_of[w1]
+        for i2 in range(n):
+            if i2 == neg[i1]:
+                continue
+            s12 = tuple(a + b for a, b in zip(w1, ints[i2]))
+            for i3 in range(n):
+                if i3 == neg[i2]:
+                    continue
+                probe = tuple(-a - b for a, b in zip(s12, ints[i3]))
+                if probe not in pair_sums:
+                    continue
+                for i, w in enumerate(ints):
+                    j = index_of.get(tuple(a - b for a, b in zip(probe, w)))
+                    if j is None or j <= i:
+                        continue
+                    for i4, i5 in ((i, j), (j, i)):
+                        if i4 == neg[i3] or i5 == neg[i1]:
+                            continue
+                        walk = realize((i1, i2, i3, i4, i5))
+                        if walk is not None:
+                            return walk
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([t for t in range(1, 200) if in_T(t)]),
+    st.sampled_from([{1}, {3}, {1, 3}, {1, 5}, {1, 3, 9}]),
+    st.integers(4, 25),
+)
+def test_find_5cycle_matches_the_full_pair_sum_table(t, denominators, height):
+    pool = gen_vectors(t, denominators, height)
+    assert find_5cycle(t, pool) == _find_5cycle_full_table(t, pool)
+
+
 def test_find_5cycle_pool_mismatch():
     pool = gen_vectors(22, {1}, 60)
     with pytest.raises(ValueError):
