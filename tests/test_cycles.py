@@ -189,8 +189,8 @@ def test_find_5cycle_rejects_a_pool_not_closed_under_signed_permutation():
 
 
 def _find_5cycle_full_table(t, pool):
-    """The search as it was with the table of all n(n-1)/2 pair sums: the
-    oracle for the table kept up to signed permutation."""
+    """The same search over the table of all n(n-1)/2 pair sums: the oracle
+    for the table kept up to signed permutation."""
     scale, ints = pool.scale, pool.vectors
     n = len(ints)
     pair_sums = {
