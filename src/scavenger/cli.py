@@ -289,10 +289,7 @@ def _cmd_param_circle(args) -> int:
     except UnsolvableFormError as exc:
         sys.stdout.write(f"no rational points: {exc}\n")
         return EXIT_FAIL
-    if args.params:
-        values = [parse_rational(s) for s in args.params]
-    else:
-        values = list(farey_parameters(args.height))[: args.count]
+    values = args.params or list(farey_parameters(args.height))[: args.count]
     for s in values:
         p = chart.point_at(s)
         sys.stdout.write(f"s={format_rational(s)} {format_point(p)}\n")
@@ -302,9 +299,17 @@ def _cmd_param_circle(args) -> int:
 # --- dispatch ---------------------------------------------------------------------
 
 
+def _integer(text: str) -> int:
+    """argparse type of a form coefficient: ASCII digits after an optional minus."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdecimal()):
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
+    return int(text)
+
+
 def _positive(text: str) -> int:
-    """argparse type of the counts and bounds: an integer of at least 1."""
-    value = int(text) if text.strip().isdecimal() else 0
+    """argparse type of the counts and bounds: ASCII digits, at least 1."""
+    value = int(text) if text.isascii() and text.strip().isdecimal() else 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return value
@@ -345,7 +350,7 @@ def _build_parser() -> _Parser:
     p.add_argument("seed", help="vertex file with the seed 5-cycle")
     p.add_argument("--box", type=parse_rational, default="10", help="box half-width (default %(default)s)")
     p.add_argument("--cap", type=_positive, default=1000)
-    p.add_argument("--denominator", type=int, default=3)
+    p.add_argument("--denominator", type=_positive, default=3)
     p.add_argument("--out", help="write the certificate here")
     p.set_defaults(func=_cmd_hunt_greedy)
 
@@ -385,14 +390,14 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_scan_d)
 
     p = sub.add_parser("solve-legendre", help="solve a x^2 + b y^2 + c z^2 = 0")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("c", type=int)
+    p.add_argument("a", type=_integer)
+    p.add_argument("b", type=_integer)
+    p.add_argument("c", type=_integer)
     p.set_defaults(func=_cmd_solve_legendre)
 
     p = sub.add_parser("param-circle", help="exact rational points on an equidistant circle")
     p.add_argument("foci", help="vertex file with the two foci; header t is the focal squared distance")
-    p.add_argument("--params", nargs="*", default=None, help="explicit parameter values")
+    p.add_argument("--params", nargs="+", type=parse_rational, help="explicit parameter values")
     p.add_argument("--count", type=_positive, default=10, help="number of default parameters")
     p.add_argument("--height", type=_positive, default=12)
     p.set_defaults(func=_cmd_param_circle)

@@ -1,9 +1,10 @@
 """Diophantine decision procedures and constructive same-color chain certificates.
 
-Covers: membership in the open-case distance set T, quadratic residues,
-Legendre's solvability criterion for ternary forms (with a Holzer-bounded
-constructive search), sums of three squares, the additive-closure criteria
-for step sets, and embeddability tests for isosceles triangles in Q^3.
+Covers: membership in the open-case distance set T, square roots modulo
+square-free moduli, Legendre's solvability criterion for ternary forms (with
+a Holzer-bounded constructive search), sums of three squares, the
+additive-closure criteria for step sets, and embeddability tests for
+isosceles triangles in Q^3.
 """
 
 from __future__ import annotations
@@ -38,34 +39,11 @@ def in_T(t: int) -> bool:
 # --- quadratic residues ------------------------------------------------------
 
 
-def _qr_prime_power(a: int, p: int, e: int) -> bool:
-    mod = p**e
-    a %= mod
-    if a == 0:
-        return True
-    v = 0
-    while a % p == 0:
-        a //= p
-        v += 1
-    if v % 2 == 1:
-        return False
-    k = e - v
-    if p == 2:
-        if k == 1:
-            return True
-        if k == 2:
-            return a % 4 == 1
-        return a % 8 == 1
-    return pow(a, (p - 1) // 2, p) == 1
-
-
-def is_quadratic_residue(a: int, m: int) -> bool:
-    """Whether x^2 = a (mod m) has a solution."""
-    if m < 1:
-        raise ValueError(f"modulus must be positive, got {m}")
-    if m == 1:
-        return True
-    return all(_qr_prime_power(a, p, e) for p, e in factorize(m).items())
+def _is_square_mod(k: int, primes: Sequence[int]) -> bool:
+    """Whether k is a square modulo the square-free product of `primes`, for
+    k a unit modulo each of them: Euler's criterion at each odd prime (every
+    unit is a square mod 2)."""
+    return all(pow(k, (p - 1) // 2, p) == 1 for p in primes if p > 2)
 
 
 def _sqrt_mod_prime(a: int, p: int) -> int:
@@ -88,10 +66,11 @@ def _sqrt_mod_prime(a: int, p: int) -> int:
 def _sqrt_mod(k: int, m: int) -> list[int]:
     """Sorted r in [0, m) with r^2 = k (mod m), for square-free m >= 1 and k a
     unit mod m: the roots modulo each prime of m, combined by CRT."""
+    primes = tuple(factorize(m))
+    if not _is_square_mod(k, primes):
+        return []
     roots, mod = [0], 1
-    for p in factorize(m):
-        if p > 2 and pow(k, (p - 1) // 2, p) != 1:
-            return []
+    for p in primes:
         r = _sqrt_mod_prime(k % p, p) if p > 2 else 1
         inv = pow(mod, -1, p)
         roots = [x + mod * ((y - x) * inv % p) for x in roots for y in {r, p - r}]
@@ -121,62 +100,56 @@ class TernaryForm:
         return (self.a, self.b, self.c)
 
 
-def _square_part(n: int) -> int:
-    """Largest k with k^2 dividing |n|."""
-    n = abs(n)
-    k = 1
-    for p, e in factorize(n).items():
-        k *= p ** (e // 2)
-    return k
-
-
-def normalize_form(form: TernaryForm) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+def normalize_form(
+    form: TernaryForm,
+) -> tuple[tuple[int, int, int], tuple[int, int, int], tuple[tuple[int, ...], ...]]:
     """Reduce to an equivalent form with square-free, pairwise-coprime
-    coefficients.  Returns the reduced coefficients and one multiplier per
-    coordinate: a zero (x, y, z) of the reduced form gives the zero
-    (mx*x, my*y, mz*z) of the original.
+    coefficients, factorizing each coefficient once.  Returns the reduced
+    coefficients, one multiplier per coordinate (a zero (x, y, z) of the
+    reduced form gives the zero (mx*x, my*y, mz*z) of the original) and the
+    sorted primes of each reduced coefficient.
 
-    Dividing out a common factor changes no zero; stripping k^2 from
-    coefficient i multiplies the other two coordinates by k; moving the gcd g
-    of coefficients i, j onto coefficient k multiplies coordinate k by g.
-    Each step only multiplies, so the multipliers are their products.  Squares
-    are stripped once: no prime divides all three coefficients, and neither
-    step makes one do so, so g is coprime to coefficient k and no square returns.
+    Dividing out the gcd g changes no zero.  With S_i the primes of odd
+    exponent in |c_i|/g and r_i its square root, stripping r_i^2 from
+    coefficient i multiplies the other two coordinates by r_i.  No prime then
+    divides all three coefficients, so each prime of S_i & S_j moves onto the
+    third coefficient k exactly once, in any order of moves, multiplying
+    coordinate k by it: k becomes sign(c_k) * prod((S_k - S_i - S_j) | (S_i & S_j))
+    and its multiplier is r_i * r_j * prod(S_i & S_j).
     """
-    g = math.gcd(*form.coeffs())
-    coeffs = [x // g for x in form.coeffs()]
-    mult = [1, 1, 1]
-    for i in range(3):
-        k = _square_part(coeffs[i])
-        coeffs[i] //= k * k
-        mult = [m if j == i else m * k for j, m in enumerate(mult)]
-    while True:
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            g = math.gcd(coeffs[i], coeffs[j])
-            if g > 1:
-                k = 3 - i - j
-                coeffs[i] //= g
-                coeffs[j] //= g
-                coeffs[k] *= g
-                mult[k] *= g
-                break
-        else:
-            return (coeffs[0], coeffs[1], coeffs[2]), (mult[0], mult[1], mult[2])
+    cs = form.coeffs()
+    g = math.gcd(*cs)
+    odd, roots = [], []
+    for c in cs:
+        s, r = set(), 1
+        for p, e in factorize(abs(c) // g).items():
+            if e % 2:
+                s.add(p)
+            r *= p ** (e // 2)
+        odd.append(s)
+        roots.append(r)
+    coeffs, mult, primes = [], [], []
+    for k, (i, j) in enumerate(((1, 2), (0, 2), (0, 1))):
+        shared = odd[i] & odd[j]
+        ps = tuple(sorted((odd[k] - odd[i] - odd[j]) | shared))
+        coeffs.append(math.prod(ps) if cs[k] > 0 else -math.prod(ps))
+        mult.append(roots[i] * roots[j] * math.prod(shared))
+        primes.append(ps)
+    return (coeffs[0], coeffs[1], coeffs[2]), (mult[0], mult[1], mult[2]), tuple(primes)
 
 
-def _obstruction(a: int, b: int, c: int) -> str | None:
-    """Legendre's decision on a normalized form: why it has no nontrivial
-    zero (it is definite, or the first of the three residue conditions that
-    fails), or None when it has one."""
+def _obstruction(coeffs: tuple[int, int, int], primes: Sequence[Sequence[int]]) -> str | None:
+    """Legendre's decision on a normalized form with the primes of each
+    coefficient: why it has no nontrivial zero (it is definite, or the first
+    of the three residue conditions that fails), or None when it has one.
+    The coefficients are pairwise coprime, so each value is a unit modulo
+    the square-free coefficient it is tested against."""
+    a, b, c = coeffs
     if (a > 0) == (b > 0) == (c > 0):
         return "definite form, only the trivial zero"
-    for name, value, modulus in (
-        ("-ab", -a * b, abs(c)),
-        ("-ac", -a * c, abs(b)),
-        ("-bc", -b * c, abs(a)),
-    ):
-        if not is_quadratic_residue(value, modulus):
-            return f"{name} = {value} not a QR of {modulus}"
+    for name, value, k in (("-ab", -a * b, 2), ("-ac", -a * c, 1), ("-bc", -b * c, 0)):
+        if not _is_square_mod(value, primes[k]):
+            return f"{name} = {value} not a QR of {abs(coeffs[k])}"
     return None
 
 
@@ -184,7 +157,8 @@ def legendre_obstruction(form: TernaryForm) -> str | None:
     """Why a*x^2+b*y^2+c*z^2 = 0 has no nontrivial integer solution — the
     normalized form is definite, or the first of Legendre's three residue
     conditions that fails — or None when it has one (exact decision)."""
-    return _obstruction(*normalize_form(form)[0])
+    coeffs, _, primes = normalize_form(form)
+    return _obstruction(coeffs, primes)
 
 
 def legendre_solvable(form: TernaryForm) -> bool:
@@ -241,13 +215,13 @@ def legendre_solution(form: TernaryForm) -> tuple[int, int, int]:
     and decided once, raising UnsolvableFormError with the failing condition,
     and only a solvable form is searched within the Holzer bounds; the zero
     found is scaled back by the normalization's multipliers."""
-    (a, b, c), (mx, my, mz) = normalize_form(form)
-    reason = _obstruction(a, b, c)
+    coeffs, (mx, my, mz), primes = normalize_form(form)
+    reason = _obstruction(coeffs, primes)
     if reason is not None:
         raise UnsolvableFormError(reason)
-    sol = _holzer_search(a, b, c)
+    sol = _holzer_search(*coeffs)
     if sol is None:
-        raise AssertionError(f"no zero of the solvable form {(a, b, c)} within the Holzer bounds")
+        raise AssertionError(f"no zero of the solvable form {coeffs} within the Holzer bounds")
     x, y, z = sol[0] * mx, sol[1] * my, sol[2] * mz
     g = math.gcd(x, y, z)
     x, y, z = x // g, y // g, z // g

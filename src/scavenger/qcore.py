@@ -16,11 +16,11 @@ from functools import lru_cache
 
 Rational = Fraction
 
-_RATIONAL_RE = re.compile(r"^-?\d+(?:/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"^-?\d+(?:/[1-9]\d*)?$", re.ASCII)
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse `a` or `a/b` with optional leading minus; reject anything else."""
+    """Parse ASCII `a` or `a/b` with optional leading minus; reject anything else."""
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise ValueError(f"not a rational literal: {text!r}")

@@ -142,6 +142,17 @@ def exit_code(argv) -> int:
         (["param-circle", "foci"], "--count", "-1"),
         (["param-circle", "foci"], "--count", "0"),
         (["param-circle", "foci"], "--height", "0"),
+        (["param-circle", "foci"], "--params", "x"),
+        # numerals that are not plain ASCII integers or rationals
+        (["scan-d", "\u0663\u0660"], "--bound", "100"),
+        (["find-cycle", "22"], "--height", "\u0666\u0660"),
+        (["hunt-greedy", "t22_seed"], "--denominator", "\u0663"),
+        (["hunt-greedy", "t22_seed"], "--denominator", "+3"),
+        (["hunt-greedy", "t22_seed"], "--denominator", "0"),
+        (["solve-legendre", "1_0"], "1", "-1"),
+        (["solve-legendre", "+1"], "1", "-1"),
+        (["solve-legendre", "\u0663"], "1", "-1"),
+        (["solve-legendre", "1"], "1", "-1/1"),
     ],
     ids=lambda x: x[0] if isinstance(x, list) else x,
 )
@@ -325,6 +336,15 @@ def test_verify_rejects_loose_certificate_t(capsys, tmp_path, raw):
     assert code == 64
     assert out == ""
     assert "line 2: t must be an integer" in err
+
+
+def test_verify_refuses_a_coordinate_in_non_ascii_digits(capsys, tmp_path):
+    f = tmp_path / "arabic.txt"
+    f.write_text("t=22\n0 0 0\n\u0663 0 0\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify", str(f))
+    assert code == 64
+    assert out == ""
+    assert "line 3, column 1" in err
 
 
 def test_verify_accepts_certificate_t_with_unit_denominator(capsys, tmp_path):
@@ -569,6 +589,21 @@ def test_param_circle_explicit_params(capsys, foci_file):
     code, out, _ = run(capsys, "param-circle", str(foci_file), "--params", "23/11")
     assert code == 0
     assert out == "s=23/11 -8/21 52/21 40/21\n"
+
+
+@pytest.mark.parametrize("params", [["x"], ["1", "x"], []])
+def test_param_circle_params_are_refused_before_the_circle_is_solved(
+    capsys, monkeypatch, foci_file, params
+):
+    def unreachable(circle):
+        raise AssertionError("the circle was solved")
+
+    monkeypatch.setattr(cli, "rational_point_on_circle", unreachable)
+    code = exit_code(["param-circle", str(foci_file), "--params", *params])
+    out, err = capsys.readouterr()
+    assert code == 64
+    assert out == ""
+    assert "--params" in err
 
 
 def test_param_circle_without_rational_points_names_the_condition(tmp_path):

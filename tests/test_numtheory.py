@@ -25,7 +25,6 @@ from scavenger.numtheory import (
     construct_chain,
     eq_pair_feasible,
     in_T,
-    is_quadratic_residue,
     isosceles_embeddable,
     legendre_obstruction,
     legendre_solution,
@@ -77,15 +76,16 @@ def qr_brute(a: int, m: int) -> bool:
     return any((x * x - a) % m == 0 for x in range(m))
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(min_value=-50, max_value=100), st.integers(min_value=1, max_value=80))
-def test_quadratic_residue_matches_exhaustive_squaring(a, m):
-    assert is_quadratic_residue(a, m) == qr_brute(a, m)
-
-
-def test_quadratic_residue_rejects_bad_modulus():
-    with pytest.raises(ValueError):
-        is_quadratic_residue(3, 0)
+def test_is_square_mod_matches_exhaustive_squaring():
+    """Euler's criterion on the primes of m against squaring, for each
+    square-free m <= 300 and each unit k in [-m, m)."""
+    for m in range(1, 301):
+        primes = factorize(m)
+        if any(e > 1 for e in primes.values()):
+            continue
+        for k in range(-m, m):
+            if math.gcd(k, m) == 1:
+                assert numtheory._is_square_mod(k, primes) == qr_brute(k, m), (k, m)
 
 
 def test_sqrt_mod_matches_exhaustive_squaring():
@@ -166,9 +166,9 @@ def test_three_rational_squares_obstruction():
 
 
 def test_normalize_form_strips_squares_and_shares():
-    reduced, _ = normalize_form(TernaryForm(9, -25, 4))
+    reduced = normalize_form(TernaryForm(9, -25, 4))[0]
     assert reduced == (1, -1, 1)
-    reduced, _ = normalize_form(TernaryForm(2, -4, 6))
+    reduced = normalize_form(TernaryForm(2, -4, 6))[0]
     a, b, c = reduced
     assert math.gcd(a, b) == math.gcd(a, c) == math.gcd(b, c) == 1
 
@@ -180,11 +180,17 @@ def test_normalize_form_strips_squares_and_shares():
     st.integers(min_value=-40, max_value=40).filter(lambda x: x != 0),
 )
 def test_normalize_form_output_is_reduced(a, b, c):
-    (x, y, z), _ = normalize_form(TernaryForm(a, b, c))
+    (x, y, z), _, primes = normalize_form(TernaryForm(a, b, c))
     for v in (x, y, z):
         assert v != 0
         assert all(e == 1 for e in factorize(abs(v)).values())
     assert math.gcd(x, y) == math.gcd(x, z) == math.gcd(y, z) == 1
+    assert primes == tuple(tuple(factorize(abs(v))) for v in (x, y, z))
+
+
+def _square_part(n: int) -> int:
+    """Largest k with k^2 dividing |n|."""
+    return math.prod(p ** (e // 2) for p, e in factorize(abs(n)).items())
 
 
 def _normalize_form_refactoring_each_pass(form):
@@ -195,7 +201,7 @@ def _normalize_form_refactoring_each_pass(form):
     mult = [1, 1, 1]
     while True:
         for i in range(3):
-            k = numtheory._square_part(coeffs[i])
+            k = _square_part(coeffs[i])
             if k > 1:
                 coeffs[i] //= k * k
                 mult = [m if j == i else m * k for j, m in enumerate(mult)]
@@ -224,7 +230,7 @@ _SMOOTH = st.builds(
 @given(_SMOOTH, _SMOOTH, _SMOOTH)
 def test_normalize_form_matches_refactoring_oracle(a, b, c):
     form = TernaryForm(a, b, c)
-    assert normalize_form(form) == _normalize_form_refactoring_each_pass(form)
+    assert normalize_form(form)[:2] == _normalize_form_refactoring_each_pass(form)
 
 
 def brute_nontrivial_zero(form: TernaryForm, bound: int) -> tuple[int, int, int] | None:
@@ -349,8 +355,9 @@ def _holzer_full_box(a, b, c):
     ],
 )
 def test_holzer_search_matches_full_box_scan(coeffs, solved):
-    assert normalize_form(TernaryForm(*coeffs))[0] == coeffs
-    assert numtheory._obstruction(*coeffs) is None
+    reduced, _, primes = normalize_form(TernaryForm(*coeffs))
+    assert reduced == coeffs
+    assert numtheory._obstruction(coeffs, primes) is None
     assert min(coeffs, key=abs) == solved
     assert numtheory._holzer_search(*coeffs) == _holzer_full_box(*coeffs)
 
@@ -363,9 +370,9 @@ def test_holzer_search_matches_full_box_scan(coeffs, solved):
     st.permutations(range(3)),
 )
 def test_holzer_search_matches_full_box_scan_on_random_forms(a, b, c, order):
-    reduced, _ = normalize_form(TernaryForm(a, b, c))
+    reduced, _, primes = normalize_form(TernaryForm(a, b, c))
     coeffs = tuple(reduced[i] for i in order)
-    assume(numtheory._obstruction(*coeffs) is None)
+    assume(numtheory._obstruction(coeffs, tuple(primes[i] for i in order)) is None)
     assert numtheory._holzer_search(*coeffs) == _holzer_full_box(*coeffs)
 
 
@@ -381,6 +388,19 @@ def test_legendre_solution_normalizes_once(monkeypatch):
     with pytest.raises(UnsolvableFormError):
         legendre_solution(TernaryForm(4, 9, -12))
     assert seen == [TernaryForm(128, 30, -80), TernaryForm(4, 9, -12)]
+
+
+def test_legendre_obstruction_factorizes_each_coefficient_once(monkeypatch):
+    seen = []
+
+    def counted(n):
+        seen.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(numtheory, "factorize", counted)
+    # the gcd 2 comes out, 64 is a square and 15, -40 share the prime 5
+    assert legendre_obstruction(TernaryForm(128, 30, -80)) is None
+    assert seen == [64, 15, 40]
 
 
 @settings(max_examples=120, deadline=None)
