@@ -66,7 +66,7 @@ def _sqrt_mod_prime(a: int, p: int) -> int:
 def _sqrt_mod(k: int, m: int) -> list[int]:
     """Sorted r in [0, m) with r^2 = k (mod m), for square-free m >= 1 and k a
     unit mod m: the roots modulo each prime of m, combined by CRT."""
-    primes = tuple(factorize(m))
+    primes = factorize(m)
     if not _is_square_mod(k, primes):
         return []
     roots, mod = [0], 1
