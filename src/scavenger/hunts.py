@@ -567,10 +567,9 @@ def parse_certificate(text: str) -> Certificate:
             parts = ln.split()
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: expected two indices, got {ln!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ValueError(f"line {lineno}: bad edge {ln!r}") from None
+            if not all(x.isascii() and x.removeprefix("-").isdecimal() for x in parts):
+                raise ValueError(f"line {lineno}: bad edge {ln!r}")
+            u, v = int(parts[0]), int(parts[1])
             edges.append((lineno, min(u, v), max(u, v)))
         elif section == "[data]":
             if "=" not in ln:

@@ -345,6 +345,16 @@ def test_verify_refuses_a_coordinate_in_non_ascii_digits(capsys, tmp_path):
     assert "line 3, column 1" in err
 
 
+@pytest.mark.parametrize("raw", ["\u0661", "+1", "0_1"])
+def test_verify_refuses_an_edge_index_that_is_not_ascii_digits(capsys, tmp_path, raw):
+    f = tmp_path / "edge.cert"
+    f.write_text(f"certificate direct-chromatic t=22\n[vertices]\n0 0 0\n3 3 2\n[edges]\n0 {raw}\n")
+    code, out, err = run(capsys, "verify", str(f))
+    assert code == 64
+    assert out == ""
+    assert "line 6: bad edge" in err
+
+
 def test_verify_accepts_certificate_t_with_unit_denominator(capsys, tmp_path):
     f = tmp_path / "unit.cert"
     f.write_text("certificate direct-chromatic t=22/1\n[vertices]\n0 0 0\n")
