@@ -160,7 +160,7 @@ def main() -> None:
     )
     write_certificate(device, DATA / "t30_device.cert")
 
-    # re-check every corpus verdict, the vertex files too, against the one table
+    # re-check every verdict, the vertex files too, against verify_corpus.EXPECTED
     if verify_corpus.main():
         raise SystemExit(1)
 
