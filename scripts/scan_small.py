@@ -1,6 +1,8 @@
 """Sweep the admissible distances t < LIMIT and report the minimal feasible d.
 
-For each t the scan is re-certified through eq_pair_feasible before printing.
+For each t both triangles of the pair are built with exact rational vertices
+and their squared side lengths checked before printing, so the scan is
+re-certified by construction, not by its own decision.
 Usage: python scripts/scan_small.py [LIMIT]   (default 200)
 """
 
@@ -10,7 +12,9 @@ import sys
 from fractions import Fraction
 
 from scavenger.cycles import scan_d
-from scavenger.numtheory import eq_pair_feasible, in_T
+from scavenger.geom import embed_isosceles
+from scavenger.numtheory import in_T
+from scavenger.qcore import dist_sq
 
 
 def main() -> int:
@@ -22,7 +26,11 @@ def main() -> int:
         if d is None:
             print(f"t={t}: no feasible d below {4 * t - 1}")
             return 1
-        assert eq_pair_feasible(t, d)
+        for base, legs in ((Fraction(t), Fraction(d)), (Fraction(d), Fraction(t))):
+            b1, b2, apex = embed_isosceles(base, legs)
+            if (dist_sq(b1, b2), dist_sq(b1, apex), dist_sq(b2, apex)) != (base, legs, legs):
+                print(f"t={t}: triangle ({base}, {legs}, {legs}) does not embed")
+                return 1
         note = "" if Fraction(d).denominator == 1 else "  (non-integer)"
         print(f"t={t}: d={d}{note}")
     return 0

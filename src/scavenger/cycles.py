@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import permutations, product
 from math import gcd, isqrt, lcm
 
@@ -23,7 +22,7 @@ from .geom import (
     rational_point_on_circle,
     reflect_point,
 )
-from .numtheory import eq_pair_feasible, in_T
+from .numtheory import eq_pair_feasible, eq_pair_test, in_T
 from .qcore import QPoint3, Rational, _frac, dist_sq, midpoint, point
 
 
@@ -236,17 +235,14 @@ D_DENOMINATOR_BOUND = 12  # largest denominator of a candidate d
 
 
 def _d_candidates(t: int, d_bound: int):
-    """Candidate values of d in scan order: the integers 1..d_bound, then for
-    each denominator q = 2..D_DENOMINATOR_BOUND the reduced p/q with
-    t/4 < p/q < 4t and p/q <= d_bound, by ascending numerator."""
-    for d in range(1, d_bound + 1):
-        yield Fraction(d)
-    for q in range(2, D_DENOMINATOR_BOUND + 1):
-        lo = t * q // 4 + 1
-        hi = min(d_bound * q, 4 * t * q - 1)
-        for p in range(lo, hi + 1):
+    """Candidate values of d in scan order, as reduced pairs (p, q): for each
+    denominator q = 1..D_DENOMINATOR_BOUND the p with t/4 < p/q < 4t and
+    p/q <= d_bound, by ascending numerator.  No d outside t/4 < d < 4t embeds
+    both triangles: each needs a positive apex height."""
+    for q in range(1, D_DENOMINATOR_BOUND + 1):
+        for p in range(t * q // 4 + 1, min(d_bound * q, 4 * t * q - 1) + 1):
             if gcd(p, q) == 1:
-                yield Fraction(p, q)
+                yield p, q
 
 
 def find_symmetric_5cycle(
@@ -307,13 +303,14 @@ def parallel_first(candidates, predicate):
 
 
 def scan_d(t: int, d_bound: int) -> Rational | None:
-    """Smallest integer d ≤ d_bound with eq_pair_feasible(t, d); when no
-    integer qualifies, the first feasible rational by ascending denominator
-    (then ascending numerator), or None."""
+    """The first d = p/q in `_d_candidates` order with eq_pair_feasible(t, d):
+    the smallest feasible integer d ≤ d_bound when there is one, else the
+    first feasible rational by ascending denominator (then ascending
+    numerator), or None.  Each pair is decided by one `eq_pair_test(t)`."""
     t = int(t)
     if not in_T(t):
         raise ValueError(f"{t} is not an admissible squared distance")
     if d_bound < 1:
         raise ValueError(f"d bound must be at least 1, got {d_bound}")
-    hit = parallel_first(_d_candidates(t, d_bound), partial(eq_pair_feasible, t))
-    return None if hit is None else hit[0]
+    hit = parallel_first(_d_candidates(t, d_bound), eq_pair_test(t))
+    return None if hit is None else Fraction(*hit[0])

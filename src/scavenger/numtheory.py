@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -63,10 +63,10 @@ def _sqrt_mod_prime(a: int, p: int) -> int:
     return r
 
 
-def _sqrt_mod(k: int, m: int) -> list[int]:
-    """Sorted r in [0, m) with r^2 = k (mod m), for square-free m >= 1 and k a
-    unit mod m: the roots modulo each prime of m, combined by CRT."""
-    primes = factorize(m)
+def _sqrt_mod(k: int, primes: Sequence[int]) -> list[int]:
+    """Sorted r in [0, m) with r^2 = k (mod m), for m the square-free product
+    of `primes` and k a unit mod m: the roots modulo each prime, combined by
+    CRT."""
     if not _is_square_mod(k, primes):
         return []
     roots, mod = [0], 1
@@ -166,9 +166,10 @@ def legendre_solvable(form: TernaryForm) -> bool:
     return legendre_obstruction(form) is None
 
 
-def _holzer_search(a: int, b: int, c: int) -> tuple[int, int, int] | None:
-    """The first nontrivial zero of a normalized form within the Holzer
-    bounds |x| <= sqrt|bc|, |y| <= sqrt|ac|, |z| <= sqrt|ab|.
+def _holzer_search(coeffs: tuple[int, int, int], primes: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
+    """The first nontrivial zero of a normalized form (a, b, c), given the
+    primes of each coefficient, within the Holzer bounds |x| <= sqrt|bc|,
+    |y| <= sqrt|ac|, |z| <= sqrt|ab|.
 
     Searches a box known to hold a solution: Holzer's theorem puts a zero of
     every solvable normalized form inside these bounds, so callers decide
@@ -178,7 +179,7 @@ def _holzer_search(a: int, b: int, c: int) -> tuple[int, int, int] | None:
     w = R*u mod |cs| for a square root R of -ca/cb, so only those classes of w
     are scanned.
     """
-    coeffs = (a, b, c)
+    a, b, c = coeffs
     bounds = (
         math.isqrt(abs(b * c)),
         math.isqrt(abs(a * c)),
@@ -190,7 +191,7 @@ def _holzer_search(a: int, b: int, c: int) -> tuple[int, int, int] | None:
     ca, cb = coeffs[scan[0]], coeffs[scan[1]]
     cs = coeffs[solve_idx]
     m = abs(cs)
-    roots = _sqrt_mod(-ca * pow(cb, -1, m), m)
+    roots = _sqrt_mod(-ca * pow(cb, -1, m), primes[solve_idx])
     for u in range(bounds[scan[0]] + 1):
         hit, top = None, bounds[scan[1]]
         for start in {r * u % m for r in roots}:
@@ -219,7 +220,7 @@ def legendre_solution(form: TernaryForm) -> tuple[int, int, int]:
     reason = _obstruction(coeffs, primes)
     if reason is not None:
         raise UnsolvableFormError(reason)
-    sol = _holzer_search(*coeffs)
+    sol = _holzer_search(coeffs, primes)
     if sol is None:
         raise AssertionError(f"no zero of the solvable form {coeffs} within the Holzer bounds")
     x, y, z = sol[0] * mx, sol[1] * my, sol[2] * mz
@@ -536,9 +537,17 @@ def construct_chain(v: QVec3, h: Fraction) -> ChainCertificate:
 # --- isosceles embeddability and the equation pair ---------------------------
 
 
-def isosceles_embeddable(r: Fraction, d: Fraction) -> bool:
+def _apex_solvable(R: int, S: int, P: int, Q: int, n: int) -> bool:
+    """Legendre's decision on the apex form <S*Q, R*Q, -(4PS - RQ)*n> of the
+    triangle with base r = R/S and legs d = P/Q (see `isosceles_embeddable`),
+    for 4PS > RQ and n = A^2 + B^2 over the three-squares triple of r's core."""
+    return legendre_solvable(TernaryForm(S * Q, R * Q, -(4 * P * S - R * Q) * n))
+
+
+def isosceles_embeddable(r: tuple[int, int], d: tuple[int, int]) -> bool:
     """Whether a triangle with side lengths sqrt(r), sqrt(d), sqrt(d) embeds
-    in Q^3, decided on the integers of r = R/S and d = P/Q (int or Fraction).
+    in Q^3, decided on the reduced pairs (R, S) of r = R/S and (P, Q) of
+    d = P/Q, with S, Q > 0.
 
     r must be a sum of three rational squares (R*S stripped of factors of 4
     is not 7 mod 8) and the apex height positive (4PS > RQ).  The same test on
@@ -549,21 +558,41 @@ def isosceles_embeddable(r: Fraction, d: Fraction) -> bool:
     (2^alpha/S)^2 of a = A*2^alpha/S and b = B*2^alpha/S taken into z, is
     <S*Q, R*Q, -(4PS - RQ)(A^2 + B^2)> over the primitive three-squares triple
     (A, B, C) of R*S/4^alpha."""
-    R, S, P, Q = r.numerator, r.denominator, d.numerator, d.denominator
+    (R, S), (P, Q) = r, d
     if R <= 0 or P <= 0:
         raise ValueError("side squared lengths must be positive")
     core = _four_free(R * S)
     if core % 8 == 7 or _four_free(P * Q) % 8 == 7 or 4 * P * S <= R * Q:
         return False
     A, B, _ = three_squares(core)
-    return legendre_solvable(TernaryForm(S * Q, R * Q, -(4 * P * S - R * Q) * (A * A + B * B)))
+    return _apex_solvable(R, S, P, Q, A * A + B * B)
+
+
+def eq_pair_test(t: int) -> Callable[[tuple[int, int]], bool]:
+    """The equation-pair decision for one open-case t, as a predicate on the
+    reduced pair (p, q), q > 0, of d = p/q: whether both isosceles triangles
+    T(sqrt t, sqrt d, sqrt d) and T(sqrt d, sqrt t, sqrt t) embed in Q^3.
+
+    t's membership in T and its three-squares pair are taken once.  A
+    square-free even t is its own core and never 7 mod 8, so the first
+    triangle needs only the window t/4 < d < 4t of positive apex heights, the
+    test on p*q and its apex form; the second is `isosceles_embeddable`."""
+    if not in_T(t):
+        raise ValueError(f"t={t} is not in the open-case set")
+    A, B, _ = three_squares(t)
+    n_t, legs = A * A + B * B, (t, 1)
+
+    def test(d: tuple[int, int]) -> bool:
+        p, q = d
+        if not t * q < 4 * p < 16 * t * q or _four_free(p * q) % 8 == 7:
+            return False
+        return _apex_solvable(t, 1, p, q, n_t) and isosceles_embeddable(d, legs)
+
+    return test
 
 
 def eq_pair_feasible(t: int, d: Fraction) -> bool:
     """Whether both isosceles triangles T(sqrt t, sqrt d, sqrt d) and
-    T(sqrt d, sqrt t, sqrt t) embed in Q^3, via the paired ternary forms."""
-    if not in_T(t):
-        raise ValueError(f"t={t} is not in the open-case set")
-    if d <= 0:
-        return False
-    return isosceles_embeddable(t, d) and isosceles_embeddable(d, t)
+    T(sqrt d, sqrt t, sqrt t) embed in Q^3: `eq_pair_test(t)` on d = p/q
+    (int or Fraction)."""
+    return eq_pair_test(t)((d.numerator, d.denominator))

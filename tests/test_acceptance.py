@@ -16,7 +16,7 @@ from pathlib import Path
 
 from scavenger.cli import parse_vertex_file
 from scavenger.cycles import find_5cycle, gen_vectors, is_5cycle, scan_d
-from scavenger.geom import circle_param, equidistant_circle, rational_point_on_circle
+from scavenger.geom import circle_param, embed_isosceles, equidistant_circle, rational_point_on_circle
 from scavenger.graph import (
     AbstractGraph,
     build_graph,
@@ -40,7 +40,6 @@ from scavenger.numtheory import (
     TernaryForm,
     antipodal_dist_sq,
     construct_chain,
-    eq_pair_feasible,
     in_T,
     legendre_solvable,
     phi_criteria,
@@ -288,7 +287,11 @@ def test_criterion_8_scan_d_sweep():
     for t in members:
         d = scan_d(t, 4 * t - 1)
         assert d is not None, t
-        assert eq_pair_feasible(t, d), (t, d)
+        # re-certified by construction, not by the scan's own decision
+        for base, legs in ((F(t), F(d)), (F(d), F(t))):
+            b1, b2, apex = embed_isosceles(base, legs)
+            sides = (dist_sq(b1, b2), dist_sq(b1, apex), dist_sq(b2, apex))
+            assert sides == (base, legs, legs), (t, d)
         found.append(f"t={t} d={format_rational(F(d))}\n")
         if F(d).denominator != 1:
             rational.append((t, d))

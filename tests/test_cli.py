@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from scavenger import cli, hunts, numtheory
-from scavenger.cycles import is_5cycle
+from scavenger import cli, cycles, hunts, numtheory
+from scavenger.cycles import is_5cycle, parallel_first
 from scavenger.hunts import (
     Certificate,
     Check,
@@ -404,7 +404,7 @@ def test_solve_legendre_zero_coefficient(capsys):
 
 
 def test_search_without_a_zero_on_a_solvable_form_is_an_internal_error(capsys, monkeypatch):
-    monkeypatch.setattr(numtheory, "_holzer_search", lambda a, b, c: None)
+    monkeypatch.setattr(numtheory, "_holzer_search", lambda coeffs, primes: None)
     code, out, err = run(capsys, "solve-legendre", "1", "1", "-2")
     assert code == cli.EXIT_INTERNAL == 70
     assert out == ""
@@ -434,6 +434,27 @@ def test_scan_d_rational_fallback(capsys):
     code, out, _ = run(capsys, "scan-d", "58")
     assert code == 0
     assert out.splitlines()[0] == "d=314/9"
+
+
+def test_scan_d_bound_past_4t_adds_no_candidate(capsys, monkeypatch):
+    # no d >= 4t embeds both triangles, so the scan stops at the window
+    evaluated = []
+    monkeypatch.setattr(
+        cycles,
+        "parallel_first",
+        lambda candidates, predicate: parallel_first(
+            candidates, lambda d: evaluated.append(d) or predicate(d)
+        ),
+    )
+    runs = []
+    for bound in ("200000", "232"):  # 232 = 4t
+        evaluated.clear()
+        code, out, _ = run(capsys, "scan-d", "58", "--bound", bound)
+        runs.append((code, out, list(evaluated)))
+    assert runs[0] == runs[1]
+    code, out, pairs = runs[0]
+    assert code == 0 and out.splitlines()[0] == "d=314/9"
+    assert pairs[-1] == (314, 9) and len(pairs) == len(set(pairs))
 
 
 def test_scan_d_exhausted(capsys):

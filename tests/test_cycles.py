@@ -8,7 +8,7 @@ from math import gcd, isqrt, lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scavenger.cycles import (
@@ -26,6 +26,7 @@ from scavenger.geom import bisector_plane
 from scavenger.numtheory import eq_pair_feasible, in_T
 from scavenger.qcore import dist_sq, format_point, midpoint, parse_point, point
 from symcycles import solved_base
+from test_numtheory import _fraction_eq_pair
 
 SEED_22 = [
     parse_point(s)
@@ -346,6 +347,35 @@ def test_scan_d_rational_fallback():
 def test_scan_d_none_below_window():
     # every admissible d exceeds t/4; a bound below that must fail cleanly
     assert scan_d(10, 2) is None
+
+
+def _scan_d_before_window(t, d_bound):
+    """The scan as it was before the window: every integer 1..d_bound, then
+    for q = 2..12 the reduced p/q with t/4 < p/q < 4t and p/q <= d_bound by
+    ascending numerator, each decided by the Fraction-form oracle."""
+    integers = (Fraction(d) for d in range(1, d_bound + 1))
+    rationals = (
+        Fraction(p, q)
+        for q in range(2, 13)
+        for p in range(t * q // 4 + 1, min(d_bound * q, 4 * t * q - 1) + 1)
+        if gcd(p, q) == 1
+    )
+    for d in (*integers, *rationals):
+        if _fraction_eq_pair(t, d):
+            return d
+    return None
+
+
+OPEN_BELOW_200 = [t for t in range(200) if in_T(t)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(OPEN_BELOW_200).flatmap(lambda t: st.tuples(st.just(t), st.integers(1, 6 * t))))
+@example((58, 348))  # the rational fallback d = 314/9, with a bound past 4t
+@example((58, 34))  # exhausted
+def test_scan_d_matches_scan_before_window(case):
+    t, d_bound = case
+    assert scan_d(t, d_bound) == _scan_d_before_window(t, d_bound)
 
 
 def test_scan_d_rejections():

@@ -92,15 +92,16 @@ def test_sqrt_mod_matches_exhaustive_squaring():
     """Every root r in [0, m) of r^2 = k, for each square-free m <= 300 and each
     unit k mod m (the empty list when k is no square)."""
     for m in range(1, 301):
-        if any(e > 1 for e in factorize(m).values()):
+        primes = factorize(m)
+        if any(e > 1 for e in primes.values()):
             continue
         roots = {k: [] for k in range(m)}
         for r in range(m):
             roots[r * r % m].append(r)
         for k in range(m):
             if math.gcd(k, m) == 1:
-                assert numtheory._sqrt_mod(k, m) == roots[k], (k, m)
-                assert numtheory._sqrt_mod(k - m, m) == roots[k], (k - m, m)
+                assert numtheory._sqrt_mod(k, primes) == roots[k], (k, m)
+                assert numtheory._sqrt_mod(k - m, primes) == roots[k], (k - m, m)
 
 
 # --- three squares ------------------------------------------------------------
@@ -359,7 +360,7 @@ def test_holzer_search_matches_full_box_scan(coeffs, solved):
     assert reduced == coeffs
     assert numtheory._obstruction(coeffs, primes) is None
     assert min(coeffs, key=abs) == solved
-    assert numtheory._holzer_search(*coeffs) == _holzer_full_box(*coeffs)
+    assert numtheory._holzer_search(coeffs, [factorize(abs(c)) for c in coeffs]) == _holzer_full_box(*coeffs)
 
 
 @settings(max_examples=300, deadline=None)
@@ -373,7 +374,7 @@ def test_holzer_search_matches_full_box_scan_on_random_forms(a, b, c, order):
     reduced, _, primes = normalize_form(TernaryForm(a, b, c))
     coeffs = tuple(reduced[i] for i in order)
     assume(numtheory._obstruction(coeffs, tuple(primes[i] for i in order)) is None)
-    assert numtheory._holzer_search(*coeffs) == _holzer_full_box(*coeffs)
+    assert numtheory._holzer_search(coeffs, [factorize(abs(c)) for c in coeffs]) == _holzer_full_box(*coeffs)
 
 
 def test_legendre_solution_normalizes_once(monkeypatch):
@@ -400,6 +401,19 @@ def test_legendre_obstruction_factorizes_each_coefficient_once(monkeypatch):
     monkeypatch.setattr(numtheory, "factorize", counted)
     # the gcd 2 comes out, 64 is a square and 15, -40 share the prime 5
     assert legendre_obstruction(TernaryForm(128, 30, -80)) is None
+    assert seen == [64, 15, 40]
+
+
+def test_legendre_solution_factorizes_each_coefficient_once(monkeypatch):
+    seen = []
+
+    def counted(n):
+        seen.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(numtheory, "factorize", counted)
+    # the Holzer search takes the solved coefficient's primes from the normalization
+    assert legendre_solution(TernaryForm(128, 30, -80)) is not None
     assert seen == [64, 15, 40]
 
 
@@ -729,9 +743,13 @@ def _fraction_eq_pair(t, d):
 OPEN_BELOW_400 = [t for t in range(400) if in_T(t)]
 
 
+def _pair(x):
+    return (x.numerator, x.denominator)
+
+
 def _agrees_with_fraction_oracle(t, d):
     for r, legs in ((Fraction(t), d), (d, Fraction(t))):
-        assert isosceles_embeddable(r, legs) == _fraction_isosceles(r, legs), (r, legs)
+        assert isosceles_embeddable(_pair(r), _pair(legs)) == _fraction_isosceles(r, legs), (r, legs)
     assert eq_pair_feasible(t, d) == _fraction_eq_pair(t, d), (t, d)
 
 
@@ -775,13 +793,13 @@ def test_isosceles_embeddable_is_representation_independent():
     ]
     for d in (Fraction(9), Fraction(11), Fraction(19), Fraction(25), Fraction(49, 4)):
         verdicts = {_fraction_isosceles(Fraction(30), d, rep) for rep in reps}
-        assert verdicts == {isosceles_embeddable(Fraction(30), d)}, d
+        assert verdicts == {isosceles_embeddable((30, 1), _pair(d))}, d
 
 
 def test_isosceles_degenerate_cases():
-    assert isosceles_embeddable(Fraction(30), Fraction(7)) is False  # 4d - r < 0
-    assert isosceles_embeddable(Fraction(36), Fraction(9)) is False  # flat triangle
-    assert isosceles_embeddable(Fraction(28), Fraction(9)) is False  # base length unrealizable
+    assert isosceles_embeddable((30, 1), (7, 1)) is False  # 4d - r < 0
+    assert isosceles_embeddable((36, 1), (9, 1)) is False  # flat triangle
+    assert isosceles_embeddable((28, 1), (9, 1)) is False  # base length unrealizable
     for r, d in ((36, 9), (28, 9)):
         assert _fraction_isosceles(Fraction(r), Fraction(d)) is False
 
@@ -797,5 +815,5 @@ def test_eq_pair_is_symmetric_sanity():
         fd = Fraction(d)
         if 4 * fd - 30 <= 0 or 120 - fd <= 0 or three_rational_squares(fd) is None:
             continue
-        both = isosceles_embeddable(Fraction(30), fd) and isosceles_embeddable(fd, Fraction(30))
+        both = isosceles_embeddable((30, 1), (d, 1)) and isosceles_embeddable((d, 1), (30, 1))
         assert eq_pair_feasible(30, fd) == both
