@@ -22,9 +22,9 @@ def main() -> int:
     for t in range(2, limit):
         if not in_T(t):
             continue
-        d = scan_d(t, 4 * t - 1)
+        d = scan_d(t)
         if d is None:
-            print(f"t={t}: no feasible d below {4 * t - 1}")
+            print(f"t={t}: no feasible d in {t}/4 < d < {4 * t}")
             return 1
         for base, legs in ((Fraction(t), Fraction(d)), (Fraction(d), Fraction(t))):
             b1, b2, apex = embed_isosceles(base, legs)

@@ -254,10 +254,10 @@ def _cmd_find_symmetric_cycle(args) -> int:
 
 def _cmd_scan_d(args) -> int:
     t = _int_t(parse_rational(args.t), "scan-d")
-    bound = args.bound if args.bound is not None else 4 * t - 1
-    d = scan_d(t, bound)
+    d = scan_d(t, args.bound)
     if d is None:
-        sys.stdout.write(f"no admissible d up to {bound}\n")
+        where = f"in {t}/4 < d < {4 * t}" if args.bound is None else f"up to {args.bound}"
+        sys.stdout.write(f"no admissible d {where}\n")
         return EXIT_FAIL
     sys.stdout.write(f"d={format_rational(Fraction(d))}\n")
     for base, legs in ((Fraction(t), Fraction(d)), (Fraction(d), Fraction(t))):
@@ -386,7 +386,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("scan-d", help="minimal d admitting both equidistant-pair triangles")
     p.add_argument("t")
-    p.add_argument("--bound", type=_positive, default=None, help="search limit (default 4t-1)")
+    p.add_argument("--bound", type=_positive, default=None, help="search limit (default: all of t/4 < d < 4t)")
     p.set_defaults(func=_cmd_scan_d)
 
     p = sub.add_parser("solve-legendre", help="solve a x^2 + b y^2 + c z^2 = 0")

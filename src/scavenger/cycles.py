@@ -22,7 +22,7 @@ from .geom import (
     rational_point_on_circle,
     reflect_point,
 )
-from .numtheory import eq_pair_feasible, eq_pair_test, in_T
+from .numtheory import eq_pair_feasible, in_T
 from .qcore import QPoint3, Rational, _frac, dist_sq, midpoint, point
 
 
@@ -234,13 +234,14 @@ class SymCycle:
 D_DENOMINATOR_BOUND = 12  # largest denominator of a candidate d
 
 
-def _d_candidates(t: int, d_bound: int):
+def _d_candidates(t: int, d_bound: int | None):
     """Candidate values of d in scan order, as reduced pairs (p, q): for each
-    denominator q = 1..D_DENOMINATOR_BOUND the p with t/4 < p/q < 4t and
-    p/q <= d_bound, by ascending numerator.  No d outside t/4 < d < 4t embeds
-    both triangles: each needs a positive apex height."""
+    denominator q = 1..D_DENOMINATOR_BOUND the p with t/4 < p/q < 4t (and
+    p/q <= d_bound unless it is None), by ascending numerator.  No d outside
+    t/4 < d < 4t embeds both triangles: each needs a positive apex height."""
     for q in range(1, D_DENOMINATOR_BOUND + 1):
-        for p in range(t * q // 4 + 1, min(d_bound * q, 4 * t * q - 1) + 1):
+        top = 4 * t * q - 1 if d_bound is None else min(d_bound * q, 4 * t * q - 1)
+        for p in range(t * q // 4 + 1, top + 1):
             if gcd(p, q) == 1:
                 yield p, q
 
@@ -252,16 +253,16 @@ def find_symmetric_5cycle(
     d_bound: int | None = None,
 ) -> SymCycle | None:
     """Construct a symmetric 5-cycle: take the leg length d from `scan_d`
-    (or check a forced one), embed the isosceles triangle (x0, x4, x2) with
-    |x0-x4|² = t and legs² = d, then take x1 rational on the circle
-    equidistant from x0 and x2 at √t, off the mirror plane, and x3 as its
-    mirror image."""
+    (d_bound None scans the whole window) or check a forced one, embed the
+    isosceles triangle (x0, x4, x2) with |x0-x4|² = t and legs² = d, then take
+    x1 rational on the circle equidistant from x0 and x2 at √t, off the mirror
+    plane, and x3 as its mirror image."""
     t = int(t)
     if not in_T(t):
         raise ValueError(f"{t} is not an admissible squared distance")
     if d is None:
-        d = scan_d(t, d_bound if d_bound is not None else 4 * t - 1)
-    elif not eq_pair_feasible(t, _frac(d)):
+        d = scan_d(t, d_bound)
+    elif not eq_pair_feasible(t, _frac(d).as_integer_ratio()):
         return None
     return None if d is None else _symmetric_cycle_for(t, d)
 
@@ -302,15 +303,15 @@ def parallel_first(candidates, predicate):
     return None
 
 
-def scan_d(t: int, d_bound: int) -> Rational | None:
-    """The first d = p/q in `_d_candidates` order with eq_pair_feasible(t, d):
+def scan_d(t: int, d_bound: int | None = None) -> Rational | None:
+    """The first d = p/q in `_d_candidates` order with eq_pair_feasible(t, (p, q)):
     the smallest feasible integer d ≤ d_bound when there is one, else the
     first feasible rational by ascending denominator (then ascending
-    numerator), or None.  Each pair is decided by one `eq_pair_test(t)`."""
+    numerator), or None.  d_bound None scans the whole window t/4 < d < 4t."""
     t = int(t)
     if not in_T(t):
         raise ValueError(f"{t} is not an admissible squared distance")
-    if d_bound < 1:
+    if d_bound is not None and d_bound < 1:
         raise ValueError(f"d bound must be at least 1, got {d_bound}")
-    hit = parallel_first(_d_candidates(t, d_bound), eq_pair_test(t))
+    hit = parallel_first(_d_candidates(t, d_bound), lambda pq: eq_pair_feasible(t, pq))
     return None if hit is None else Fraction(*hit[0])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -537,13 +537,6 @@ def construct_chain(v: QVec3, h: Fraction) -> ChainCertificate:
 # --- isosceles embeddability and the equation pair ---------------------------
 
 
-def _apex_solvable(R: int, S: int, P: int, Q: int, n: int) -> bool:
-    """Legendre's decision on the apex form <S*Q, R*Q, -(4PS - RQ)*n> of the
-    triangle with base r = R/S and legs d = P/Q (see `isosceles_embeddable`),
-    for 4PS > RQ and n = A^2 + B^2 over the three-squares triple of r's core."""
-    return legendre_solvable(TernaryForm(S * Q, R * Q, -(4 * P * S - R * Q) * n))
-
-
 def isosceles_embeddable(r: tuple[int, int], d: tuple[int, int]) -> bool:
     """Whether a triangle with side lengths sqrt(r), sqrt(d), sqrt(d) embeds
     in Q^3, decided on the reduced pairs (R, S) of r = R/S and (P, Q) of
@@ -565,34 +558,12 @@ def isosceles_embeddable(r: tuple[int, int], d: tuple[int, int]) -> bool:
     if core % 8 == 7 or _four_free(P * Q) % 8 == 7 or 4 * P * S <= R * Q:
         return False
     A, B, _ = three_squares(core)
-    return _apex_solvable(R, S, P, Q, A * A + B * B)
+    return legendre_solvable(TernaryForm(S * Q, R * Q, -(4 * P * S - R * Q) * (A * A + B * B)))
 
 
-def eq_pair_test(t: int) -> Callable[[tuple[int, int]], bool]:
-    """The equation-pair decision for one open-case t, as a predicate on the
-    reduced pair (p, q), q > 0, of d = p/q: whether both isosceles triangles
-    T(sqrt t, sqrt d, sqrt d) and T(sqrt d, sqrt t, sqrt t) embed in Q^3.
-
-    t's membership in T and its three-squares pair are taken once.  A
-    square-free even t is its own core and never 7 mod 8, so the first
-    triangle needs only the window t/4 < d < 4t of positive apex heights, the
-    test on p*q and its apex form; the second is `isosceles_embeddable`."""
-    if not in_T(t):
-        raise ValueError(f"t={t} is not in the open-case set")
-    A, B, _ = three_squares(t)
-    n_t, legs = A * A + B * B, (t, 1)
-
-    def test(d: tuple[int, int]) -> bool:
-        p, q = d
-        if not t * q < 4 * p < 16 * t * q or _four_free(p * q) % 8 == 7:
-            return False
-        return _apex_solvable(t, 1, p, q, n_t) and isosceles_embeddable(d, legs)
-
-    return test
-
-
-def eq_pair_feasible(t: int, d: Fraction) -> bool:
+def eq_pair_feasible(t: int, d: tuple[int, int]) -> bool:
     """Whether both isosceles triangles T(sqrt t, sqrt d, sqrt d) and
-    T(sqrt d, sqrt t, sqrt t) embed in Q^3: `eq_pair_test(t)` on d = p/q
-    (int or Fraction)."""
-    return eq_pair_test(t)((d.numerator, d.denominator))
+    T(sqrt d, sqrt t, sqrt t) embed in Q^3, for the reduced pair (p, q), q > 0,
+    of d = p/q.  Their apex heights are both positive exactly on
+    t/4 < d < 4t, so no other d is feasible."""
+    return isosceles_embeddable((t, 1), d) and isosceles_embeddable(d, (t, 1))

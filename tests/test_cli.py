@@ -447,11 +447,12 @@ def test_scan_d_bound_past_4t_adds_no_candidate(capsys, monkeypatch):
         ),
     )
     runs = []
-    for bound in ("200000", "232"):  # 232 = 4t
+    for bound in (("--bound", "200000"), ("--bound", "232"), ()):  # 232 = 4t; () is the default
         evaluated.clear()
-        code, out, _ = run(capsys, "scan-d", "58", "--bound", bound)
+        code, out, _ = run(capsys, "scan-d", "58", *bound)
         runs.append((code, out, list(evaluated)))
-    assert runs[0] == runs[1]
+    assert runs[0] == runs[1] == runs[2]
+    assert cycles.find_symmetric_5cycle(58) == cycles.find_symmetric_5cycle(58, d_bound=232)
     code, out, pairs = runs[0]
     assert code == 0 and out.splitlines()[0] == "d=314/9"
     assert pairs[-1] == (314, 9) and len(pairs) == len(set(pairs))

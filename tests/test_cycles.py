@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from scavenger import cycles
 from scavenger.cycles import (
     SymCycle,
     VectorPool,
@@ -319,6 +320,13 @@ def test_find_symmetric_5cycle_rejects_bad_t():
         find_symmetric_5cycle(12)
 
 
+@pytest.mark.parametrize("d", [0, -26, Fraction(-1, 3)])
+def test_find_symmetric_5cycle_rejects_non_positive_d(d):
+    # the forced d is decided by isosceles_embeddable, which refuses it
+    with pytest.raises(ValueError, match="positive"):
+        find_symmetric_5cycle(30, d=d)
+
+
 # --- the d scan -----------------------------------------------------------------------
 
 
@@ -326,22 +334,39 @@ def test_scan_d_t30_minimal_integer():
     d = scan_d(30, 119)
     assert d == 26
     for smaller in range(1, 26):
-        assert not eq_pair_feasible(30, smaller)
+        assert not eq_pair_feasible(30, (smaller, 1))
 
 
 def test_scan_d_t10():
     d = scan_d(10, 100)
     assert d is not None
-    assert eq_pair_feasible(10, d)
+    assert eq_pair_feasible(10, d.as_integer_ratio())
 
 
 def test_scan_d_rational_fallback():
     # no integer d works here; the scan falls through to denominator 9
     d = scan_d(58, 231)
     assert d == Fraction(314, 9)
-    assert eq_pair_feasible(58, d)
+    assert eq_pair_feasible(58, (314, 9))
     for smaller in range(1, 232):
-        assert not eq_pair_feasible(58, smaller)
+        assert not eq_pair_feasible(58, (smaller, 1))
+
+
+def test_scan_d_decides_each_candidate_once_through_eq_pair_feasible(monkeypatch):
+    candidates, decided = [], []
+    monkeypatch.setattr(
+        cycles,
+        "parallel_first",
+        lambda xs, predicate: parallel_first(xs, lambda x: candidates.append(x) or predicate(x)),
+    )
+    monkeypatch.setattr(
+        cycles,
+        "eq_pair_feasible",
+        lambda t, d: decided.append((t, d)) or eq_pair_feasible(t, d),
+    )
+    assert scan_d(58) == Fraction(314, 9)
+    assert decided == [(58, d) for d in candidates]
+    assert decided[-1] == (58, (314, 9))
 
 
 def test_scan_d_none_below_window():

@@ -750,7 +750,7 @@ def _pair(x):
 def _agrees_with_fraction_oracle(t, d):
     for r, legs in ((Fraction(t), d), (d, Fraction(t))):
         assert isosceles_embeddable(_pair(r), _pair(legs)) == _fraction_isosceles(r, legs), (r, legs)
-    assert eq_pair_feasible(t, d) == _fraction_eq_pair(t, d), (t, d)
+    assert eq_pair_feasible(t, _pair(d)) == _fraction_eq_pair(t, d), (t, d)
 
 
 @st.composite
@@ -804,9 +804,14 @@ def test_isosceles_degenerate_cases():
         assert _fraction_isosceles(Fraction(r), Fraction(d)) is False
 
 
-def test_eq_pair_requires_open_case_t():
-    with pytest.raises(ValueError):
-        eq_pair_feasible(12, Fraction(5))
+@pytest.mark.parametrize("t", [6, 12, 28, 44])
+def test_eq_pair_matches_fraction_oracle_outside_T(t):
+    # eq_pair_feasible does not check t's membership in T; its callers do.
+    # Off T it still agrees with the oracle, inside the window t/4 < d < 4t
+    # and outside it (d = t/4, d = 4t and past both ends).
+    for q in (1, 3):
+        for p in range(1, (4 * t + 2) * q + 1):
+            _agrees_with_fraction_oracle(t, Fraction(p, q))
 
 
 def test_eq_pair_is_symmetric_sanity():
@@ -816,4 +821,4 @@ def test_eq_pair_is_symmetric_sanity():
         if 4 * fd - 30 <= 0 or 120 - fd <= 0 or three_rational_squares(fd) is None:
             continue
         both = isosceles_embeddable((30, 1), (d, 1)) and isosceles_embeddable((d, 1), (30, 1))
-        assert eq_pair_feasible(30, fd) == both
+        assert eq_pair_feasible(30, _pair(fd)) == both
