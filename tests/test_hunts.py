@@ -42,6 +42,7 @@ from scavenger.hunts import (
 )
 from scavenger.qcore import (
     dist_sq,
+    format_point,
     integral,
     integral_dist_sq,
     parse_point,
@@ -145,6 +146,24 @@ def test_greedy_deterministic():
     a = greedy_hunt(22, SEED_22, ASpec(3), cap=20)
     b = greedy_hunt(22, SEED_22, ASpec(3), cap=20)
     assert a.graph.vertices == b.graph.vertices
+
+
+def _greedy_run_text(res) -> str:
+    """One line per vertex in admission order: the point, then its color in
+    the hunt's last 3-coloring."""
+    return "".join(
+        f"{format_point(p)} {c}\n" for p, c in zip(res.graph.vertices, res.coloring.assignment)
+    )
+
+
+def test_greedy_long_run_matches_golden():
+    # each of the 115 admissions breaks its ties on the stored coloring, so
+    # the sequence checks every coloring the run computed, and the last one
+    # is pinned whole
+    res = greedy_hunt(22, SEED_22, ASpec(15), cap=120)
+    assert not res.succeeded and res.order == 120
+    want = (GOLDEN / "hunt_greedy_d15_cap120.txt").read_text(encoding="utf-8")
+    assert _greedy_run_text(res) == want
 
 
 SEED_22_IMAGE = [point(p.x, -p.y, -p.z) for p in SEED_22]
