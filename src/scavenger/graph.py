@@ -1,8 +1,8 @@
 """Distance graphs, exact graph coloring, and forced-color analysis.
 
-The coloring solver is exact backtracking with saturation-first vertex
-selection and new-color symmetry breaking; everything it reports is
-re-checkable by the `is_proper` predicate.
+The coloring solver is exact backtracking with saturation-first (DSATUR)
+vertex selection, served from per-saturation sets of vertex ranks, and
+new-color symmetry breaking; `is_proper` re-checks everything it reports.
 """
 
 from __future__ import annotations
@@ -102,54 +102,64 @@ def k_colorable(g: AbstractGraph, k: int) -> Coloring | None:
 
     Backtracking assigns the most saturated vertex first (ties: degree, then
     lowest index) and never opens color c+1 before colors 0..c are in use.
+    Each vertex has a rank, its place in the order by degree descending then
+    index; the uncolored ranks sit in one set per saturation 0..k, so the
+    next vertex is the least rank of the highest non-empty set.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     n, adj = g.order, g.adjacency()
-    if n == 0:
-        return Coloring(())
+    order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
+    rank = {v: r for r, v in enumerate(order)}
+    # all state is by rank: a colored rank's counts are frozen until it is
+    # uncolored, since every change below it is undone first
+    nbrs = [[rank[u] for u in adj[v]] for v in order]
     colors = [-1] * n
-    neighbor_colors: list[dict[int, int]] = [{} for _ in range(n)]
-    degree = [len(adj[v]) for v in range(n)]
+    counts = [[0] * k for _ in range(n)]  # colored neighbors of each color
+    sat = [0] * n
+    buckets = [set(range(n))] + [set() for _ in range(k)]  # uncolored ranks by saturation
 
-    def pick() -> int | None:
-        best_key = None
-        best_v = None
-        for v in range(n):
-            if colors[v] == -1:
-                key = (len(neighbor_colors[v]), degree[v], -v)
-                if best_key is None or key > best_key:
-                    best_key, best_v = key, v
-        return best_v
+    def paint(v: int, c: int, step: int) -> None:
+        # step 1 colors v with c and step -1 takes it back; an uncolored
+        # neighbor whose count of c leaves or returns to 0 changes saturation
+        colors[v] = c if step > 0 else -1
+        for u in nbrs[v]:
+            if colors[u] < 0:
+                cu = counts[u]
+                was = cu[c]
+                cu[c] += step
+                if not was or not cu[c]:
+                    buckets[sat[u]].remove(u)
+                    sat[u] += step
+                    buckets[sat[u]].add(u)
 
     def solve(max_used: int) -> bool:
-        v = pick()
-        if v is None:
+        for s in range(k, -1, -1):
+            if buckets[s]:
+                break
+        else:
             return True
-        blocked = neighbor_colors[v]
-        if len(blocked) >= k:
-            return False
+        v = min(buckets[s])
+        buckets[s].remove(v)
+        blocked = counts[v]
         for c in range(min(k - 1, max_used + 1) + 1):
-            if c in blocked:
+            if blocked[c]:
                 continue
-            colors[v] = c
-            for u in adj[v]:
-                nc = neighbor_colors[u]
-                nc[c] = nc.get(c, 0) + 1
+            paint(v, c, 1)
             if solve(max(max_used, c)):
                 return True
-            colors[v] = -1
-            for u in adj[v]:
-                nc = neighbor_colors[u]
-                if nc[c] == 1:
-                    del nc[c]
-                else:
-                    nc[c] -= 1
+            paint(v, c, -1)
+        buckets[s].add(v)
         return False
 
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 1000))
-    if solve(-1):
-        coloring = Coloring(tuple(colors))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 4 * n + 1000))
+    try:
+        solved = solve(-1)
+    finally:
+        sys.setrecursionlimit(limit)
+    if solved:
+        coloring = Coloring(tuple(colors[rank[v]] for v in range(n)))
         assert is_proper(g, coloring)
         return coloring
     return None

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,7 @@ from scavenger.graph import (
     k_colorable,
     mod3_color,
 )
-from scavenger.hunts import Certificate, format_certificate, parse_certificate
+from scavenger.hunts import Certificate, format_certificate, parse_certificate, read_certificate
 from scavenger.qcore import QPoint3, dist_sq, parse_point, point
 
 
@@ -116,6 +118,108 @@ def test_coloring_reported_is_proper(n, rng):
     if coloring is not None:
         assert is_proper(g, coloring)
         assert max(coloring.assignment) <= 2
+
+
+# --- solver vs the vertex-scan oracle ---------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def scan_k_colorable(g: AbstractGraph, k: int) -> Coloring | None:
+    """The solver with its next vertex found by scanning every vertex for the
+    key (saturation, degree, -index): the same search as `k_colorable`,
+    without saturation buckets (reference oracle; orders below the default
+    recursion limit only)."""
+    n, adj = g.order, g.adjacency()
+    colors = [-1] * n
+    neighbor_colors: list[dict[int, int]] = [{} for _ in range(n)]
+    degree = [len(adj[v]) for v in range(n)]
+
+    def pick() -> int | None:
+        best_key = None
+        best_v = None
+        for v in range(n):
+            if colors[v] == -1:
+                key = (len(neighbor_colors[v]), degree[v], -v)
+                if best_key is None or key > best_key:
+                    best_key, best_v = key, v
+        return best_v
+
+    def solve(max_used: int) -> bool:
+        v = pick()
+        if v is None:
+            return True
+        blocked = neighbor_colors[v]
+        if len(blocked) >= k:
+            return False
+        for c in range(min(k - 1, max_used + 1) + 1):
+            if c in blocked:
+                continue
+            colors[v] = c
+            for u in adj[v]:
+                nc = neighbor_colors[u]
+                nc[c] = nc.get(c, 0) + 1
+            if solve(max(max_used, c)):
+                return True
+            colors[v] = -1
+            for u in adj[v]:
+                nc = neighbor_colors[u]
+                if nc[c] == 1:
+                    del nc[c]
+                else:
+                    nc[c] -= 1
+        return False
+
+    return Coloring(tuple(colors)) if solve(-1) else None
+
+
+def assert_same_as_oracle(g: AbstractGraph) -> None:
+    for k in range(1, 5):
+        assert k_colorable(g, k) == scan_k_colorable(g, k), f"order {g.order}, k={k}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 30), st.sampled_from([0.05, 0.1, 0.2, 0.3, 0.5, 0.7]), st.randoms(use_true_random=False))
+def test_solver_matches_scan_oracle_on_random_graphs(n, p, rng):
+    assert_same_as_oracle(random_graph(rng, n, p))
+
+
+def test_solver_matches_scan_oracle_under_deep_backtracking():
+    rng = random.Random(20261019)
+    for _ in range(12):
+        # a star of degree 6 outranks the Grötzsch graph's hub (degree 5), so
+        # the search colors the star first and refutes the Grötzsch graph,
+        # which has no 3-coloring, once more under each coloring of the star:
+        # thousands of backtracks per graph; random pendants shift the order
+        pairs = list(grotzsch().edges) + [(11, 12 + i) for i in range(6)]
+        n = 18
+        for _ in range(rng.randint(0, 6)):
+            pairs.append((n, rng.randrange(n)))
+            n += 1
+        label = list(range(n))
+        rng.shuffle(label)
+        assert_same_as_oracle(AbstractGraph.from_edges(n, [(label[u], label[v]) for u, v in pairs]))
+    for _ in range(24):
+        # sparse graphs near the 3-coloring threshold (average degree 4-6)
+        n = rng.randint(20, 60)
+        assert_same_as_oracle(random_graph(rng, n, rng.uniform(4, 6) / (n - 1)))
+
+
+@pytest.mark.parametrize(
+    "name", ["data/t22_direct.cert", "data/t34_order25.cert", "perfbench/inputs/t22_greedy144.cert"]
+)
+def test_solver_matches_scan_oracle_on_corpus_graphs(name):
+    cert = read_certificate(ROOT / name)
+    assert_same_as_oracle(build_graph(list(cert.points), cert.t))
+
+
+def test_solver_restores_the_recursion_limit():
+    path = AbstractGraph.from_edges(682, [(v, v + 1) for v in range(681)])
+    before = sys.getrecursionlimit()
+    assert is_proper(path, k_colorable(path, 2))
+    assert sys.getrecursionlimit() == before
+    assert k_colorable(path, 1) is None
+    assert sys.getrecursionlimit() == before
 
 
 # --- the Grötzsch graph and the device graph -------------------------------------------
