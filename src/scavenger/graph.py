@@ -111,8 +111,8 @@ def k_colorable(g: AbstractGraph, k: int) -> Coloring | None:
     n, adj = g.order, g.adjacency()
     order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
     rank = {v: r for r, v in enumerate(order)}
-    # all state is by rank: a colored rank's counts are frozen until it is
-    # uncolored, since every change below it is undone first
+    # all state below is by rank; a colored rank's counts stay frozen: every
+    # change made while it is colored is undone before it is uncolored
     nbrs = [[rank[u] for u in adj[v]] for v in order]
     colors = [-1] * n
     counts = [[0] * k for _ in range(n)]  # colored neighbors of each color

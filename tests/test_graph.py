@@ -179,7 +179,11 @@ def assert_same_as_oracle(g: AbstractGraph) -> None:
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(0, 30), st.sampled_from([0.05, 0.1, 0.2, 0.3, 0.5, 0.7]), st.randoms(use_true_random=False))
+@given(
+    st.integers(0, 30),
+    st.sampled_from([0.05, 0.1, 0.2, 0.3, 0.5, 0.7]),
+    st.randoms(use_true_random=False),
+)
 def test_solver_matches_scan_oracle_on_random_graphs(n, p, rng):
     assert_same_as_oracle(random_graph(rng, n, p))
 
