@@ -2,14 +2,14 @@
 
 Planes, reflections, equidistant circles charted by the lines through a
 rational base point, circumcenters, apex points over triangles, and exact
-isosceles-triangle embeddings.  Everything is Fraction arithmetic; nothing
-is approximated.
+isosceles-triangle embeddings.  Nothing is approximated: it is Fraction
+arithmetic, or integers where a search loops (chart points, the apex test).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .numtheory import TernaryForm, legendre_solution, three_rational_squares
@@ -19,6 +19,9 @@ from .qcore import (
     Rational,
     _frac,
     dist_sq,
+    from_integral,
+    integral,
+    is_square,
     midpoint,
     point,
     rational_square_root,
@@ -27,7 +30,9 @@ from .qcore import (
 
 
 class _Infinity:
-    """The point at infinity of a parameter line."""
+    """The point at infinity of a parameter line: the parameter 1/0."""
+
+    numerator, denominator = 1, 0
 
     def __repr__(self) -> str:
         return "inf"
@@ -127,27 +132,46 @@ def equidistant_circle(p: QPoint3, q: QPoint3, t: Rational) -> RCircle:
 @dataclass(frozen=True)
 class CircleParam:
     """A circle charted by the lines through a rational base point on it:
-    parameter s names the line with direction `direction(s)`, and its chart
-    point is the line's second point on the circle (the base on the tangent).
+    parameter s = p/q (INF is 1/0) names the line with direction
+    D(s) = q·U + p·V in the circle's plane, U = n_k·e_i − n_i·e_k and
+    V = n_k·e_j − n_j·e_k for the plane normal n, the eliminated axis k and
+    the kept axes i < j; its chart point is the line's second point on the
+    circle (the base on the tangent).
     """
 
     circle: RCircle
     base: QPoint3
     eliminated_axis: str
+    _consts: tuple = field(init=False, repr=False, compare=False)
 
-    def direction(self, s: Rational | _Infinity) -> QVec3:
-        """D(s) = D(0) + s·D(inf) in the circle's plane: components 1 and s on
-        the two kept axes in x,y,z order (0 and 1 for INF)."""
+    def __post_init__(self):
+        # integers, once per chart: U and V from the normal made integral,
+        # the base as B/b and base − center as W/w
         k = _AXES.index(self.eliminated_axis)
         i, j = (m for m in range(3) if m != k)
-        n = self.circle.plane.normal.components()
-        d = [Fraction(0)] * 3
-        d[i], d[j] = (Fraction(0), Fraction(1)) if s is INF else (Fraction(1), _frac(s))
-        d[k] = -(n[i] * d[i] + n[j] * d[j]) / n[k]
-        return vec(*d)
+        *n, _ = integral(QPoint3(*self.circle.plane.normal.components()))
+        u, v = [0] * 3, [0] * 3
+        u[i], u[k], v[j], v[k] = n[k], -n[i], n[k], -n[j]
+        *b, bd = integral(self.base)
+        *w, wd = integral(QPoint3(*(self.base - self.circle.center).components()))
+        object.__setattr__(self, "_consts", (u, v, b, bd, w, wd))
 
     def point_at(self, s: Rational | _Infinity) -> QPoint3:
         return conic_point(self, s)
+
+    def form_at(self, s: Rational | _Infinity) -> tuple[int, int, int, int]:
+        """integral(point_at(s)), in integers: base + λ·D(s) with
+        λ = −2 (base − center)·D(s) / |D(s)|², over the common denominator
+        b·w·|D(s)|² and reduced by one gcd."""
+        s = s if s is INF else _frac(s)
+        p, q = s.numerator, s.denominator
+        u, v, b, bd, w, wd = self._consts
+        d = [q * x + p * y for x, y in zip(u, v)]
+        e = wd * sum(x * x for x in d)
+        f = 2 * bd * sum(x * y for x, y in zip(w, d))
+        x, y, z = (c * e - f * dc for c, dc in zip(b, d))
+        g = math.gcd(x, y, z, bd * e)
+        return x // g, y // g, z // g, bd * e // g
 
     def param_for_point(self, p: QPoint3) -> Fraction | _Infinity:
         """The s with point_at(s) = p, for p on the circle: the s whose D(s)
@@ -156,16 +180,15 @@ class CircleParam:
         if not self.circle.contains(p):
             raise ValueError(f"{p} is not on the circle")
         n = self.circle.plane.normal
-        v = n.cross(self.base - self.circle.center) if p == self.base else p - self.base
-        slope = self.direction(INF).cross(v).dot(n)
-        return INF if slope == 0 else v.cross(self.direction(0)).dot(n) / slope
+        d = n.cross(self.base - self.circle.center) if p == self.base else p - self.base
+        u, v = (vec(*x) for x in self._consts[:2])
+        slope = v.cross(d).dot(n)
+        return INF if slope == 0 else d.cross(u).dot(n) / slope
 
 
 def conic_point(chart: CircleParam, s: Rational | _Infinity) -> QPoint3:
-    """The chart point at s: base + λ·D(s) with λ = −2 (base − center)·D(s) / D(s)·D(s)."""
-    d = chart.direction(s)
-    lam = -2 * (chart.base - chart.circle.center).dot(d) / d.norm_sq()
-    return chart.base + d.scale(lam)
+    """The chart point at s, built from its integer form `chart.form_at(s)`."""
+    return from_integral(chart.form_at(s))
 
 
 def circle_param(c: RCircle, known_point: QPoint3) -> CircleParam:
@@ -253,7 +276,7 @@ def has_rational_apex(a: tuple[int, int], b: tuple[int, int], c: tuple[int, int]
     if area == 0:
         return False
     volume = t * area - A * B * C * da * db * dc  # (tD − abc)·L²
-    return volume >= 0 and math.isqrt(volume) ** 2 == volume
+    return volume >= 0 and is_square(volume)
 
 
 # --- exact isosceles embedding -------------------------------------------------------

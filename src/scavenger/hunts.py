@@ -55,6 +55,7 @@ from .qcore import (
     dist_sq,
     format_point,
     format_rational,
+    from_integral,
     integral,
     integral_dist_sq,
     midpoint,
@@ -334,12 +335,11 @@ def grotzsch_type_hunt(
         circle = equidistant_circle(cycle[(i - 1) % 5], cycle[(i + 1) % 5], t)
         charts.append(circle_param(circle, rational_point_on_circle(circle)))
 
-    # each chart's points once, with their integer forms, and each chart
-    # pair's squared distances once, as reduced (numerator, denominator)
-    # pairs (unreduced ones slow the apex test); a table is built when a ring
-    # first reads it, so a hunt that stops early builds only the tables it read
-    points = [[chart.point_at(s) for s in params] for chart in charts]
-    forms = [[integral(u) for u in row] for row in points]
+    # each chart's points once, as integer forms, and each chart pair's
+    # squared distances once, as reduced (numerator, denominator) pairs
+    # (unreduced ones slow the apex test); a table is built when a ring first
+    # reads it, so a hunt that stops early builds only the tables it read
+    forms = [[chart.form_at(s) for s in params] for chart in charts]
     tables: dict[tuple[int, int], list[list[tuple[int, int]]]] = {}
 
     def reduced(n: int, m: int) -> tuple[int, int]:
@@ -365,7 +365,7 @@ def grotzsch_type_hunt(
             logger.info("parameter list exhausted at i=%d (progress: %d of 5)", i, i)
             return None
         _, (ix, iy, iz) = hit
-        xs[h], ys[i], zs[k] = points[h][ix], points[i][iy], points[k][iz]
+        xs[h], ys[i], zs[k] = (from_integral(forms[r][m]) for r, m in ((h, ix), (i, iy), (k, iz)))
         apexes, _reason = apex_points_detailed(xs[h], ys[i], zs[k], t)
         qs[i] = apexes[0]
 
@@ -403,24 +403,21 @@ def circle_plane_intersections(circle: RCircle, plane) -> tuple[QPoint3, ...]:
     return (anchor + direction.scale(lam), anchor + direction.scale(-lam))
 
 
-def _first_device(sym: SymCycle, candidate) -> tuple[Certificate, Report] | None:
+def _first_device(sym: SymCycle, t: int, candidate) -> tuple[Certificate, Report] | None:
     """`(cert, report)` for the first rational z on the mirror plane at √t
     from both circle points y0, y1 that assembles into a verified device, or
-    None.  The candidate carries a = |y0y1|², b = |y0y4|² and c = |y1y4|²,
-    with y4 the mirror image of y0.  For y0 off the mirror, such a z is
-    exactly a rational apex at √t over (y0, y1, y4): it is at √t from y4 by
-    symmetry, and the points at √t from y0 and y4 lie on the mirror.  So
-    the pair is decided from a, b, c, and z is solved only for a pair that
-    has one."""
-    (y0, y1), a, b, c = candidate
-    t = int(sym.t)
-    if y0 == y1 or a[0] >= 4 * t * a[1]:
+    None.  The candidate carries the integer forms of y0 and y1, a = |y0y1|²,
+    b = |y0y4|² and c = |y1y4|², with y4 the mirror image of y0.  For y0 off
+    the mirror, such a z is exactly a rational apex at √t over (y0, y1, y4):
+    it is at √t from y4 by symmetry, and the points at √t from y0 and y4 lie
+    on the mirror.  So the pair is decided from a, b, c (a is zero exactly
+    when y0 = y1), and y0, y1 and z are built only for a pair that passes."""
+    forms, a, b, c = candidate
+    # b is zero for y0 on the mirror: then y4 == y0, so the verifier refuses the device
+    if a[0] == 0 or a[0] >= 4 * t * a[1] or b[0] == 0 or not has_rational_apex(a, b, c, t):
         return None
-    if b[0] == 0:  # y0 on the mirror: y4 == y0, so the verifier refuses the device
-        return None
-    if not has_rational_apex(a, b, c, t):
-        return None
-    for z in circle_plane_intersections(equidistant_circle(y0, y1, sym.t), sym.plane):
+    y0, y1 = map(from_integral, forms)
+    for z in circle_plane_intersections(equidistant_circle(y0, y1, t), sym.plane):
         found = _assemble_device(sym, y0, y1, z)
         if found is not None:
             return found
@@ -442,28 +439,29 @@ def grotzsch_subgraph_hunt(sym: SymCycle, parameter_pairs) -> tuple[Certificate,
     Returns the first certificate with its verification report."""
     if Fraction(sym.t).denominator != 1:
         raise ValueError(f"cycle squared edge length {sym.t} is not an integer")
-    chart0 = circle_param(equidistant_circle(sym.x4, sym.x1, sym.t), sym.x0)
-    chart1 = circle_param(equidistant_circle(sym.x0, sym.x2, sym.t), sym.base)
+    t = int(sym.t)
+    chart0 = circle_param(equidistant_circle(sym.x4, sym.x1, t), sym.x0)
+    chart1 = circle_param(equidistant_circle(sym.x0, sym.x2, t), sym.base)
 
     def candidates():
-        # each chart's point once per distinct parameter, when a pair first
-        # reads it, with its integer form; per y0 also its mirror image y4 and
-        # b = |y0y4|²
-        firsts, seconds = {}, {}
+        # each chart's integer form once per distinct parameter, when a pair
+        # first reads it, keyed by (numerator, denominator) so that no pair
+        # hashes a Fraction; per y0 also its mirror image y4 and b = |y0y4|²,
+        # looked up again only when s0 is a new object
+        firsts, seconds, last = {}, {}, None
         for s0, s1 in parameter_pairs:
-            first = firsts.get(s0)
-            if first is None:
-                y0 = chart0.point_at(s0)
-                p0, p4 = integral(y0), integral(reflect_point(y0, sym.plane))
-                first = firsts[s0] = y0, p0, p4, integral_dist_sq(p0, p4)
-            second = seconds.get(s1)
-            if second is None:
-                y1 = chart1.point_at(s1)
-                second = seconds[s1] = y1, integral(y1)
-            (y0, p0, p4, b), (y1, p1) = first, second
-            yield (y0, y1), integral_dist_sq(p0, p1), b, integral_dist_sq(p1, p4)
+            if s0 is not last:
+                key = s0.numerator, s0.denominator
+                if key not in firsts:
+                    p0 = chart0.form_at(s0)
+                    p4 = integral(reflect_point(from_integral(p0), sym.plane))
+                    firsts[key] = p0, p4, integral_dist_sq(p0, p4)
+                (p0, p4, b), last = firsts[key], s0
+            key = s1.numerator, s1.denominator
+            p1 = seconds.get(key) or seconds.setdefault(key, chart1.form_at(s1))
+            yield (p0, p1), integral_dist_sq(p0, p1), b, integral_dist_sq(p1, p4)
 
-    hit = parallel_first(candidates(), partial(_first_device, sym))
+    hit = parallel_first(candidates(), partial(_first_device, sym, t))
     return None if hit is None else hit[1]
 
 
@@ -711,13 +709,15 @@ def _verify_grotzsch_type(cert: Certificate) -> list[Check]:
     pts = cert.points
     if len(pts) != 25:
         return [Check("order", "FAIL", f"expected 25 labeled points, got {len(pts)}")]
-    # one distance graph answers every adjacency question; labels may share a point
+    # one distance graph answers every adjacency question; labels may share a
+    # point, so each label is read as its point's vertex index
     g = build_graph(list(pts), cert.t)
     checks.append(Check("order", "PASS", f"25 labels, {g.order} distinct points"))
     vertex = {p: i for i, p in enumerate(g.vertices)}
+    index = [vertex[p] for p in pts]
 
     def adjacent(u: int, w: int) -> bool:
-        a, b = sorted((vertex[pts[u]], vertex[pts[w]]))
+        a, b = sorted((index[u], index[w]))
         return (a, b) in g.edges
 
     def label_pairs(pairs):
@@ -749,9 +749,9 @@ def _verify_grotzsch_type(cert: Certificate) -> list[Check]:
     for i in range(5):
         qi = 20 + i
         expected = {5 + (i - 1) % 5, 10 + i, 15 + (i + 1) % 5}
-        expected_points = {pts[j] for j in expected}
+        expected_vertices = {index[j] for j in expected}
         for j in range(5, 20):
-            if adjacent(qi, j) and j not in expected and pts[j] not in expected_points:
+            if adjacent(qi, j) and index[j] not in expected_vertices:
                 exclusivity_bad.append((qi, j))
     checks.append(
         Check("apex-exclusive", "PASS", "each apex meets exactly its three assigned circle points")

@@ -120,6 +120,12 @@ def integral(p: QPoint3) -> tuple[int, int, int, int]:
     return (*(c.numerator * (d // c.denominator) for c in p.coords()), d)
 
 
+def from_integral(form: tuple[int, int, int, int]) -> QPoint3:
+    """The point (X/D, Y/D, Z/D) of an `integral` form (X, Y, Z, D)."""
+    *xyz, d = form
+    return QPoint3(*(Fraction(c, d) for c in xyz))
+
+
 def integral_dist_sq(p, q) -> tuple[int, int]:
     """|pq|² of two `integral` points as an unreduced (numerator,
     denominator) pair."""
@@ -260,7 +266,8 @@ def _factorize_cached(n: int) -> tuple[tuple[int, int], ...]:
             m = stack.pop()
             if m == 1:
                 continue
-            if _is_probable_prime(m):
+            # m has no factor below p, so m < p² is prime without Miller–Rabin
+            if m < p * p or _is_probable_prime(m):
                 factors[m] = factors.get(m, 0) + 1
                 continue
             d = _pollard_rho(m)
@@ -278,6 +285,16 @@ def squarefree_part(n: int) -> int:
         if e % 2 == 1:
             out *= p
     return out
+
+
+_SQ64, _SQ63, _SQ65, _SQ11 = (frozenset(k * k % m for k in range(m)) for m in (64, 63, 65, 11))
+
+
+def is_square(n: int) -> bool:
+    """Whether the integer n >= 0 is a perfect square.  Its residues mod 64,
+    63, 65 and 11 reject all but about 0.8% of non-squares before `isqrt`."""
+    residue = n & 63 in _SQ64 and n % 63 in _SQ63 and n % 65 in _SQ65 and n % 11 in _SQ11
+    return residue and math.isqrt(n) ** 2 == n
 
 
 def rational_square_root(q: Fraction) -> Fraction | None:

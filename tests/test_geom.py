@@ -36,7 +36,7 @@ from scavenger.geom import (
 from scavenger.cycles import find_symmetric_5cycle
 from scavenger.hunts import farey_parameters
 from scavenger.numtheory import UnsolvableFormError
-from scavenger.qcore import dist_sq, midpoint, parse_point, parse_rational, point, vec
+from scavenger.qcore import dist_sq, integral, midpoint, parse_point, parse_rational, point, vec
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 
@@ -174,6 +174,42 @@ def test_tangent_parameter_returns_base():
 
 def test_inf_reprs_as_inf():
     assert repr(INF) == "inf"
+
+
+def _fraction_chart_point(chart, s):
+    """The chart point at s in Fraction arithmetic: base + λ·D(s) with
+    λ = −2 (base − center)·D(s) / |D(s)|², where D(s) has 1 and s on the two
+    kept axes in x,y,z order (0 and 1 for INF) and lies in the circle's plane."""
+    k = "xyz".index(chart.eliminated_axis)
+    i, j = (m for m in range(3) if m != k)
+    n = chart.circle.plane.normal.components()
+    d = [F(0)] * 3
+    d[i], d[j] = (F(0), F(1)) if s is INF else (F(1), F(s))
+    d[k] = -(n[i] * d[i] + n[j] * d[j]) / n[k]
+    d = vec(*d)
+    lam = -2 * (chart.base - chart.circle.center).dot(d) / d.norm_sq()
+    return chart.base + d.scale(lam)
+
+
+def _oracle_charts():
+    yield circle_param(UNIT_CIRCLE, point(F(3, 5), F(4, 5), 0))
+    for t in (10, 22, 30, 34, 58, 66, 94):
+        sym = find_symmetric_5cycle(t)
+        yield circle_param(equidistant_circle(sym.x4, sym.x1, sym.t), sym.x0)
+        yield circle_param(equidistant_circle(sym.x0, sym.x2, sym.t), sym.base)
+
+
+def test_chart_forms_match_the_fraction_formula():
+    """form_at is integral() of the Fraction chart point, and conic_point is
+    that point, on the unit circle and both device charts of seven cycles."""
+    checked = 0
+    for chart in _oracle_charts():
+        for s in farey_parameters(6) + (INF,):
+            expected = _fraction_chart_point(chart, s)
+            assert chart.form_at(s) == integral(expected), (chart, s)
+            assert conic_point(chart, s) == expected
+            checked += 1
+    assert checked == 15 * (len(farey_parameters(6)) + 1)
 
 
 small_vectors = st.builds(vec, *[st.integers(min_value=-5, max_value=5)] * 3)

@@ -272,6 +272,20 @@ def test_uncorrected_t66_fails_on_y2_and_q2():
     assert "Y2-Q2" in rendered
 
 
+def test_apex_meeting_a_non_assigned_circle_point_fails_exclusivity():
+    cert = _cert("t34_order25.cert")
+    # Q0's assigned circle points are X4, Y0 and Z1; X0 moves to √34 from Q0
+    q0 = cert.points[20]
+    points = list(cert.points)
+    points[5] = q0 + vec(3, 5, 0)
+    assert points[5] not in (points[9], points[10], points[16])
+    report = verify_certificate(Certificate(cert.kind, cert.t, tuple(points), cert.edges, cert.data))
+    check = {c.name: c for c in report.checks}["apex-exclusive"]
+    assert check.status == "FAIL"
+    assert "Q0-X0=34" in check.detail.split()
+    assert report.verdict == "FAIL"
+
+
 def test_direct_certificate_verifies():
     cert = _cert("t22_direct.cert")
     report = verify_certificate(cert)
@@ -812,16 +826,22 @@ def test_subgraph_hunt_skips_a_pair_whose_every_z_fails(monkeypatch):
     assert offered == [*zs, zs[0]]
 
 
-def test_subgraph_hunt_computes_each_chart_point_once(monkeypatch):
-    cert, sym = _reference_device()
+def _count_chart_forms(monkeypatch) -> Counter:
+    """Count the chart points the device hunt computes, by (chart, parameter)."""
     calls = Counter()
-    point_at = geom.CircleParam.point_at
+    form_at = geom.CircleParam.form_at
 
     def counted(self, s):
         calls[id(self), s] += 1
-        return point_at(self, s)
+        return form_at(self, s)
 
-    monkeypatch.setattr(geom.CircleParam, "point_at", counted)
+    monkeypatch.setattr(geom.CircleParam, "form_at", counted)
+    return calls
+
+
+def test_subgraph_hunt_computes_each_chart_point_once(monkeypatch):
+    cert, sym = _reference_device()
+    calls = _count_chart_forms(monkeypatch)
     a, b = _reference_device_pair(cert, sym)
     params = farey_parameters(2)
     firsts, seconds = set(params) | {a}, set(params) | {b}
@@ -834,20 +854,26 @@ def test_subgraph_hunt_computes_each_chart_point_once(monkeypatch):
 
 def test_subgraph_hunt_that_hits_the_first_pair_reads_each_chart_once(monkeypatch):
     cert, sym = _reference_device()
-    calls = Counter()
-    point_at = geom.CircleParam.point_at
-
-    def counted(self, s):
-        calls[id(self), s] += 1
-        return point_at(self, s)
-
-    monkeypatch.setattr(geom.CircleParam, "point_at", counted)
+    calls = _count_chart_forms(monkeypatch)
     a, b = _reference_device_pair(cert, sym)
     params = farey_parameters(2)
     assert grotzsch_subgraph_hunt(sym, [(a, b), *product(params, params)]) is not None
     assert sorted(s for _, s in calls) == sorted([a, b])
     assert set(calls.values()) == {1}
     assert len({chart for chart, _ in calls}) == 2
+
+
+def test_subgraph_hunt_reads_inf_and_equal_parameters_once(monkeypatch):
+    cert, sym = _reference_device()
+    a, b = _reference_device_pair(cert, sym)
+    expected = grotzsch_subgraph_hunt(sym, [(a, b)])
+    calls = _count_chart_forms(monkeypatch)
+    # INF is the parameter 1/0; 0 and F(0), and a and a copy of it, are one parameter
+    pairs = [(INF, INF), (INF, 0), (F(0), INF), (0, F(0)), (F(a.numerator, a.denominator), b), (a, b)]
+    assert grotzsch_subgraph_hunt(sym, pairs) == expected
+    assert set(calls.values()) == {1}
+    assert sorted(s for _, s in calls if s is not INF) == sorted([0, 0, a, b])
+    assert sum(s is INF for _, s in calls) == 2
 
 
 def test_subgraph_hunt_exhausts_empty_and_refuses_non_integer_t():
@@ -865,11 +891,12 @@ def test_subgraph_hunt_exhausts_empty_and_refuses_non_integer_t():
 
 
 def _device_candidate(sym, y0, y1):
-    """The hunt's candidate for the pair (y0, y1): a = |y0y1|², b = |y0y4|²
-    and c = |y1y4|² from the points' integer forms, y4 the mirror image of y0."""
+    """The hunt's candidate for the pair (y0, y1): the points' integer forms
+    and a = |y0y1|², b = |y0y4|² and c = |y1y4|² from them, y4 the mirror
+    image of y0."""
     p0, p1 = integral(y0), integral(y1)
     p4 = integral(reflect_point(y0, sym.plane))
-    return (y0, y1), integral_dist_sq(p0, p1), integral_dist_sq(p0, p4), integral_dist_sq(p1, p4)
+    return (p0, p1), integral_dist_sq(p0, p1), integral_dist_sq(p0, p4), integral_dist_sq(p1, p4)
 
 
 def _z_solve(sym, y0, y1):
@@ -925,7 +952,7 @@ def test_pair_with_y0_on_the_mirror_is_rejected_unassembled(monkeypatch):
     assert sym.x2 in _z_solve(sym, y0, y1)
     offered = []
     monkeypatch.setattr(hunts, "_assemble_device", lambda *args: offered.append(args))
-    assert hunts._first_device(sym, _device_candidate(sym, y0, y1)) is None
+    assert hunts._first_device(sym, 10, _device_candidate(sym, y0, y1)) is None
     assert offered == []
 
 

@@ -19,6 +19,7 @@ from scavenger.qcore import (
     factorize,
     format_point,
     format_rational,
+    is_square,
     midpoint,
     parse_point,
     parse_rational,
@@ -136,6 +137,20 @@ def test_factorize_large_semiprime():
     assert factorize(p * q) == {p: 1, q: 1}
 
 
+@pytest.mark.parametrize(
+    "n",
+    [
+        100_003 * 100_019,  # both primes above the trial-division bound
+        100_003**2,
+        9_999_999_967,  # a prime below 10^10: no factor up to its root
+        7 * 100_003 * 100_019,
+        100_003 * 100_019 * 100_043,
+    ],
+)
+def test_factorize_at_the_trial_division_bound(n):
+    assert factorize(n) == factorize_brute(n)
+
+
 def test_factorize_rejects_nonpositive():
     with pytest.raises(ValueError):
         factorize(0)
@@ -161,6 +176,19 @@ def test_squarefree_part_values(n, expected):
 
 
 # --- rational square roots and distance reduction --------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=10**20), st.sampled_from([-1, 0, 1]))
+def test_is_square_near_squares(k, delta):
+    n = max(k * k + delta, 0)
+    assert is_square(n) == (math.isqrt(n) ** 2 == n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=10**40))
+def test_is_square_matches_isqrt(n):
+    assert is_square(n) == (math.isqrt(n) ** 2 == n)
 
 
 @settings(max_examples=200, deadline=None)
