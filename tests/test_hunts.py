@@ -463,6 +463,14 @@ def test_grotzsch_type_hunt_succeeds_on_reference_cycle():
     assert cert.points[:5] == cycle
 
 
+@pytest.mark.parametrize("name,t", [("t34_order25.cert", 34), ("t66_order25.cert", 66)])
+def test_grotzsch_type_hunt_matches_golden(name, t):
+    cycle, params = _oracle_params(name)
+    out = grotzsch_type_hunt(t, list(cycle), params)
+    want = (GOLDEN / f"hunt_order25_t{t}.txt").read_text(encoding="utf-8")
+    assert format_certificate(out[1]) + out[2].render() == want
+
+
 def test_grotzsch_type_hunt_exhausts_small_list():
     cycle, _ = _oracle_params()
     assert grotzsch_type_hunt(34, list(cycle), [F(0)]) is None
