@@ -233,49 +233,11 @@ def gt_structural_edges() -> tuple[tuple[int, int], ...]:
     return tuple(sorted((min(a, b), max(a, b)) for a, b in pairs))
 
 
-@dataclass(frozen=True)
-class GrotzschTypeGraph:
-    """Order-25 decorated 5-cycle: v0..v4 on a cycle, three rational points
-    X_i, Y_i, Z_i on each circle equidistant from v_{i-1}, v_{i+1}, and an
-    apex Q_i over (X_{i-1}, Y_i, Z_{i+1}).
-
-    Labels may repeat as points (merging non-adjacent labels cannot lower the
-    chromatic number); all 50 structural edges must be exact.
-    """
-
-    t: int
-    vs: tuple[QPoint3, ...]
-    xs: tuple[QPoint3, ...]
-    ys: tuple[QPoint3, ...]
-    zs: tuple[QPoint3, ...]
-    qs: tuple[QPoint3, ...]
-
-    def __post_init__(self):
-        for name, ring in (("v", self.vs), ("X", self.xs), ("Y", self.ys), ("Z", self.zs), ("Q", self.qs)):
-            if len(ring) != 5:
-                raise ValueError(f"{name}-ring must have 5 points")
-        pts = self.points()
-        for u, w in gt_structural_edges():
-            d = dist_sq(pts[u], pts[w])
-            if d != self.t:
-                raise ValueError(
-                    f"edge {GT_LABELS[u]}-{GT_LABELS[w]} has squared distance {d}, expected {self.t}"
-                )
-
-    def points(self) -> tuple[QPoint3, ...]:
-        return self.vs + self.xs + self.ys + self.zs + self.qs
-
-    @classmethod
-    def from_points(cls, t: int, pts) -> GrotzschTypeGraph:
-        pts = tuple(pts)
-        if len(pts) != 25:
-            raise ValueError(f"expected 25 points, got {len(pts)}")
-        return cls(t, pts[0:5], pts[5:10], pts[10:15], pts[15:20], pts[20:25])
-
-    def to_certificate(self) -> Certificate:
-        return Certificate(
-            "grotzsch-type-structural", self.t, self.points(), gt_structural_edges(), {}
-        )
+def gt_apex_feet() -> tuple[tuple[int, int, int], ...]:
+    """Per Q_i, the labels of its three assigned circle points X_{i-1},
+    Y_i, Z_{i+1}, read from the structural edges."""
+    edges = gt_structural_edges()
+    return tuple(tuple(u for u, w in edges if w == 20 + i) for i in range(5))
 
 
 def farey_parameters(height: int = 12) -> tuple[Fraction, ...]:
@@ -315,14 +277,15 @@ def grotzsch_type_hunt(
     t: int,
     cycle: list[QPoint3],
     parameter_list,
-) -> tuple[GrotzschTypeGraph, Certificate, Report] | None:
+) -> tuple[tuple[tuple[int, int, int], ...], Certificate, Report] | None:
     """Decorate a 5-cycle into the order-25 graph: for each i, search
     parameter triples for rational points on the circles about
     (v_{i-2}, v_i), (v_{i-1}, v_{i+1}), (v_i, v_{i+2}) admitting a rational
     apex at √t over all three.  Triples are tried in product order and
-    decided from tabulated squared distances; the apex is built only for the
-    first hit.  Success for all five i yields the graph, a structural
-    certificate and its verification report."""
+    decided from tabulated squared distances; the points are built only for
+    the first hit.  Success for all five i yields the five hits, as index
+    triples into the parameter list, the structural certificate on the 25
+    labels (which may repeat as points) and its verification report."""
     t = int(t)
     if not is_5cycle(cycle, t):
         raise ValueError("cycle must be a 5-cycle at the target squared distance")
@@ -353,29 +316,28 @@ def grotzsch_type_hunt(
             ]
         return tables[p, q]
 
-    xs: list[QPoint3 | None] = [None] * 5
-    ys: list[QPoint3 | None] = [None] * 5
-    zs: list[QPoint3 | None] = [None] * 5
-    qs: list[QPoint3 | None] = [None] * 5
-    for i in range(5):
-        h, k = (i - 1) % 5, (i + 1) % 5
-        rows = _gt_rows(table(h, i), table(h, k), table(i, k))
+    # the 25 points in label order, each ring's X, Y, Z and Q filled in as
+    # it is found; a label's ring position is the chart of its circle
+    points: list[QPoint3 | None] = [*cycle, *[None] * 20]
+    hits = []
+    for i, feet in enumerate(gt_apex_feet()):
+        h, j, k = (f % 5 for f in feet)
+        rows = _gt_rows(table(h, j), table(h, k), table(j, k))
         hit = parallel_first(rows, partial(_gt_first_apex, t))
         if hit is None:
             logger.info("parameter list exhausted at i=%d (progress: %d of 5)", i, i)
             return None
-        _, (ix, iy, iz) = hit
-        xs[h], ys[i], zs[k] = (from_integral(forms[r][m]) for r, m in ((h, ix), (i, iy), (k, iz)))
-        apexes, _reason = apex_points_detailed(xs[h], ys[i], zs[k], t)
-        qs[i] = apexes[0]
+        hits.append(hit[1])
+        for f, m in zip(feet, hit[1]):
+            points[f] = from_integral(forms[f % 5][m])
+        points[20 + i] = apex_points_detailed(*(points[f] for f in feet), t)[0][0]
 
-    graph = GrotzschTypeGraph(t, tuple(cycle), tuple(xs), tuple(ys), tuple(zs), tuple(qs))
-    cert = graph.to_certificate()
+    cert = Certificate("grotzsch-type-structural", t, tuple(points), gt_structural_edges(), {})
     report = verify_certificate(cert)
     if report.failed:
         logger.info("assembled graph failed verification:\n%s", report.render())
         return None
-    return graph, cert, report
+    return tuple(hits), cert, report
 
 
 # --- the forced-pair device --------------------------------------------------------------
@@ -572,10 +534,9 @@ def parse_certificate(text: str) -> Certificate:
         elif section == "[data]":
             if "=" not in ln:
                 raise ValueError(f"line {lineno}: expected key=value, got {ln!r}")
-            key, _, raw = ln.partition("=")
-            raw = raw.strip()
+            key, _, raw = (part.strip() for part in ln.partition("="))
             try:
-                data[key.strip()] = parse_point(raw) if len(raw.split()) == 3 else parse_rational(raw)
+                data[key] = parse_point(raw) if key == "z" else parse_rational(raw)
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
         else:
@@ -665,6 +626,12 @@ def _chain_check(t: int, h: Rational) -> Check:
     )
 
 
+def _four_colorable_check(g: DistGraph) -> Check:
+    if k_colorable(g, 4) is None:
+        return Check("four-colorable", "FAIL", "no proper 4-coloring found")
+    return Check("four-colorable", "PASS", "proper 4-coloring found")
+
+
 def _verify_direct(cert: Certificate) -> list[Check]:
     checks: list[Check] = []
     g = build_graph(list(cert.points), cert.t)
@@ -695,12 +662,7 @@ def _verify_direct(cert: Certificate) -> list[Check]:
         if three is None
         else Check("chromatic", "FAIL", "graph is 3-colorable")
     )
-    four = k_colorable(g, 4)
-    checks.append(
-        Check("four-colorable", "PASS", "proper 4-coloring found")
-        if four is not None
-        else Check("four-colorable", "FAIL", "no proper 4-coloring found")
-    )
+    checks.append(_four_colorable_check(g))
     return checks
 
 
@@ -746,13 +708,11 @@ def _verify_grotzsch_type(cert: Certificate) -> list[Check]:
         )
 
     exclusivity_bad = []
-    for i in range(5):
-        qi = 20 + i
-        expected = {5 + (i - 1) % 5, 10 + i, 15 + (i + 1) % 5}
-        expected_vertices = {index[j] for j in expected}
+    for i, feet in enumerate(gt_apex_feet()):
+        expected_vertices = {index[j] for j in feet}
         for j in range(5, 20):
-            if adjacent(qi, j) and index[j] not in expected_vertices:
-                exclusivity_bad.append((qi, j))
+            if adjacent(20 + i, j) and index[j] not in expected_vertices:
+                exclusivity_bad.append((20 + i, j))
     checks.append(
         Check("apex-exclusive", "PASS", "each apex meets exactly its three assigned circle points")
         if not exclusivity_bad
@@ -777,12 +737,7 @@ def _verify_grotzsch_type(cert: Certificate) -> list[Check]:
                 "internal error: structural premises hold but a 3-coloring exists",
             )
         )
-    four = k_colorable(g, 4)
-    checks.append(
-        Check("four-colorable", "PASS", "proper 4-coloring found")
-        if four is not None
-        else Check("four-colorable", "FAIL", "no proper 4-coloring found")
-    )
+    checks.append(_four_colorable_check(g))
     return checks
 
 

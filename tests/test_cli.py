@@ -355,6 +355,27 @@ def test_verify_refuses_an_edge_index_that_is_not_ascii_digits(capsys, tmp_path,
     assert "line 6: bad edge" in err
 
 
+@pytest.mark.parametrize(
+    "line,edited,message",
+    [
+        ("h=1078/15", "h=1 2 3", "not a rational literal"),
+        ("radius_sq=1081/10", "radius_sq=1 2 3", "not a rational literal"),
+        ("z=37/11 -31/55 -38/55", "z=5", "expected three rationals"),
+    ],
+)
+def test_verify_refuses_a_data_value_of_the_wrong_shape(capsys, tmp_path, line, edited, message):
+    # z is read as a point and every other key as a rational, whatever the
+    # value's token count
+    rows = (DATA / "t30_device.cert").read_text(encoding="utf-8").splitlines()
+    lineno = rows.index(line) + 1
+    rows[lineno - 1] = edited
+    f = tmp_path / "edited.cert"
+    f.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify", str(f))
+    assert (code, out) == (64, "")
+    assert f"line {lineno}: {message}" in err
+
+
 def test_verify_accepts_certificate_t_with_unit_denominator(capsys, tmp_path):
     f = tmp_path / "unit.cert"
     f.write_text("certificate direct-chromatic t=22/1\n[vertices]\n0 0 0\n")

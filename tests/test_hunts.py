@@ -27,7 +27,6 @@ from scavenger.graph import build_graph, h_graph, is_proper, is_triangle_free, k
 from scavenger.hunts import (
     ASpec,
     Certificate,
-    GrotzschTypeGraph,
     _gt_first_apex,
     circle_plane_intersections,
     farey_parameters,
@@ -35,6 +34,7 @@ from scavenger.hunts import (
     greedy_hunt,
     grotzsch_subgraph_hunt,
     grotzsch_type_hunt,
+    gt_apex_feet,
     gt_structural_edges,
     parse_certificate,
     read_certificate,
@@ -225,20 +225,20 @@ def test_structural_edge_census():
     assert sorted(degree) == [3] * 20 + [8] * 5
 
 
-def test_order25_type_accepts_reference_tables():
-    for name in ("t34_order25.cert", "t66_order25.cert"):
-        cert = _cert(name)
-        g = GrotzschTypeGraph.from_points(cert.t, cert.points)
-        assert g.points() == cert.points
-        assert g.to_certificate().edges == gt_structural_edges()
+def test_apex_feet_are_the_q_edges_of_the_shape():
+    feet = gt_apex_feet()
+    assert feet == tuple((5 + (i - 1) % 5, 10 + i, 15 + (i + 1) % 5) for i in range(5))
+    edges = gt_structural_edges()
+    for i, labels in enumerate(feet):
+        assert {u for u, w in edges if w == 20 + i} == set(labels)
 
 
 def test_order25_type_rejects_broken_table():
-    cert = _cert("t34_order25_uncorrected.cert")
-    with pytest.raises(ValueError, match="v0-X4"):
-        GrotzschTypeGraph.from_points(cert.t, cert.points)
-    with pytest.raises(ValueError, match="25 points"):
-        GrotzschTypeGraph.from_points(34, cert.points[:24])
+    good = _cert("t34_order25.cert")
+    cert = Certificate(good.kind, good.t, good.points[:24], None, {})
+    report = verify_certificate(cert)
+    assert report.render() == "CHECK order FAIL expected 25 labeled points, got 24\nVERDICT FAIL\n"
+    assert report.exit_code == 1
 
 
 # --- verification of reference certificates ----------------------------------------
@@ -389,6 +389,9 @@ def test_certificate_rejects_unknown_kind():
         ("certificate direct-chromatic t=10\n[vertices]\n0 0 0\n[edges]\n0\n", "indices"),
         ("certificate direct-chromatic t=10\n[vertices]\n0 0 0\n[edges]\n0 3\n", "range"),
         ("certificate direct-chromatic t=10\n[vertices]\n0 0 0\n[data]\nnope\n", "key=value"),
+        ("certificate h-device t=30\n[vertices]\n0 0 0\n[data]\nh=1 2 3\n", "line 5: not a rational"),
+        ("certificate h-device t=30\n[vertices]\n0 0 0\n[data]\nradius_sq=1 2 3\n", "line 5: not a rational"),
+        ("certificate h-device t=30\n[vertices]\n0 0 0\n[data]\nz=5\n", "line 5: expected three"),
         ("certificate direct-chromatic t=10\n", "no"),
     ],
 )
@@ -457,10 +460,16 @@ def test_grotzsch_type_hunt_succeeds_on_reference_cycle():
     cycle, params = _oracle_params()
     out = grotzsch_type_hunt(34, list(cycle), params)
     assert out is not None
-    graph, cert, report = out
+    hits, cert, report = out
     assert verify_certificate(cert).verdict == "PASS"
     assert report == verify_certificate(cert)
     assert cert.points[:5] == cycle
+    assert cert.edges == gt_structural_edges()
+    _, charts = _reference_charts("t34_order25.cert")
+    for i, feet in enumerate(gt_apex_feet()):
+        assert len(hits[i]) == 3
+        for f, m in zip(feet, hits[i]):
+            assert cert.points[f] == charts[f % 5].point_at(params[m])
 
 
 @pytest.mark.parametrize("name,t", [("t34_order25.cert", 34), ("t66_order25.cert", 66)])
@@ -574,7 +583,7 @@ def test_grotzsch_type_hunt_takes_the_first_hit_in_product_order(reverse):
     cycle, params = _oracle_params()
     if reverse:
         params = params[::-1]
-    graph, _, _ = grotzsch_type_hunt(34, list(cycle), params)
+    hits, cert, _ = grotzsch_type_hunt(34, list(cycle), params)
     _, charts = _reference_charts("t34_order25.cert")
     for i in range(5):
         rows = [[chart.point_at(s) for s in params] for chart in _ring_charts(charts, i)]
@@ -583,8 +592,8 @@ def test_grotzsch_type_hunt_takes_the_first_hit_in_product_order(reverse):
             for a, b, c in product(range(len(params)), repeat=3)
             if _apex_oracle(rows[0][a], rows[1][b], rows[2][c], 34)
         )
-        found = (graph.xs[(i - 1) % 5], graph.ys[i], graph.zs[(i + 1) % 5])
-        assert found == (rows[0][first[0]], rows[1][first[1]], rows[2][first[2]])
+        assert hits[i] == first
+        assert _ring_points(cert, i) == (rows[0][first[0]], rows[1][first[1]], rows[2][first[2]])
 
 
 @pytest.mark.parametrize("name", ["t34_order25.cert", "t66_order25.cert"])

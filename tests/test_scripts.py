@@ -3,6 +3,7 @@ source, exits 0 and prints a line that pins its result."""
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -44,3 +45,19 @@ def test_verify_corpus_reports_every_corpus_file_ok():
     reported = [re.fullmatch(r"== (\S+): exit \d+ ok", line) for line in lines]
     assert all(reported), lines
     assert sorted(m.group(1) for m in reported) == sorted(p.name for p in (ROOT / "data").iterdir())
+
+
+def test_rebuild_reference_data_writes_the_corpus_byte_for_byte(monkeypatch, tmp_path):
+    # the script puts src/ and scripts/ on sys.path when it is loaded
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(
+        "rebuild_reference_data", ROOT / "scripts" / "rebuild_reference_data.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "DATA", tmp_path)
+    script.main()
+    data = ROOT / "data"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in data.iterdir())
+    for p in tmp_path.iterdir():
+        assert p.read_bytes() == (data / p.name).read_bytes(), p.name
