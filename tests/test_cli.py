@@ -817,6 +817,18 @@ def test_hunt_grotzsch_subgraph_30_matches_golden(capsys, tmp_path):
     assert out_path.read_bytes() == (GOLDEN / "hunt_device30.cert").read_bytes()
 
 
+def test_hunt_grotzsch_subgraph_66_d54_matches_golden(capsys, tmp_path):
+    # a device on the direct branch from a forced d, at a lower height
+    out_path = tmp_path / "device66.cert"
+    code, out, err = run(
+        capsys, "hunt-grotzsch-subgraph", "66", "--d", "54", "--height", "8", "--out", str(out_path)
+    )
+    assert code == 0
+    assert err == ""
+    assert out == (GOLDEN / "hunt_device66_d54.out").read_text(encoding="utf-8")
+    assert out_path.read_bytes() == (GOLDEN / "hunt_device66_d54.cert").read_bytes()
+
+
 @pytest.mark.parametrize("t", ["10", "58"])
 def test_hunt_grotzsch_subgraph_full_sweep_matches_golden(capsys, t):
     # no pair at height 12 has a device, so every pair is decided
