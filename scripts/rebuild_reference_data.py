@@ -161,7 +161,7 @@ def main() -> None:
     write_certificate(device, DATA / "t30_device.cert")
 
     # re-check every verdict, the vertex files too, against verify_corpus.EXPECTED
-    if verify_corpus.main():
+    if verify_corpus.main(DATA):
         raise SystemExit(1)
 
 

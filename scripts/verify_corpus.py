@@ -23,8 +23,10 @@ EXPECTED = {
 }
 
 
-def main() -> int:
-    data = Path(__file__).resolve().parent.parent / "data"
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+def main(data: Path = DATA) -> int:
     failures = 0
     for name, want in EXPECTED.items():
         code = dispatch(["verify", str(data / name)])

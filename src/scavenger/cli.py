@@ -216,8 +216,7 @@ def _cmd_hunt_grotzsch_subgraph(args) -> int:
         sys.stdout.write("HUNT FAIL no symmetric 5-cycle within bounds\n")
         return EXIT_FAIL
     sys.stdout.write(f"cycle d={format_rational(Fraction(sym.base_dist_sq))}\n")
-    params = farey_parameters(args.height)
-    found = grotzsch_subgraph_hunt(sym, [(a, b) for a in params for b in params])
+    found = grotzsch_subgraph_hunt(sym, farey_parameters(args.height))
     if found is None:
         sys.stdout.write(f"HUNT FAIL height={args.height}\n")
         return EXIT_FAIL

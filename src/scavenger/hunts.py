@@ -372,11 +372,12 @@ def _first_device(sym: SymCycle, t: int, candidate) -> tuple[Certificate, Report
     b = |y0y4|² and c = |y1y4|², with y4 the mirror image of y0.  For y0 off
     the mirror, such a z is exactly a rational apex at √t over (y0, y1, y4):
     it is at √t from y4 by symmetry, and the points at √t from y0 and y4 lie
-    on the mirror.  So the pair is decided from a, b, c (a is zero exactly
-    when y0 = y1), and y0, y1 and z are built only for a pair that passes."""
+    on the mirror.  For y0 = y1, or y0 on the mirror (y4 = y0), the triangle
+    is degenerate and the apex test rejects it.  So the pair is decided from
+    a, b, c, and y0, y1 and z are built only for a pair that passes."""
     forms, a, b, c = candidate
-    # b is zero for y0 on the mirror: then y4 == y0, so the verifier refuses the device
-    if a[0] == 0 or a[0] >= 4 * t * a[1] or b[0] == 0 or not has_rational_apex(a, b, c, t):
+    # at a = 4t the volume can be 0, which the square test accepts
+    if a[0] >= 4 * t * a[1] or not has_rational_apex(a, b, c, t):
         return None
     y0, y1 = map(from_integral, forms)
     for z in circle_plane_intersections(equidistant_circle(y0, y1, t), sym.plane):
@@ -386,42 +387,34 @@ def _first_device(sym: SymCycle, t: int, candidate) -> tuple[Certificate, Report
     return None
 
 
-def grotzsch_subgraph_hunt(sym: SymCycle, parameter_pairs) -> tuple[Certificate, Report] | None:
+def grotzsch_subgraph_hunt(sym: SymCycle, params) -> tuple[Certificate, Report] | None:
     """From a symmetric 5-cycle at integer squared edge length t, search for
     y0 (equidistant from x4, x1) and y1 (equidistant from x0, x2) admitting a
     rational z at √t from both on the mirror plane; y3, y4 are the mirror
-    images of y1, y0.  The squared distance |x2-z|² meeting the membership
-    criteria yields a certificate directly; otherwise the circle about
-    (x1, x3) must have squared radius with denominator ≡ 2 (mod 4),
-    certifying via the antipodal distance.  The circle about (x4, x1) is
-    charted from x0, which lies on it by two cycle edges, and the circle
-    about (x0, x2) from the cycle's solved base, so no circle is solved.
-    Pairs are tried in order, each decided by the integer apex test of
-    `_first_device`; z is solved, in order, only for a pair that passes.
-    Returns the first certificate with its verification report."""
+    images of y1, y0.  The branch rule of `_device_branch` then certifies the
+    device through |x2-z|² or through the x1x3 circle's antipodal distance.
+    The circle about (x4, x1) is charted from x0, which lies on it by two
+    cycle edges, and the circle about (x0, x2) from the cycle's solved base,
+    so no circle is solved.  The parameter pairs (s0, s1) of the sequence
+    `params` are tried in product order, s0 outer, each decided by the
+    integer apex test of `_first_device`; z is solved, in order, only for a
+    pair that passes.  Returns the first certificate with its verification
+    report."""
     if Fraction(sym.t).denominator != 1:
         raise ValueError(f"cycle squared edge length {sym.t} is not an integer")
     t = int(sym.t)
     chart0 = circle_param(equidistant_circle(sym.x4, sym.x1, t), sym.x0)
     chart1 = circle_param(equidistant_circle(sym.x0, sym.x2, t), sym.base)
+    seconds = [chart1.form_at(s) for s in params]
 
     def candidates():
-        # each chart's integer form once per distinct parameter, when a pair
-        # first reads it, keyed by (numerator, denominator) so that no pair
-        # hashes a Fraction; per y0 also its mirror image y4 and b = |y0y4|²,
-        # looked up again only when s0 is a new object
-        firsts, seconds, last = {}, {}, None
-        for s0, s1 in parameter_pairs:
-            if s0 is not last:
-                key = s0.numerator, s0.denominator
-                if key not in firsts:
-                    p0 = chart0.form_at(s0)
-                    p4 = integral(reflect_point(from_integral(p0), sym.plane))
-                    firsts[key] = p0, p4, integral_dist_sq(p0, p4)
-                (p0, p4, b), last = firsts[key], s0
-            key = s1.numerator, s1.denominator
-            p1 = seconds.get(key) or seconds.setdefault(key, chart1.form_at(s1))
-            yield (p0, p1), integral_dist_sq(p0, p1), b, integral_dist_sq(p1, p4)
+        # per row, y0's form, its mirror image y4 and b = |y0y4|² once
+        for s0 in params:
+            p0 = chart0.form_at(s0)
+            p4 = integral(reflect_point(from_integral(p0), sym.plane))
+            b = integral_dist_sq(p0, p4)
+            for p1 in seconds:
+                yield (p0, p1), integral_dist_sq(p0, p1), b, integral_dist_sq(p1, p4)
 
     hit = parallel_first(candidates(), partial(_first_device, sym, t))
     return None if hit is None else hit[1]
@@ -433,19 +426,12 @@ def _assemble_device(
     y4 = reflect_point(y0, sym.plane)
     y3 = reflect_point(y1, sym.plane)
     pts = (sym.x0, sym.x1, sym.x2, sym.x3, sym.x4, y0, y1, y3, y4, z)
-    h_direct = dist_sq(sym.x2, z)
-    data: dict[str, object] = {"z": z}
-    if phi_criteria(h_direct):
-        data["h"] = h_direct
-    else:
-        rho = equidistant_circle(sym.x1, sym.x3, sym.t).radius_sq
-        if rho.denominator % 4 != 2:
-            return None
-        data["radius_sq"] = rho
-        data["h"] = antipodal_dist_sq(rho)
-    # distinct points, the 17 device edges and the antipodal branch's
-    # membership criteria are all decided by the verifier's checks
-    cert = Certificate("h-device", int(sym.t), pts, tuple(sorted(h_graph().edges)), data)
+    t = int(sym.t)
+    _, data = _device_branch(pts, t, None)
+    if not data:
+        return None
+    # distinct points and the 17 device edges are decided by the verifier's checks
+    cert = Certificate("h-device", t, pts, tuple(sorted(h_graph().edges)), {"z": z, **data})
     report = verify_certificate(cert)
     if report.failed:
         logger.info("assembled device failed verification:\n%s", report.render())
@@ -797,71 +783,65 @@ def _verify_h_device(cert: Certificate) -> list[Check]:
     else:
         checks.append(Check("z-consistent", "PASS", f"z = {format_point(pts[9])}"))
 
-    h_direct = dist_sq(pts[2], pts[9])
+    branch_checks, data = _device_branch(pts, cert.t, cert.data.get("radius_sq"))
+    checks += branch_checks
+    if not data:
+        return checks
+    h = data["h"]
     claimed_h = cert.data.get("h")
-    if phi_criteria(h_direct):
-        checks.append(
-            Check(
-                "branch",
-                "PASS",
-                f"|x2-z|^2 = {format_rational(h_direct)} meets the membership criteria",
-            )
-        )
-        effective_h = h_direct
-    else:
-        span = dist_sq(pts[1], pts[3])
-        if span > 4 * cert.t:
-            checks.append(
-                Check(
-                    "radius",
-                    "FAIL",
-                    f"x1 and x3 are at squared distance {format_rational(span)} > 4t; "
-                    f"no point lies at squared distance {cert.t} from both",
-                )
-            )
-            return checks
-        s_circle = equidistant_circle(pts[1], pts[3], cert.t)
-        rho = s_circle.radius_sq
-        detail = (
-            f"|x2-z|^2 = {format_rational(h_direct)} fails the membership criteria; "
-            f"circle about x1, x3 has center {format_point(s_circle.center)} "
-            f"and squared radius {format_rational(rho)}"
-        )
-        claimed_rho = cert.data.get("radius_sq")
-        if claimed_rho is not None and claimed_rho != rho:
-            checks.append(
-                Check(
-                    "radius",
-                    "WARN",
-                    f"claimed squared radius {format_rational(claimed_rho)} inconsistent; recomputed {format_rational(rho)}",
-                )
-            )
-        else:
-            checks.append(Check("radius", "PASS", f"squared radius {format_rational(rho)}"))
-        if rho.denominator % 4 != 2:
-            checks.append(
-                Check("branch", "FAIL", detail + f"; denominator {rho.denominator} is not 2 mod 4")
-            )
-            return checks
-        h_anti = antipodal_dist_sq(rho)
-        anti_ok = phi_criteria(h_anti)
-        checks.append(
-            Check(
-                "branch",
-                "PASS" if anti_ok else "FAIL",
-                detail
-                + f"; antipodal squared distance {format_rational(h_anti)} "
-                + ("meets" if anti_ok else "fails")
-                + " the membership criteria",
-            )
-        )
-        if not anti_ok:
-            return checks
-        effective_h = h_anti
-    if claimed_h is not None and claimed_h != effective_h:
+    if claimed_h is not None and claimed_h != h:
         checks.append(
             Check("membership-value", "FAIL",
-                  f"claimed h {format_rational(claimed_h)} != recomputed {format_rational(effective_h)}")
+                  f"claimed h {format_rational(claimed_h)} != recomputed {format_rational(h)}")
         )
-    checks.append(_chain_check(cert.t, effective_h))
+    checks.append(_chain_check(cert.t, h))
     return checks
+
+
+def _device_branch(pts, t: int, claimed_rho) -> tuple[list[Check], dict[str, Rational]]:
+    """The device's branch decision: its `radius` and `branch` checks, and
+    the data they decide.  That is {"h": |x2-z|²} when |x2-z|² meets the
+    membership criteria; else {"radius_sq": ρ, "h": the antipodal distance}
+    when the circle about x1, x3 has a squared radius ρ with denominator
+    ≡ 2 (mod 4) and an antipodal distance meeting the criteria; else {}.  A
+    claimed ρ other than the recomputed one is a warning."""
+    h_direct = dist_sq(pts[2], pts[9])
+    if phi_criteria(h_direct):
+        detail = f"|x2-z|^2 = {format_rational(h_direct)} meets the membership criteria"
+        return [Check("branch", "PASS", detail)], {"h": h_direct}
+    span = dist_sq(pts[1], pts[3])
+    if span > 4 * t:
+        detail = (
+            f"x1 and x3 are at squared distance {format_rational(span)} > 4t; "
+            f"no point lies at squared distance {t} from both"
+        )
+        return [Check("radius", "FAIL", detail)], {}
+    s_circle = equidistant_circle(pts[1], pts[3], t)
+    rho = s_circle.radius_sq
+    detail = (
+        f"|x2-z|^2 = {format_rational(h_direct)} fails the membership criteria; "
+        f"circle about x1, x3 has center {format_point(s_circle.center)} "
+        f"and squared radius {format_rational(rho)}"
+    )
+    if claimed_rho is not None and claimed_rho != rho:
+        radius = Check(
+            "radius",
+            "WARN",
+            f"claimed squared radius {format_rational(claimed_rho)} inconsistent; recomputed {format_rational(rho)}",
+        )
+    else:
+        radius = Check("radius", "PASS", f"squared radius {format_rational(rho)}")
+    if rho.denominator % 4 != 2:
+        branch = Check("branch", "FAIL", detail + f"; denominator {rho.denominator} is not 2 mod 4")
+        return [radius, branch], {}
+    h_anti = antipodal_dist_sq(rho)
+    anti_ok = phi_criteria(h_anti)
+    branch = Check(
+        "branch",
+        "PASS" if anti_ok else "FAIL",
+        detail
+        + f"; antipodal squared distance {format_rational(h_anti)} "
+        + ("meets" if anti_ok else "fails")
+        + " the membership criteria",
+    )
+    return [radius, branch], {"radius_sq": rho, "h": h_anti} if anti_ok else {}

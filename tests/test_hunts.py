@@ -768,18 +768,19 @@ def test_subgraph_hunt_solves_no_circle(monkeypatch):
         return rational_point_on_circle(circle)
 
     monkeypatch.setattr(hunts, "rational_point_on_circle", counted)
-    assert grotzsch_subgraph_hunt(sym, [_reference_device_pair(cert, sym)]) is not None
+    assert grotzsch_subgraph_hunt(sym, _reference_device_pair(cert, sym)) is not None
     assert solved == []
 
 
 def test_subgraph_hunt_at_58_needs_no_solve_of_the_x4_x1_circle():
     # that circle's normalised form has a Holzer box of about 10^27
-    assert grotzsch_subgraph_hunt(find_symmetric_5cycle(58), [(F(0), F(0))]) is None
+    assert grotzsch_subgraph_hunt(find_symmetric_5cycle(58), [F(0)]) is None
 
 
 def test_subgraph_hunt_emits_verifying_certificate():
     cert, sym = _reference_device()
-    found = grotzsch_subgraph_hunt(sym, [_reference_device_pair(cert, sym)])
+    # of the parameters' four pairs, only the reference pair has a device
+    found = grotzsch_subgraph_hunt(sym, _reference_device_pair(cert, sym))
     assert found is not None
     found, hunt_report = found
     report = verify_certificate(found)
@@ -812,15 +813,19 @@ def _reject_first(monkeypatch, rejected: int) -> list:
     return offered
 
 
+def _reference_first_device(cert, sym):
+    """The device `_first_device` assembles from the reference (y0, y1)."""
+    return hunts._first_device(sym, 30, _device_candidate(sym, *cert.points[5:7]))
+
+
 def test_subgraph_hunt_takes_the_first_z_that_assembles(monkeypatch):
     cert, sym = _reference_device()
-    pair = _reference_device_pair(cert, sym)
     zs = _reference_device_zs(cert, sym)
     assert len(zs) == 2
-    found, _ = grotzsch_subgraph_hunt(sym, [pair])
+    found, _ = _reference_first_device(cert, sym)
     assert found.points[9] == zs[0]
     offered = _reject_first(monkeypatch, 1)
-    found, report = grotzsch_subgraph_hunt(sym, [pair])
+    found, report = _reference_first_device(cert, sym)
     assert offered == list(zs)
     assert found.points[9] == zs[1] == cert.points[9]
     assert not report.failed
@@ -828,20 +833,23 @@ def test_subgraph_hunt_takes_the_first_z_that_assembles(monkeypatch):
 
 def test_subgraph_hunt_skips_a_pair_whose_every_z_fails(monkeypatch):
     cert, sym = _reference_device()
-    pair = _reference_device_pair(cert, sym)
+    a, b = _reference_device_pair(cert, sym)
     zs = _reference_device_zs(cert, sym)
-    expected = grotzsch_subgraph_hunt(sym, [pair])
+    expected = grotzsch_subgraph_hunt(sym, [a, b])
     offered = _reject_first(monkeypatch, len(zs))
-    assert grotzsch_subgraph_hunt(sym, [pair]) is None
+    assert _reference_first_device(cert, sym) is None
     assert offered == list(zs)
     offered.clear()
-    # the first pair's z all fail, (0, 0) has none, and the search goes on
-    assert grotzsch_subgraph_hunt(sym, [pair, (F(0), F(0)), pair]) == expected
+    # the pair (a, b) comes second and eighth of the nine; its first z all
+    # fail, no pair between has a device, and the search goes on
+    assert grotzsch_subgraph_hunt(sym, [a, b, a]) == expected
     assert offered == [*zs, zs[0]]
 
 
-def _count_chart_forms(monkeypatch) -> Counter:
-    """Count the chart points the device hunt computes, by (chart, parameter)."""
+def test_subgraph_hunt_computes_each_chart_point_once(monkeypatch):
+    # an exhausted hunt computes each chart's point at each parameter once
+    _, sym = _reference_device()
+    params = farey_parameters(3)
     calls = Counter()
     form_at = geom.CircleParam.form_at
 
@@ -850,50 +858,15 @@ def _count_chart_forms(monkeypatch) -> Counter:
         return form_at(self, s)
 
     monkeypatch.setattr(geom.CircleParam, "form_at", counted)
-    return calls
-
-
-def test_subgraph_hunt_computes_each_chart_point_once(monkeypatch):
-    cert, sym = _reference_device()
-    calls = _count_chart_forms(monkeypatch)
-    a, b = _reference_device_pair(cert, sym)
-    params = farey_parameters(2)
-    firsts, seconds = set(params) | {a}, set(params) | {b}
-    found = grotzsch_subgraph_hunt(sym, product(params + (a,), params + (b,)))
-    assert found is not None
+    assert grotzsch_subgraph_hunt(sym, params) is None
     assert set(calls.values()) == {1}
-    charts = Counter(chart for chart, _ in calls)
-    assert sorted(charts.values()) == sorted([len(firsts), len(seconds)])
-
-
-def test_subgraph_hunt_that_hits_the_first_pair_reads_each_chart_once(monkeypatch):
-    cert, sym = _reference_device()
-    calls = _count_chart_forms(monkeypatch)
-    a, b = _reference_device_pair(cert, sym)
-    params = farey_parameters(2)
-    assert grotzsch_subgraph_hunt(sym, [(a, b), *product(params, params)]) is not None
-    assert sorted(s for _, s in calls) == sorted([a, b])
-    assert set(calls.values()) == {1}
-    assert len({chart for chart, _ in calls}) == 2
-
-
-def test_subgraph_hunt_reads_inf_and_equal_parameters_once(monkeypatch):
-    cert, sym = _reference_device()
-    a, b = _reference_device_pair(cert, sym)
-    expected = grotzsch_subgraph_hunt(sym, [(a, b)])
-    calls = _count_chart_forms(monkeypatch)
-    # INF is the parameter 1/0; 0 and F(0), and a and a copy of it, are one parameter
-    pairs = [(INF, INF), (INF, 0), (F(0), INF), (0, F(0)), (F(a.numerator, a.denominator), b), (a, b)]
-    assert grotzsch_subgraph_hunt(sym, pairs) == expected
-    assert set(calls.values()) == {1}
-    assert sorted(s for _, s in calls if s is not INF) == sorted([0, 0, a, b])
-    assert sum(s is INF for _, s in calls) == 2
+    assert list(Counter(chart for chart, _ in calls).values()) == [len(params)] * 2
 
 
 def test_subgraph_hunt_exhausts_empty_and_refuses_non_integer_t():
     _, sym = _reference_device()
     assert grotzsch_subgraph_hunt(sym, []) is None
-    assert grotzsch_subgraph_hunt(sym, [(F(0), F(0))]) is None
+    assert grotzsch_subgraph_hunt(sym, [F(0)]) is None
     half = [point(*(c / 2 for c in p.coords())) for p in sym.points()]
     base = solved_base(half[0], half[2], F(15, 2))
     halved = SymCycle(*half, F(15, 2), bisector_plane(half[0], half[4]), base)
@@ -968,6 +941,40 @@ def test_pair_with_y0_on_the_mirror_is_rejected_unassembled(monkeypatch):
     monkeypatch.setattr(hunts, "_assemble_device", lambda *args: offered.append(args))
     assert hunts._first_device(sym, 10, _device_candidate(sym, y0, y1)) is None
     assert offered == []
+
+
+def test_apex_test_rejects_y0_equal_to_y1_and_y0_on_the_mirror():
+    # either makes the triangle (y0, y1, y4) degenerate, so the hunt needs
+    # no test of its own for them
+    sym = find_symmetric_5cycle(10)
+    on_mirror = rational_point_on_circle(RCircle(sym.x2, F(10), sym.plane))
+    for y0, y1 in ((sym.x1, sym.x1), (on_mirror, sym.x1)):
+        _, a, b, c = _device_candidate(sym, y0, y1)
+        assert not has_rational_apex(a, b, c, 10)
+
+
+DEVICE_CERTS = [
+    DATA / "t30_device.cert",
+    GOLDEN / "hunt_device30.cert",
+    GOLDEN / "hunt_device66_d54.cert",
+    DATA.parent / "perfbench" / "inputs" / "t30_device_fresh.cert",
+]
+
+
+@pytest.mark.parametrize("path", DEVICE_CERTS, ids=lambda p: p.name)
+def test_device_branch_decides_each_certificates_h(path):
+    cert = read_certificate(path)
+    checks, data = hunts._device_branch(cert.points, cert.t, None)
+    assert data["h"] == cert.data["h"]
+    assert [(c.name, c.status) for c in checks][-1] == ("branch", "PASS")
+
+
+def test_device_branch_warns_on_a_wrong_claimed_radius():
+    cert = read_certificate(DATA / "t30_device.cert")
+    assert cert.data["radius_sq"] == F(1081, 10)
+    checks, data = hunts._device_branch(cert.points, 30, cert.data["radius_sq"])
+    assert [(c.name, c.status) for c in checks] == [("radius", "WARN"), ("branch", "PASS")]
+    assert data == {"radius_sq": F(539, 30), "h": F(1078, 15)}
 
 
 def test_device_hunt_at_30_solves_z_only_for_the_hit(monkeypatch, capsys):

@@ -56,7 +56,18 @@ def test_rebuild_reference_data_writes_the_corpus_byte_for_byte(monkeypatch, tmp
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     monkeypatch.setattr(script, "DATA", tmp_path)
+    verified = []
+    dispatch = script.verify_corpus.dispatch
+
+    def recording(argv):
+        verified.append(Path(argv[-1]))
+        return dispatch(argv)
+
+    monkeypatch.setattr(script.verify_corpus, "dispatch", recording)
     script.main()
+    # the closing re-check reads the files just written
+    assert len(verified) == len(script.verify_corpus.EXPECTED)
+    assert all(p.parent == tmp_path for p in verified), verified
     data = ROOT / "data"
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in data.iterdir())
     for p in tmp_path.iterdir():
