@@ -798,7 +798,9 @@ def _verify_h_device(cert: Certificate) -> list[Check]:
     return checks
 
 
-def _device_branch(pts, t: int, claimed_rho) -> tuple[list[Check], dict[str, Rational]]:
+def _device_branch(
+    pts: tuple[QPoint3, ...], t: int, claimed_rho: Rational | None
+) -> tuple[list[Check], dict[str, Rational]]:
     """The device's branch decision: its `radius` and `branch` checks, and
     the data they decide.  That is {"h": |x2-z|²} when |x2-z|² meets the
     membership criteria; else {"radius_sq": ρ, "h": the antipodal distance}
