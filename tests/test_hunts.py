@@ -18,6 +18,7 @@ from scavenger.geom import (
     apex_points_detailed,
     bisector_plane,
     circle_param,
+    embed_isosceles,
     equidistant_circle,
     has_rational_apex,
     rational_point_on_circle,
@@ -957,6 +958,7 @@ DEVICE_CERTS = [
     DATA / "t30_device.cert",
     GOLDEN / "hunt_device30.cert",
     GOLDEN / "hunt_device66_d54.cert",
+    GOLDEN / "hunt_device154_antipodal.cert",
     DATA.parent / "perfbench" / "inputs" / "t30_device_fresh.cert",
 ]
 
@@ -990,6 +992,23 @@ def test_device_hunt_at_30_solves_z_only_for_the_hit(monkeypatch, capsys):
     assert capsys.readouterr().out == (GOLDEN / "hunt_device30.out").read_text(encoding="utf-8")
     z = read_certificate(GOLDEN / "hunt_device30.cert").data["z"]
     assert len(solved) == 1 and z in solved[0]
+
+
+def test_device_hunt_on_the_antipodal_branch_matches_golden():
+    # t=154, d=90 with x1 at s = -1/2 on the (x0, x2) circle's chart: |x2-z|²
+    # fails the membership criteria, so h is the x1x3 circle's antipodal
+    # distance
+    x0, x4, x2 = embed_isosceles(154, 90)
+    base = solved_base(x0, x2, 154)
+    mirror = bisector_plane(x0, x4)
+    x1 = circle_param(equidistant_circle(x0, x2, 154), base).point_at(F(-1, 2))
+    sym = SymCycle(x0, x1, x2, reflect_point(x1, mirror), x4, F(154), mirror, base)
+    cert, report = grotzsch_subgraph_hunt(sym, farey_parameters(10))
+    assert cert.data["h"] == F(230950, 693) and cert.data["radius_sq"] == F(115475, 1386)
+    assert format_certificate(cert) == (GOLDEN / "hunt_device154_antipodal.cert").read_text(
+        encoding="utf-8"
+    )
+    assert report.render() == (GOLDEN / "hunt_device154_antipodal.out").read_text(encoding="utf-8")
 
 
 # --- solver cross-checks on reference data -------------------------------------------
