@@ -24,7 +24,6 @@ from pathlib import Path
 from .cycles import find_5cycle, find_symmetric_5cycle, gen_vectors, scan_d
 from .geom import circle_param, embed_isosceles, equidistant_circle, rational_point_on_circle
 from .hunts import (
-    ASpec,
     Certificate,
     Check,
     Report,
@@ -184,15 +183,12 @@ def _emit_certificate(head: str, cert: Certificate, report: Report, out) -> int:
 def _cmd_hunt_greedy(args) -> int:
     vf = parse_vertex_file(args.seed)
     t = _int_t(vf.t, "hunt-greedy")
-    spec = ASpec(args.denominator, -args.box, args.box)
-    result = greedy_hunt(t, list(vf.points), spec, cap=args.cap)
-    if not result.succeeded:
-        sys.stdout.write(
-            f"HUNT FAIL order={result.order} cap={args.cap} colors={result.coloring.color_count()}\n"
-        )
-        return EXIT_FAIL
+    result = greedy_hunt(t, list(vf.points), args.denominator, args.box, args.cap)
     g = result.graph
-    head = f"HUNT PASS order={g.order} edges={len(g.edges)} iterations={result.iterations}\n"
+    if not result.succeeded:
+        sys.stdout.write(f"HUNT FAIL order={g.order} cap={args.cap} colors={len(set(result.coloring))}\n")
+        return EXIT_FAIL
+    head = f"HUNT PASS order={g.order} edges={len(g.edges)} iterations={g.order - len(vf.points)}\n"
     return _emit_certificate(head, result.certificate, result.report, args.out)
 
 
@@ -320,7 +316,8 @@ def _positive_list(text: str) -> list[int]:
 
 
 def _positive_rational(text: str) -> Fraction:
-    """argparse type of a forced squared distance: a rational greater than 0."""
+    """argparse type of a forced squared distance or a box half-width: a
+    rational greater than 0."""
     value = parse_rational(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be a positive rational, got {text!r}")
@@ -347,7 +344,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("hunt-greedy", help="grow a non-3-colorable set from a seed 5-cycle")
     p.add_argument("seed", help="vertex file with the seed 5-cycle")
-    p.add_argument("--box", type=parse_rational, default="10", help="box half-width (default %(default)s)")
+    p.add_argument("--box", type=_positive_rational, default="10", help="box half-width (default %(default)s)")
     p.add_argument("--cap", type=_positive, default=1000)
     p.add_argument("--denominator", type=_positive, default=3)
     p.add_argument("--out", help="write the certificate here")

@@ -78,27 +78,14 @@ def build_graph(points: list[QPoint3], t: Rational) -> DistGraph:
 # --- exact coloring ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Coloring:
-    """A total color assignment, vertex index -> color."""
-
-    assignment: tuple[int, ...]
-
-    def color_count(self) -> int:
-        return len(set(self.assignment))
-
-    def __getitem__(self, v: int) -> int:
-        return self.assignment[v]
-
-
-def is_proper(g: AbstractGraph, coloring: Coloring) -> bool:
-    if len(coloring.assignment) != g.order:
+def is_proper(g: AbstractGraph, coloring: tuple[int, ...]) -> bool:
+    if len(coloring) != g.order:
         return False
-    return all(coloring.assignment[u] != coloring.assignment[v] for u, v in g.edges)
+    return all(coloring[u] != coloring[v] for u, v in g.edges)
 
 
-def k_colorable(g: AbstractGraph, k: int) -> Coloring | None:
-    """A proper k-coloring, or None when none exists (exact decision).
+def k_colorable(g: AbstractGraph, k: int) -> tuple[int, ...] | None:
+    """A proper k-coloring (a color per vertex), or None when none exists (exact decision).
 
     Backtracking assigns the most saturated vertex first (ties: degree, then
     lowest index) and never opens color c+1 before colors 0..c are in use.
@@ -159,7 +146,7 @@ def k_colorable(g: AbstractGraph, k: int) -> Coloring | None:
     finally:
         sys.setrecursionlimit(limit)
     if solved:
-        coloring = Coloring(tuple(colors[rank[v]] for v in range(n)))
+        coloring = tuple(colors[rank[v]] for v in range(n))
         assert is_proper(g, coloring)
         return coloring
     return None

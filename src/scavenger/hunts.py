@@ -17,7 +17,7 @@ import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from math import ceil, floor, gcd, isqrt
+from math import floor, gcd, isqrt
 
 from .cycles import SymCycle, gen_vectors, is_5cycle, parallel_first
 from .geom import (
@@ -32,7 +32,6 @@ from .geom import (
 )
 from .graph import (
     AbstractGraph,
-    Coloring,
     DistGraph,
     H_LABELS,
     build_graph,
@@ -50,7 +49,6 @@ from .numtheory import (
 from .qcore import (
     QPoint3,
     Rational,
-    _frac,
     content_lines,
     dist_sq,
     format_point,
@@ -73,84 +71,61 @@ logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class ASpec:
-    """Candidate set: points p with denominator·p integral, inside the box
-    [low, high]³.  The denominator must be odd — coordinates with even
-    reduced denominators can never appear at odd squared distances ≡ 2 mod 4."""
-
-    denominator: int = 3
-    low: Rational = Fraction(-10)
-    high: Rational = Fraction(10)
-
-    def __post_init__(self):
-        if self.denominator < 1 or self.denominator % 2 == 0:
-            raise ValueError(f"candidate denominator must be odd and positive, got {self.denominator}")
-        object.__setattr__(self, "low", _frac(self.low))
-        object.__setattr__(self, "high", _frac(self.high))
-        if self.low >= self.high:
-            raise ValueError("empty candidate box")
-
-    def contains(self, p: QPoint3) -> bool:
-        return all(
-            self.low <= c <= self.high and (c * self.denominator).denominator == 1
-            for c in p.coords()
-        )
-
-    def step_vectors(self, t: int) -> tuple[tuple[int, int, int], ...]:
-        """All vectors of squared norm t joining two candidate points, as
-        integer triples (x, y, z) standing for (x, y, z)/denominator."""
-        divisors = {k for k in range(1, self.denominator + 1) if self.denominator % k == 0}
-        return gen_vectors(t, divisors, isqrt(t * self.denominator**2) + 1).vectors
-
-    def lattice_bounds(self) -> tuple[int, int]:
-        """The box on the scaled lattice: a coordinate X/denominator lies in
-        [low, high] iff lo <= X <= hi."""
-        return ceil(self.low * self.denominator), floor(self.high * self.denominator)
-
-
-@dataclass(frozen=True)
 class GreedyResult:
-    """The grown graph; on success also its certificate and that
-    certificate's one verification report, on failure the last proper
-    3-coloring."""
+    """The grown graph; on failure its last proper 3-coloring (a color per
+    vertex), on success its certificate and that certificate's one
+    verification report."""
 
-    succeeded: bool
     graph: DistGraph
-    iterations: int
-    coloring: Coloring | None = None
-    certificate: Certificate | None = None
-    report: Report | None = None
+    coloring: tuple[int, ...] | None
+    certificate: Certificate | None
+    report: Report | None
 
     @property
-    def order(self) -> int:
-        return self.graph.order
+    def succeeded(self) -> bool:
+        return self.certificate is not None
 
 
-def greedy_hunt(t: int, seed: list[QPoint3], spec: ASpec, cap: int = 1000) -> GreedyResult:
+def greedy_hunt(
+    t: int, seed: list[QPoint3], denominator: int = 3, box: Rational = Fraction(10), cap: int = 1000
+) -> GreedyResult:
     """Grow a vertex set from a seed 5-cycle by repeatedly adding the
     candidate adjacent to the most chosen vertices, until no proper
     3-coloring exists (success) or the cap is reached (failure).
 
+    The candidates are (1/denominator)·Z³ ∩ [−box, box]³.  The denominator
+    must be odd — coordinates with even reduced denominators can never
+    appear at odd squared distances ≡ 2 mod 4.
     Ties are broken by the number of distinct colors among a candidate's
     neighbors under the stored coloring, then by lexicographic point order.
     The stored coloring is recomputed from scratch after every insertion.
     """
-    t = int(t)
+    t, d = int(t), denominator
+    if d < 1 or d % 2 == 0:
+        raise ValueError(f"candidate denominator must be odd and positive, got {d}")
+    if box <= 0:
+        raise ValueError("empty candidate box")
     if not is_5cycle(seed, t):
         raise ValueError("seed must be a 5-cycle at the target squared distance")
+    # the hunt runs on the integer lattice: a candidate is (X, Y, Z) for the
+    # point (X, Y, Z)/D with lo <= X, Y, Z <= hi, and only an admitted vertex
+    # becomes a QPoint3
+    hi = floor(box * d)
+    lo = -hi
+    keys = []
     for p in seed:
-        if not spec.contains(p):
+        key = [c * d for c in p.coords()]
+        if any(x.denominator != 1 or not lo <= x <= hi for x in key):
             raise ValueError(f"seed point {format_point(p)} is outside the candidate set")
+        keys.append(tuple(map(int, key)))
     if cap < len(seed):
         raise ValueError(f"cap {cap} is below the seed size")
 
-    # the hunt runs on the integer lattice: a candidate is (X, Y, Z) for the
-    # point (X, Y, Z)/D, and only an admitted vertex becomes a QPoint3
-    d = spec.denominator
-    lo, hi = spec.lattice_bounds()
-    steps = spec.step_vectors(t)
+    # every vector of squared norm t joining two candidates, as (x, y, z)/D
+    divisors = {k for k in range(1, d + 1) if d % k == 0}
+    steps = gen_vectors(t, divisors, isqrt(t * d * d) + 1).vectors
     vertices: list[QPoint3] = []
-    index: dict[tuple[int, int, int], int] = {}
+    chosen: set[tuple[int, int, int]] = set()
     edges: set[tuple[int, int]] = set()
     # the frontier: each candidate's chosen neighbors, and the candidates
     # bucketed by how many they have
@@ -160,7 +135,7 @@ def greedy_hunt(t: int, seed: list[QPoint3], spec: ASpec, cap: int = 1000) -> Gr
     def admit(key: tuple[int, int, int]) -> None:
         m = len(vertices)
         vertices.append(QPoint3(*(Fraction(c, d) for c in key)))
-        index[key] = m
+        chosen.add(key)
         nbrs = neighbor_sets.pop(key, ())
         if nbrs:
             buckets[len(nbrs)].remove(key)
@@ -168,7 +143,7 @@ def greedy_hunt(t: int, seed: list[QPoint3], spec: ASpec, cap: int = 1000) -> Gr
         x, y, z = key
         for dx, dy, dz in steps:
             q = (x + dx, y + dy, z + dz)
-            if q in index or not (lo <= q[0] <= hi and lo <= q[1] <= hi and lo <= q[2] <= hi):
+            if q in chosen or not (lo <= q[0] <= hi and lo <= q[1] <= hi and lo <= q[2] <= hi):
                 continue
             qn = neighbor_sets.setdefault(q, set())
             if qn:
@@ -176,28 +151,25 @@ def greedy_hunt(t: int, seed: list[QPoint3], spec: ASpec, cap: int = 1000) -> Gr
             qn.add(m)
             buckets.setdefault(len(qn), set()).add(q)
 
-    for p in seed:
-        admit(tuple(int(c * d) for c in p.coords()))
+    for key in keys:
+        admit(key)
 
-    iterations = 0
     while True:
         coloring = k_colorable(AbstractGraph(len(vertices), frozenset(edges)), 3)
         if coloring is None or len(vertices) >= cap or not neighbor_sets:
             break
         # only the candidates with the most chosen neighbors are scored; with
         # D > 0 the integer order is the order of the points
-        colors = coloring.assignment
         top = buckets[max(c for c, bucket in buckets.items() if bucket)]
-        admit(min(top, key=lambda q: (-len({colors[j] for j in neighbor_sets[q]}), q)))
-        iterations += 1
+        admit(min(top, key=lambda q: (-len({coloring[j] for j in neighbor_sets[q]}), q)))
 
     # every candidate pair at squared distance t is joined by a step vector,
     # so these are all the edges build_graph would find
     graph = DistGraph(len(vertices), frozenset(edges), tuple(vertices), Fraction(t))
     if coloring is not None:
-        return GreedyResult(False, graph, iterations, coloring)
+        return GreedyResult(graph, coloring, None, None)
     cert = Certificate("direct-chromatic", t, graph.vertices, tuple(sorted(graph.edges)), {})
-    return GreedyResult(True, graph, iterations, None, cert, verify_certificate(cert))
+    return GreedyResult(graph, None, cert, verify_certificate(cert))
 
 
 # --- the order-25 construction ----------------------------------------------------------

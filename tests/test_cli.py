@@ -130,6 +130,7 @@ def exit_code(argv) -> int:
         (["hunt-grotzsch-type", "t34_cycle"], "--height", "-1"),
         (["hunt-greedy", "t22_seed"], "--cap", "0"),
         (["hunt-greedy", "t22_seed"], "--box", "0"),
+        (["hunt-greedy", "t22_seed"], "--box", "-3"),
         (["hunt-greedy", "t22_seed"], "--box", "ten"),
         (["find-cycle", "22"], "--height", "0"),
         (["find-cycle", "22"], "--denominators", "x"),

@@ -19,7 +19,6 @@ from scavenger.geom import (
     APEX_IRRATIONAL,
     APEX_OK,
     APEX_TOO_FAR,
-    CircleParam,
     Plane,
     RCircle,
     apex_points_detailed,

@@ -7,7 +7,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from scavenger import cli, geom, hunts
 from scavenger.cycles import SymCycle, find_symmetric_5cycle, parallel_first
@@ -26,7 +26,6 @@ from scavenger.geom import (
 )
 from scavenger.graph import build_graph, h_graph, is_proper, is_triangle_free, k_colorable
 from scavenger.hunts import (
-    ASpec,
     Certificate,
     _gt_first_apex,
     circle_plane_intersections,
@@ -66,60 +65,106 @@ def _cert(name: str) -> Certificate:
     return read_certificate(DATA / name)
 
 
-# --- candidate-set spec ------------------------------------------------------------
-
-
-def test_aspec_membership():
-    spec = ASpec(3, F(-10), F(10))
-    assert spec.contains(point(F(1, 3), F(-2, 3), 10))
-    assert not spec.contains(point(F(1, 2), 0, 0))
-    assert not spec.contains(point(11, 0, 0))
-    assert not spec.contains(point(F(31, 3), 0, 0))
-
-
-def test_aspec_rejects_even_or_bad_boxes():
-    with pytest.raises(ValueError):
-        ASpec(2)
-    with pytest.raises(ValueError):
-        ASpec(0)
-    with pytest.raises(ValueError):
-        ASpec(3, F(5), F(5))
-
-
-def test_aspec_step_vectors_link_candidates():
-    spec = ASpec(3)
-    steps = spec.step_vectors(22)
-    assert steps
-    # integer triples over the candidate denominator 3
-    assert all(x * x + y * y + z * z == 22 * 9 for x, y, z in steps)
-    assert (9, 9, 6) in steps and (14, 1, 1) in steps  # denominators 1 and 3
-    # steps land back inside the lattice: (1/3, 0, 0) + w/3 is a candidate
-    assert all(spec.contains(point(F(1 + x, 3), F(y, 3), F(z, 3))) for x, y, z in steps)
-
-
 # --- greedy accumulation -----------------------------------------------------------
+
+
+def _in_candidate_set(p, denominator, box) -> bool:
+    return all(abs(c) <= box and (c * denominator).denominator == 1 for c in p.coords())
+
+
+def _shifted(seed, offset):
+    return [point(*(c + o for c, o in zip(p.coords(), offset))) for p in seed]
+
+
+def test_greedy_rejects_even_denominators_and_empty_boxes():
+    for d in (2, 0, -3):
+        with pytest.raises(ValueError, match="must be odd and positive"):
+            greedy_hunt(22, SEED_22, d)
+    for box in (F(0), F(-3)):
+        with pytest.raises(ValueError, match="empty candidate box"):
+            greedy_hunt(22, SEED_22, 3, box)
+
+
+def test_greedy_errors_come_in_order():
+    # denominator, box, 5-cycle, seed membership, cap: each is reported
+    # while every later one also fails
+    bad = SEED_22[:4] + [point(100, 100, 100)]
+    for args, message in [
+        ((bad, 2, F(0), 1), "must be odd"),
+        ((bad, 3, F(0), 1), "empty candidate box"),
+        ((bad, 3, F(2), 1), "5-cycle"),
+        ((SEED_22, 3, F(2), 1), "outside the candidate set"),
+        ((SEED_22, 3, F(10), 4), "below the seed size"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            greedy_hunt(22, *args)
+
+
+def test_greedy_seed_membership():
+    # 14/3 needs the denominator 3, and 19/3 is the seed's largest coordinate
+    with pytest.raises(ValueError, match="seed point 14/3 1/3 1/3 is outside"):
+        greedy_hunt(22, SEED_22, 1)
+    with pytest.raises(ValueError, match="seed point 19/3 -1/3 14/3 is outside"):
+        greedy_hunt(22, SEED_22, 3, F(6))
+    with pytest.raises(ValueError, match="seed point 1/2 0 0 is outside"):
+        greedy_hunt(22, _shifted(SEED_22, (F(1, 2), 0, 0)), 3)
+    # a coordinate on the box's face is inside
+    assert greedy_hunt(22, SEED_22, 3, F(19, 3), cap=5).graph.vertices == tuple(SEED_22)
+    shifted = _shifted(SEED_22, (F(1, 3), F(-2, 3), 4))
+    assert greedy_hunt(22, shifted, 3, cap=5).graph.vertices == tuple(shifted)
+
+
+def test_greedy_step_vectors_join_the_seed():
+    # the seed is admitted like any candidate, so its five edges are found by
+    # step vectors over both divisors of 3: 14/3 1/3 1/3 has denominator 3,
+    # and 3 3 2 - 6 0 0 denominator 1
+    res = greedy_hunt(22, SEED_22, 3, cap=5)
+    assert res.graph.edges == {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}
+    steps = {
+        tuple(b - a for a, b in zip(p.coords(), q.coords())) for p, q in zip(SEED_22, SEED_22[1:])
+    }
+    assert (F(14, 3), F(1, 3), F(1, 3)) in steps and (-3, 3, 2) in steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([1, 3, 9, 15]),
+    st.fractions(F(3), F(12), max_denominator=6),
+    st.sampled_from([1, 3, 5]),
+    st.tuples(*[st.integers(-3, 3)] * 3),
+)
+@example(3, F(19, 3), 1, (0, 0, 0))  # a seed coordinate on the box's face
+@example(3, F(6), 1, (0, 0, 0))  # and just outside it
+def test_greedy_refuses_a_seed_exactly_off_the_candidate_set(d, box, q, shift):
+    # a translated 5-cycle is a 5-cycle; with cap 5 the hunt stops at the seed
+    seed = _shifted(SEED_22, [F(k, q) for k in shift])
+    if all(_in_candidate_set(p, d, box) for p in seed):
+        assert greedy_hunt(22, seed, d, box, cap=5).graph.vertices == tuple(seed)
+    else:
+        with pytest.raises(ValueError, match="outside the candidate set"):
+            greedy_hunt(22, seed, d, box, cap=5)
 
 
 def test_greedy_requires_cycle_seed():
     bad = SEED_22[:4] + [point(100, 100, 100)]
     with pytest.raises(ValueError):
-        greedy_hunt(22, bad, ASpec(3))
+        greedy_hunt(22, bad, 3)
 
 
 def test_greedy_requires_seed_inside_box():
     with pytest.raises(ValueError):
-        greedy_hunt(22, SEED_22, ASpec(3, F(-2), F(2)))
+        greedy_hunt(22, SEED_22, 3, F(2))
 
 
 def test_greedy_rejects_cap_below_seed():
     with pytest.raises(ValueError):
-        greedy_hunt(22, SEED_22, ASpec(3), cap=4)
+        greedy_hunt(22, SEED_22, 3, cap=4)
 
 
 def test_greedy_finds_non_3_colorable_set():
-    res = greedy_hunt(22, SEED_22, ASpec(3, F(-10), F(10)), cap=1000)
+    res = greedy_hunt(22, SEED_22, 3, F(10), cap=1000)
     assert res.succeeded
-    assert res.order <= 1000
+    assert res.graph.order <= 1000
     assert res.coloring is None
     assert k_colorable(res.graph, 3) is None
     assert k_colorable(res.graph, 4) is not None
@@ -132,37 +177,35 @@ def test_greedy_finds_non_3_colorable_set():
 
 
 def test_greedy_cap_failure_keeps_last_coloring():
-    res = greedy_hunt(22, SEED_22, ASpec(3, F(-10), F(10)), cap=12)
+    res = greedy_hunt(22, SEED_22, 3, F(10), cap=12)
     assert not res.succeeded
-    assert res.order == 12
+    assert res.graph.order == 12
     assert res.certificate is None and res.report is None
     coloring = res.coloring
     assert coloring is not None
     assert is_proper(res.graph, coloring)
     assert k_colorable(res.graph, 3) is not None
-    assert coloring.color_count() <= 3
+    assert len(set(coloring)) <= 3
 
 
 def test_greedy_deterministic():
-    a = greedy_hunt(22, SEED_22, ASpec(3), cap=20)
-    b = greedy_hunt(22, SEED_22, ASpec(3), cap=20)
+    a = greedy_hunt(22, SEED_22, 3, cap=20)
+    b = greedy_hunt(22, SEED_22, 3, cap=20)
     assert a.graph.vertices == b.graph.vertices
 
 
 def _greedy_run_text(res) -> str:
     """One line per vertex in admission order: the point, then its color in
     the hunt's last 3-coloring."""
-    return "".join(
-        f"{format_point(p)} {c}\n" for p, c in zip(res.graph.vertices, res.coloring.assignment)
-    )
+    return "".join(f"{format_point(p)} {c}\n" for p, c in zip(res.graph.vertices, res.coloring))
 
 
 def test_greedy_long_run_matches_golden():
     # each of the 115 admissions breaks its ties on the stored coloring, so
     # the sequence checks every coloring the run computed, and the last one
     # is pinned whole
-    res = greedy_hunt(22, SEED_22, ASpec(15), cap=120)
-    assert not res.succeeded and res.order == 120
+    res = greedy_hunt(22, SEED_22, 15, cap=120)
+    assert not res.succeeded and res.graph.order == 120
     want = (GOLDEN / "hunt_greedy_d15_cap120.txt").read_text(encoding="utf-8")
     assert _greedy_run_text(res) == want
 
@@ -173,39 +216,19 @@ SEED_22_IMAGE = [point(p.x, -p.y, -p.z) for p in SEED_22]
 @pytest.mark.parametrize(
     "seed,spec,cap,succeeded",
     [
-        (SEED_22, ASpec(3), 1000, True),
-        (SEED_22_IMAGE, ASpec(3, F(-13, 2), F(13, 2)), 1000, True),  # the box binds
-        (SEED_22, ASpec(15), 40, False),
+        (SEED_22, (3, F(10)), 1000, True),
+        (SEED_22_IMAGE, (3, F(13, 2)), 1000, True),  # the box binds
+        (SEED_22, (15, F(10)), 40, False),
     ],
 )
 def test_greedy_edges_are_the_distance_graph(seed, spec, cap, succeeded):
     # the hunt joins candidates by step vectors only; that finds every pair
-    # build_graph finds
-    res = greedy_hunt(22, seed, spec, cap=cap)
+    # build_graph finds.  spec is (denominator, box)
+    res = greedy_hunt(22, seed, *spec, cap=cap)
     assert res.succeeded == succeeded
     assert res.graph.vertices[:5] == tuple(seed)
-    assert all(spec.contains(p) for p in res.graph.vertices)
+    assert all(_in_candidate_set(p, *spec) for p in res.graph.vertices)
     assert res.graph.edges == build_graph(list(res.graph.vertices), 22).edges
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.sampled_from([1, 3, 5, 9, 15]),
-    st.fractions(F(-7), F(7), max_denominator=12),
-    st.fractions(F(1), F(7), max_denominator=12),
-    st.integers(-3, 3),
-    st.integers(0, 2),
-)
-def test_aspec_lattice_bounds_agree_with_contains(d, low, width, offset, axis):
-    # boxes of width >= 1 hold a lattice point, on either side of 0 or across it
-    spec = ASpec(d, low, low + width)
-    lo, hi = spec.lattice_bounds()
-    inside = F(lo, d)
-    for bound in (lo, hi):
-        x = bound + offset
-        coords = [inside] * 3
-        coords[axis] = F(x, d)
-        assert spec.contains(point(*coords)) == (lo <= x <= hi)
 
 
 # --- the order-25 shape ------------------------------------------------------------

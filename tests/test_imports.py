@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used by its module.
+"""Every module-level import in the package, the scripts and the tests is
+used by its module.
 
 A stdlib `ast` pass stands in for a linter: a name bound by a top-level
 `import` or `from … import` must be read somewhere in the same module (or be
@@ -13,7 +14,14 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "scavenger"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "scavenger"
+# the package's modules keep their bare names as test ids
+MODULES = [
+    *sorted(PACKAGE.glob("*.py")),
+    *sorted(ROOT.glob("scripts/*.py")),
+    *sorted(ROOT.glob("tests/*.py")),
+]
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -44,12 +52,14 @@ def _read_names(tree: ast.Module) -> set[str]:
     return read
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES, ids=lambda p: p.name if p.parent == PACKAGE else str(p.relative_to(ROOT))
+)
 def test_every_module_level_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     read = _read_names(tree)
     unused = {name: line for name, line in _imported_names(tree).items() if name not in read}
-    assert not unused, f"{path.name}: unused imports {unused}"
+    assert not unused, f"{path.relative_to(ROOT)}: unused imports {unused}"
 
 
 def test_the_check_sees_an_unused_import():
