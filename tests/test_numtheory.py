@@ -710,6 +710,94 @@ def test_chain_with_huge_bezout_counts_is_quick():
     assert len(cert.steps) > 10**12
 
 
+# --- chain moves against a frozen reference ----------------------------------------
+# A copy of the Bezout solver and the atom-move builder with a separate c = 0
+# branch and the moves placed by helpers: any restructuring of chain
+# construction must return the same moves in the same order.
+
+
+def _ref_solve_linear3(g, a, b, c):
+    if b == 0 and c == 0:
+        return (g, 0, 0)
+    if c == 0:
+        s, t = numtheory._ext_gcd(a, b)
+        d1, d2 = s * g, t * g
+        q = numtheory._balanced_div(d2, a)
+        d2 -= q * a
+        d1 += q * b
+        return (d1, d2, 0)
+    g3 = math.gcd(b, c)
+    s, t = numtheory._ext_gcd(b // g3, c // g3)
+    p, q = numtheory._ext_gcd(a, g3)
+    d1 = p * g
+    d2 = q * g * s
+    d3 = q * g * t
+    step = b // g3
+    r = numtheory._balanced_div(d3, step)
+    d3 -= r * step
+    d2 += r * (c // g3)
+    gab = math.gcd(a, b)
+    step = a // gab
+    r = numtheory._balanced_div(d2, step)
+    d2 -= r * step
+    d1 += r * (b // gab)
+    return (d1, d2, d3)
+
+
+def _ref_place(axis, value, others, signs):
+    out = [0, 0, 0]
+    out[axis] = value
+    rest = [i for i in range(3) if i != axis]
+    out[rest[0]] = signs[0] * others[0]
+    out[rest[1]] = signs[1] * others[1]
+    return tuple(out)
+
+
+def _ref_atom_moves_for_axis(axis, count, comp_idx, rep):
+    others = tuple(rep[i] for i in range(3) if i != comp_idx)
+    sign = 1 if count > 0 else -1
+    first = _ref_place(axis, sign * rep[comp_idx], others, (1, 1))
+    second = _ref_place(axis, sign * rep[comp_idx], others, (-1, -1))
+    return [(first, abs(count)), (second, abs(count))]
+
+
+def _ref_even_moves(w, rep):
+    moves = []
+    for axis in range(3):
+        if w[axis] == 0:
+            continue
+        for comp_idx, count in enumerate(_ref_solve_linear3(w[axis] // 2, *rep)):
+            if count != 0 and rep[comp_idx] != 0:
+                moves.extend(_ref_atom_moves_for_axis(axis, count, comp_idx, rep))
+            elif count != 0 and rep[comp_idx] == 0:
+                raise AssertionError("solver assigned weight to a zero component")
+    return moves
+
+
+_component = st.integers(0, 60) | st.integers(0, 10**12)
+# primitive a >= b >= c >= 0, with c = 0 and b = c = 0 drawn on purpose
+primitive_reps = (
+    st.tuples(_component, _component, _component)
+    | st.tuples(_component, _component, st.just(0))
+    | st.just((1, 0, 0))
+).map(lambda r: tuple(sorted(r, reverse=True))).filter(lambda r: math.gcd(*r) == 1)
+even_vectors = st.tuples(*[st.integers(-10**9, 10**9).map(lambda x: 2 * x)] * 3)
+
+
+@settings(max_examples=400, deadline=None)
+@given(primitive_reps, st.integers(-10**12, 10**12))
+def test_solve_linear3_matches_reference(rep, g):
+    assert numtheory._solve_linear3(g, *rep) == _ref_solve_linear3(g, *rep)
+
+
+@settings(max_examples=400, deadline=None)
+@given(primitive_reps, even_vectors)
+def test_even_moves_match_reference(rep, w):
+    moves = numtheory._even_moves(w, rep)
+    assert moves == _ref_even_moves(w, rep)
+    assert tuple(sum(m[i] * k for m, k in moves) for i in range(3)) == w
+
+
 # --- isosceles embeddability -----------------------------------------------------
 
 
