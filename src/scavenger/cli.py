@@ -48,7 +48,6 @@ from .qcore import (
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
-EXIT_WARN = 2
 EXIT_USAGE = 64
 EXIT_INTERNAL = 70
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer whose reader left
@@ -60,11 +59,12 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer whose reade
 @dataclass(frozen=True)
 class VertexFile:
     """A parsed point-list file: `t=<rational>` header, one point per line,
-    `#` comments.  Points are deduplicated; each dropped row is a warning."""
+    `#` comments.  Points keep their first occurrence; `duplicates` counts
+    the rows dropped as repeats."""
 
     t: Rational
     points: tuple[QPoint3, ...]
-    warnings: tuple[str, ...]
+    duplicates: int
 
 
 def _read_text(path) -> str:
@@ -99,9 +99,7 @@ def _check_out(path) -> None:
 
 def parse_vertex_text(text: str) -> VertexFile:
     t = None
-    points: list[QPoint3] = []
-    first_seen: dict[QPoint3, int] = {}
-    warnings: list[str] = []
+    rows: list[QPoint3] = []
     for lineno, line in content_lines(text):
         if t is None:
             if not line.startswith("t="):
@@ -113,19 +111,13 @@ def parse_vertex_text(text: str) -> VertexFile:
             if t <= 0:
                 raise ValueError(f"line {lineno}: squared distance must be positive, got {t}")
             continue
-        p = parse_point_line(line, lineno)
-        if p in first_seen:
-            warnings.append(
-                f"line {lineno}: duplicate of line {first_seen[p]}: {format_point(p)}"
-            )
-            continue
-        first_seen[p] = lineno
-        points.append(p)
+        rows.append(parse_point_line(line, lineno))
     if t is None:
         raise ValueError("missing header line t=<rational>")
-    if not points:
+    if not rows:
         raise ValueError("no points after the header")
-    return VertexFile(t, tuple(points), tuple(warnings))
+    points = tuple(dict.fromkeys(rows))
+    return VertexFile(t, points, len(rows) - len(points))
 
 
 def parse_vertex_file(path) -> VertexFile:
@@ -148,15 +140,10 @@ def _cmd_verify(args) -> int:
         report = verify_certificate(parse_certificate(text))
     else:
         vf = parse_vertex_text(text)
-        cert = Certificate("direct-chromatic", vf.t, vf.points, None, {})
-        inner = verify_certificate(cert)
-        checks = list(inner.checks)
-        if vf.warnings:
-            checks.insert(
-                0,
-                Check("file-duplicates", "WARN", f"{len(vf.warnings)} duplicate rows dropped"),
-            )
-        report = Report(inner.kind, inner.t, tuple(checks))
+        report = verify_certificate(Certificate("direct-chromatic", vf.t, vf.points, None, {}))
+        if vf.duplicates:
+            dropped = Check("file-duplicates", "WARN", f"{vf.duplicates} duplicate rows dropped")
+            report = Report((dropped, *report.checks))
     sys.stdout.write(report.render())
     return report.exit_code
 

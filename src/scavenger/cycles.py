@@ -35,8 +35,6 @@ class VectorPool:
     reduced denominator of a component, then by value."""
 
     t: int
-    denominators: frozenset[int]
-    height_bound: int
     scale: int
     vectors: tuple[tuple[int, int, int], ...]
 
@@ -86,7 +84,7 @@ def gen_vectors(t: int, denominators, height_bound: int) -> VectorPool:
                     choices = [(x,) if x == 0 else (x, -x) for x in arr]
                     vectors.extend(product(*choices))
     vectors.sort(key=lambda w: (max(scale // gcd(x, scale) for x in w), w))
-    return VectorPool(t, frozenset(denoms), height_bound, scale, tuple(vectors))
+    return VectorPool(t, scale, tuple(vectors))
 
 
 # --- 5-cycle search -------------------------------------------------------------------

@@ -40,11 +40,10 @@ class AbstractGraph:
 
 @dataclass(frozen=True)
 class DistGraph(AbstractGraph):
-    """Euclidean distance graph: exact adjacency at squared distance t among
+    """Euclidean distance graph: exact adjacency at one squared distance among
     `vertices`, which are listed in vertex-index order."""
 
     vertices: tuple[QPoint3, ...]
-    t: Rational
     duplicates_merged: int = 0
 
 
@@ -72,7 +71,7 @@ def build_graph(points: list[QPoint3], t: Rational) -> DistGraph:
         return b * num == a * den
 
     edges = frozenset((i, j) for i in range(n) for j in range(i + 1, n) if adjacent(i, j))
-    return DistGraph(n, edges, tuple(vertices), t, len(points) - n)
+    return DistGraph(n, edges, tuple(vertices), len(points) - n)
 
 
 # --- exact coloring ---------------------------------------------------------------

@@ -153,17 +153,10 @@ def _obstruction(coeffs: tuple[int, int, int], primes: Sequence[Sequence[int]]) 
     return None
 
 
-def legendre_obstruction(form: TernaryForm) -> str | None:
-    """Why a*x^2+b*y^2+c*z^2 = 0 has no nontrivial integer solution — the
-    normalized form is definite, or the first of Legendre's three residue
-    conditions that fails — or None when it has one (exact decision)."""
-    coeffs, _, primes = normalize_form(form)
-    return _obstruction(coeffs, primes)
-
-
 def legendre_solvable(form: TernaryForm) -> bool:
     """Exact decision for nontrivial integer solvability of a*x^2+b*y^2+c*z^2 = 0."""
-    return legendre_obstruction(form) is None
+    coeffs, _, primes = normalize_form(form)
+    return _obstruction(coeffs, primes) is None
 
 
 def _holzer_search(coeffs: tuple[int, int, int], primes: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
@@ -308,7 +301,7 @@ def antipodal_dist_sq(radius_sq: Fraction) -> Fraction:
     return Fraction(2 * radius_sq.numerator, radius_sq.denominator // 2)
 
 
-class ChainSteps(Sequence):
+class ChainSteps:
     """Read-only view of a run-length walk: each `(step, k)` run expands to
     k copies of `step`, in run order, without materializing the walk."""
 
@@ -319,16 +312,6 @@ class ChainSteps(Sequence):
 
     def __len__(self) -> int:
         return sum(k for _, k in self._runs)
-
-    def __getitem__(self, i: int) -> QVec3:
-        if i < 0:
-            i += len(self)
-        if i >= 0:
-            for step, k in self._runs:
-                if i < k:
-                    return step
-                i -= k
-        raise IndexError("chain step index out of range")
 
     def __iter__(self):
         for step, k in self._runs:
@@ -370,16 +353,8 @@ def _balanced_div(x: int, m: int) -> int:
 def _solve_linear3(g: int, a: int, b: int, c: int) -> tuple[int, int, int]:
     """Small integers (d1,d2,d3) with d1*a + d2*b + d3*c = g, for
     a >= b >= c >= 0, gcd(a,b,c) = 1, a > 0."""
-    if b == 0 and c == 0:
+    if b == 0:  # then c = 0 as well, and gcd(b, c) would be 0
         return (g, 0, 0)
-    if c == 0:
-        s, t = _ext_gcd(a, b)
-        d1, d2 = s * g, t * g
-        q = _balanced_div(d2, a)
-        d2 -= q * a
-        d1 += q * b
-        assert d1 * a + d2 * b == g
-        return (d1, d2, 0)
     g3 = math.gcd(b, c)
     s, t = _ext_gcd(b // g3, c // g3)
     p, q = _ext_gcd(a, g3)
@@ -415,44 +390,27 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int]:
     return old_s, old_t
 
 
-def _place(axis: int, value: int, others: tuple[int, int], signs: tuple[int, int]) -> tuple[int, int, int]:
-    out = [0, 0, 0]
-    out[axis] = value
-    rest = [i for i in range(3) if i != axis]
-    out[rest[0]] = signs[0] * others[0]
-    out[rest[1]] = signs[1] * others[1]
-    return (out[0], out[1], out[2])
-
-
-def _atom_moves_for_axis(
-    axis: int, count: int, comp_idx: int, rep: tuple[int, int, int]
-) -> list[tuple[tuple[int, int, int], int]]:
-    """Two moves of multiplicity `abs(count)` whose `abs(count)` cancelling
-    pairs sum to count*2*rep[comp_idx] along `axis`."""
-    others = tuple(rep[i] for i in range(3) if i != comp_idx)
-    sign = 1 if count > 0 else -1
-    first = _place(axis, sign * rep[comp_idx], others, (1, 1))
-    second = _place(axis, sign * rep[comp_idx], others, (-1, -1))
-    return [(first, abs(count)), (second, abs(count))]
-
-
 def _even_moves(
     w: tuple[int, int, int], rep: tuple[int, int, int]
 ) -> list[tuple[tuple[int, int, int], int]]:
     """Atom moves, as (move, multiplicity), summing exactly to the all-even
-    integer vector w."""
+    integer vector w.  Each Bezout count n of a component r of rep is |n|
+    cancelling pairs along the axis: ±r on the axis, and the other two
+    components of rep signed (1, 1) in the first move, (-1, -1) in the
+    second."""
     moves: list[tuple[tuple[int, int, int], int]] = []
-    a, b, c = rep
     for axis in range(3):
         if w[axis] == 0:
             continue
         assert w[axis] % 2 == 0
-        d = _solve_linear3(w[axis] // 2, a, b, c)
-        for comp_idx, count in enumerate(d):
-            if count != 0 and rep[comp_idx] != 0:
-                moves.extend(_atom_moves_for_axis(axis, count, comp_idx, rep))
-            elif count != 0 and rep[comp_idx] == 0:
-                raise AssertionError("solver assigned weight to a zero component")
+        for comp_idx, count in enumerate(_solve_linear3(w[axis] // 2, *rep)):
+            if count == 0:
+                continue
+            on_axis = rep[comp_idx] if count > 0 else -rep[comp_idx]
+            p, q = (rep[i] for i in range(3) if i != comp_idx)
+            for pair in ([p, q], [-p, -q]):
+                pair.insert(axis, on_axis)
+                moves.append((tuple(pair), abs(count)))
     return moves
 
 

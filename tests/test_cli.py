@@ -40,16 +40,15 @@ def test_parse_vertex_file_reference():
     vf = cli.parse_vertex_file(DATA / "t22_vertices.txt")
     assert vf.t == 22
     assert len(vf.points) == 29
-    assert not vf.warnings
+    assert vf.duplicates == 0
 
 
 def test_parse_vertex_file_deduplicates_with_warning(tmp_path):
     f = tmp_path / "dup.txt"
-    f.write_text("t=22\n0 0 0\n1 2 3\n0 0 0\n")
+    f.write_text("t=22\n1 2 3\n0 0 0\n1 2 3\n0 0 0\n0 0 0\n")
     vf = cli.parse_vertex_file(f)
-    assert len(vf.points) == 2
-    assert len(vf.warnings) == 1
-    assert "line 4" in vf.warnings[0] and "line 2" in vf.warnings[0]
+    assert vf.points == (parse_point("1 2 3"), parse_point("0 0 0"))
+    assert vf.duplicates == 3
 
 
 def test_parse_vertex_file_zero_denominator(tmp_path):
@@ -289,7 +288,7 @@ def test_internal_error_exits_70(capsys, monkeypatch, message, shown):
 
 
 def test_emission_guard_exits_70(capsys, monkeypatch, tmp_path):
-    failing = Report("h-device", 30, (Check("chain", "FAIL", "forced"),))
+    failing = Report((Check("chain", "FAIL", "forced"),))
     monkeypatch.setattr(hunts, "verify_certificate", lambda cert: failing)
     out_path = tmp_path / "greedy.cert"
     code, out, err = run(

@@ -92,10 +92,10 @@ def test_pool_rejections():
     with pytest.raises(ValueError):
         gen_vectors(21, {1}, 60)  # odd, not an open case
     with pytest.raises(ValueError):
-        VectorPool(22, frozenset({1}), 60, 1, ((1, 0, 0),))
+        VectorPool(22, 1, ((1, 0, 0),))
     with pytest.raises(ValueError):
-        VectorPool(22, frozenset({1, 3}), 60, 3, ((3, 3, 2),))  # norm 22 only at scale 1
-    assert VectorPool(22, frozenset({1, 3}), 60, 3, ((9, 9, 6),)).vectors == ((9, 9, 6),)
+        VectorPool(22, 3, ((3, 3, 2),))  # norm 22 only at scale 1
+    assert VectorPool(22, 3, ((9, 9, 6),)).vectors == ((9, 9, 6),)
 
 
 @settings(max_examples=10, deadline=None)
@@ -185,7 +185,7 @@ def test_find_5cycle_exhausted_nonempty_pool():
 
 
 def test_find_5cycle_rejects_a_pool_not_closed_under_signed_permutation():
-    pool = VectorPool(22, frozenset({1, 3}), 60, 3, ((9, 9, 6),))
+    pool = VectorPool(22, 3, ((9, 9, 6),))
     with pytest.raises(ValueError, match="t=22"):
         find_5cycle(22, pool)
 

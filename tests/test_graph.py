@@ -333,7 +333,7 @@ def test_distance_graph_is_an_abstract_graph():
     assert g.order == len(g.vertices) == 3
     assert g.adjacency() == [{1}, {0, 2}, {1}]
     with pytest.raises(ValueError):
-        DistGraph(2, frozenset([(0, 2)]), tuple(pts[:2]), Fraction(1))
+        DistGraph(2, frozenset([(0, 2)]), tuple(pts[:2]))
 
 
 def test_build_graph_rejections():

@@ -1,8 +1,9 @@
-"""Every module-level function and class of the package is reached from
-outside its own tests.
+"""Every module-level function, class and constant of the package is reached
+from outside its own tests.
 
-A stdlib `ast` pass: each top-level `def` or `class` in `src/scavenger/*.py`
-must be named somewhere other than its own definition, in `src/`,
+A stdlib `ast` pass: each top-level `def` or `class` in `src/scavenger/*.py`,
+and each name bound by a top-level assignment (dunders such as `__version__`
+aside), must be named somewhere other than its own definition, in `src/`,
 `scripts/`, `perfbench/` or `tests/test_acceptance.py`.  A name counts when it
 is read as a name, an attribute or an import, or appears as a word inside a
 string (the benchmark traces functions by strings such as
@@ -54,20 +55,33 @@ def _named(tree: ast.AST, skip: set[int]) -> set[str]:
     return names
 
 
+def _bound(node: ast.stmt) -> list[str]:
+    """The names a top-level statement defines: a function or class, or the
+    names an assignment binds, dunders excepted."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    names = [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
 def _unreached(module: ast.Module, others: set[str]) -> list[str]:
-    """The top-level functions and classes of `module` named neither in
-    `others` nor anywhere in `module` outside their own definition."""
+    """The top-level functions, classes and assigned names of `module` named
+    neither in `others` nor anywhere in `module` outside their own
+    definition."""
     skip = _docstrings(module)
-    defs = [
-        node
-        for node in module.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-    ]
     unreached = []
-    for node in defs:
+    for node in module.body:
+        names = _bound(node)
+        if not names:
+            continue
         rest = set().union(*(_named(other, skip) for other in module.body if other is not node))
-        if node.name not in others and node.name not in rest:
-            unreached.append(node.name)
+        unreached += [name for name in names if name not in others and name not in rest]
     return unreached
 
 
@@ -97,4 +111,9 @@ def test_the_check_sees_an_unreached_definition():
         "def main():\n    return used() + len([Shape])\n"
     )
     assert _unreached(module, {"main", "traced"}) == ["lonely"]
+    constants = ast.parse(
+        '__version__ = "0"\nUSED = 1\nLONELY: int = 2\nFIRST, SECOND = 3, 4\n'
+        "def main():\n    return USED + FIRST\n"
+    )
+    assert _unreached(constants, {"main"}) == ["LONELY", "SECOND"]
     assert _unreached(ast.parse("def f():\n    pass\n"), _named(ast.parse('T = "m:f"'), set())) == []
