@@ -408,9 +408,9 @@ def _even_moves(
                 continue
             on_axis = rep[comp_idx] if count > 0 else -rep[comp_idx]
             p, q = (rep[i] for i in range(3) if i != comp_idx)
-            for pair in ([p, q], [-p, -q]):
-                pair.insert(axis, on_axis)
-                moves.append((tuple(pair), abs(count)))
+            for move in ([p, q], [-p, -q]):
+                move.insert(axis, on_axis)
+                moves.append((tuple(move), abs(count)))
     return moves
 
 
