@@ -388,8 +388,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# built once per process: parse_args fills a fresh namespace on every call
+_PARSER = _build_parser()
+
+
 def dispatch(argv) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if getattr(args, "out", None):
             _check_out(args.out)

@@ -254,28 +254,27 @@ def apex_points_detailed(
     return [center + normal.scale(s), center + normal.scale(-s)], APEX_OK
 
 
-def has_rational_apex(a: tuple[int, int], b: tuple[int, int], c: tuple[int, int], t: int) -> bool:
+def has_rational_apex(a: int, b: int, c: int, m: int, t: int) -> bool:
     """Whether three rational points p1, p2, p3 have a rational point at
     squared distance t from all three (those apex_points_detailed returns),
-    decided from their squared distances a = |p1p2|², b = |p1p3|² and
-    c = |p2p3|² alone, each given as a (numerator, denominator) pair.
+    decided from their squared distances alone: |p1p2|² = a/m, |p1p3|² = b/m
+    and |p2p3|² = c/m, integers over one common denominator m that is a
+    square.
 
-    D = 4ab − (a+b−c)² is sixteen times the squared area, so it is zero
-    exactly when two points coincide or all three are collinear; such a
-    triple is rejected (apex_points_detailed raises on it).  Otherwise
-    the squared circumradius is abc/D and the squared apex offset along the
+    D = 4ab − (a+b−c)² (over m²) is sixteen times the squared area, so it is
+    zero exactly when two points coincide or all three are collinear; such a
+    triple is rejected (apex_points_detailed raises on it).  Otherwise the
+    squared circumradius is abc/D and the squared apex offset along the
     normal (p2−p1) × (p3−p1) is 4(tD − abc)/D², so a rational apex exists iff
     tD − abc is a non-negative rational square: the Cayley–Menger volume of
-    the tetrahedron with three edges √t.  Scaled by L², with L the product
-    of the denominators, that is an integer square test.
+    the tetrahedron with three edges √t.  Over m³, a square, that is the
+    integer square test of t·m·D − abc.
     """
-    (A, da), (B, db), (C, dc) = a, b, c
-    alpha, beta, gamma = A * db * dc, B * da * dc, C * da * db  # a·L, b·L, c·L
-    s = alpha + beta - gamma
-    area = 4 * alpha * beta - s * s  # D·L²
+    s = a + b - c
+    area = 4 * a * b - s * s  # D·m²
     if area == 0:
         return False
-    volume = t * area - A * B * C * da * db * dc  # (tD − abc)·L²
+    volume = t * m * area - a * b * c  # (tD − abc)·m³
     return volume >= 0 and is_square(volume)
 
 

@@ -17,7 +17,7 @@ import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from math import floor, gcd, isqrt
+from math import floor, gcd, isqrt, lcm
 
 from .cycles import SymCycle, gen_vectors, is_5cycle, parallel_first
 from .geom import (
@@ -226,21 +226,26 @@ def farey_parameters(height: int = 12) -> tuple[Fraction, ...]:
     return tuple(sorted(out))
 
 
-def _gt_rows(xy, xz, yz):
+def _gt_rows(dens, xy, xz, yz):
     """One candidate per index pair (i, j), in product order: the pair, the
-    squared distance |X_i Y_j|², and the rows |X_i Z_k|² and |Y_j Z_k|² over
-    k."""
+    squared denominators of X_i and Y_j, the numerator of |X_i Y_j|², and
+    over k the squared denominators of Z_k with the rows of numerators of
+    |X_i Z_k|² and |Y_j Z_k|², each over its two points' squared
+    denominators."""
+    dx, dy, dz = dens
     for i, (xy_row, xz_row) in enumerate(zip(xy, xz)):
         for j, (a, yz_row) in enumerate(zip(xy_row, yz)):
-            yield (i, j), a, xz_row, yz_row
+            yield (i, j), dx[i], dy[j], a, dz, xz_row, yz_row
 
 
 def _gt_first_apex(t: int, candidate):
     """The index triple (i, j, k) of the candidate's first Z_k over which
-    X_i, Y_j, Z_k have a rational apex at √t, or None."""
-    (i, j), a, xz_row, yz_row = candidate
-    for k, (b, c) in enumerate(zip(xz_row, yz_row)):
-        if has_rational_apex(a, b, c, t):
+    X_i, Y_j, Z_k have a rational apex at √t, or None; the sides are
+    integers over the common square denominator dx·dy·dz."""
+    (i, j), dx, dy, a, dz_row, xz_row, yz_row = candidate
+    dxy = dx * dy
+    for k, (dz, b, c) in enumerate(zip(dz_row, xz_row, yz_row)):
+        if has_rational_apex(a * dz, b * dy, c * dx, dxy * dz, t):
             return i, j, k
     return None
 
@@ -271,21 +276,16 @@ def grotzsch_type_hunt(
         charts.append(circle_param(circle, rational_point_on_circle(circle)))
 
     # each chart's points once, as integer forms, and each chart pair's
-    # squared distances once, as reduced (numerator, denominator) pairs
-    # (unreduced ones slow the apex test); a table is built when a ring first
-    # reads it, so a hunt that stops early builds only the tables it read
+    # squared distances once, as numerators over the forms' squared
+    # denominators; a table is built when a ring first reads it, so a hunt
+    # that stops early builds only the tables it read
     forms = [[chart.form_at(s) for s in params] for chart in charts]
-    tables: dict[tuple[int, int], list[list[tuple[int, int]]]] = {}
+    dens = [[form[3] ** 2 for form in chart_forms] for chart_forms in forms]
+    tables: dict[tuple[int, int], list[list[int]]] = {}
 
-    def reduced(n: int, m: int) -> tuple[int, int]:
-        g = gcd(n, m)
-        return n // g, m // g
-
-    def table(p: int, q: int) -> list[list[tuple[int, int]]]:
+    def table(p: int, q: int) -> list[list[int]]:
         if (p, q) not in tables:
-            tables[p, q] = [
-                [reduced(*integral_dist_sq(u, w)) for w in forms[q]] for u in forms[p]
-            ]
+            tables[p, q] = [[integral_dist_sq(u, w)[0] for w in forms[q]] for u in forms[p]]
         return tables[p, q]
 
     # the 25 points in label order, each ring's X, Y, Z and Q filled in as
@@ -294,7 +294,7 @@ def grotzsch_type_hunt(
     hits = []
     for i, feet in enumerate(gt_apex_feet()):
         h, j, k = (f % 5 for f in feet)
-        rows = _gt_rows(table(h, j), table(h, k), table(j, k))
+        rows = _gt_rows((dens[h], dens[j], dens[k]), table(h, j), table(h, k), table(j, k))
         hit = parallel_first(rows, partial(_gt_first_apex, t))
         if hit is None:
             logger.info("parameter list exhausted at i=%d (progress: %d of 5)", i, i)
@@ -337,25 +337,78 @@ def circle_plane_intersections(circle: RCircle, plane) -> tuple[QPoint3, ...]:
     return (anchor + direction.scale(lam), anchor + direction.scale(-lam))
 
 
-def _first_device(sym: SymCycle, t: int, candidate) -> tuple[Certificate, Report] | None:
+def _integer_mirror(plane) -> tuple[int, int, int, int]:
+    """The plane n·X = k as integers (n1, n2, n3, k)."""
+    *n, d = integral(QPoint3(*plane.normal.components()))
+    k = plane.offset * d
+    return (*(c * k.denominator for c in n), k.numerator)
+
+
+def _mirror_form(form, mirror) -> tuple[int, int, int, int]:
+    """integral(reflect_point(from_integral(form), plane)) in integers, for
+    the plane's `_integer_mirror`: P/p − 2(n·P − p·k)·n / (p·|n|²), reduced
+    by one gcd."""
+    *P, p = form
+    *n, k = mirror
+    nn = sum(c * c for c in n)
+    h = 2 * (sum(c * x for c, x in zip(n, P)) - p * k)
+    x, y, z = (nn * c - h * m for c, m in zip(P, n))
+    g = gcd(x, y, z, p * nn)
+    return x // g, y // g, z // g, p * nn // g
+
+
+def _device_columns(forms) -> list:
+    """Per chart-1 form Q/q: the form, Q, q, q² and |Q|², taken once per hunt."""
+    return [(form, form[:3], form[3], form[3] ** 2, sum(c * c for c in form[:3])) for form in forms]
+
+
+def _row_hits(t: int, mirror, columns, form0):
+    """The forms of the columns y1, in order, for which y0, y1 and the mirror
+    image y4 of y0 have a rational apex at √t with |y0y1|² < 4t.  With y0 and
+    y4 as U/e and U4/e over one row denominator e, and y1 = Q/q, the three
+    squared sides are integers over M = (e·q)²: the row's terms are taken
+    once, so a and c cost one dot product each per column.  y0 = y1, or y0 on
+    the mirror (y4 = y0), makes the triangle degenerate, and the apex test
+    rejects it."""
+    *P, p = form0
+    *P4, p4 = _mirror_form(form0, mirror)
+    e = lcm(p, p4)
+    U = [c * (e // p) for c in P]
+    U4 = [c * (e // p4) for c in P4]
+    # A = |qU − eQ|² = q²|U|² − q·(2eU)·Q + e²|Q|², C the same with U4,
+    # and B = q²|U − U4|²
+    u, v, w = (2 * e * c for c in U)
+    x, y, z = (2 * e * c for c in U4)
+    r = e * e
+    row_a = sum(c * c for c in U)
+    row_c = sum(c * c for c in U4)
+    row_b = sum((c - d) ** 2 for c, d in zip(U, U4))
+    bound = 4 * t * r
+    for form1, (X, Y, Z), q, qq, QQ in columns:
+        # a = A/M ≥ 4t can give volume 0, which the square test accepts
+        shared = r * QQ
+        A = qq * row_a - q * (u * X + v * Y + w * Z) + shared
+        if A < qq * bound and has_rational_apex(
+            A, qq * row_b, qq * row_c - q * (x * X + y * Y + z * Z) + shared, qq * r, t
+        ):
+            yield form1
+
+
+def _first_device_in_row(sym: SymCycle, t: int, mirror, columns, form0):
     """`(cert, report)` for the first rational z on the mirror plane at √t
-    from both circle points y0, y1 that assembles into a verified device, or
-    None.  The candidate carries the integer forms of y0 and y1, a = |y0y1|²,
-    b = |y0y4|² and c = |y1y4|², with y4 the mirror image of y0.  For y0 off
-    the mirror, such a z is exactly a rational apex at √t over (y0, y1, y4):
-    it is at √t from y4 by symmetry, and the points at √t from y0 and y4 lie
-    on the mirror.  For y0 = y1, or y0 on the mirror (y4 = y0), the triangle
-    is degenerate and the apex test rejects it.  So the pair is decided from
-    a, b, c, and y0, y1 and z are built only for a pair that passes."""
-    forms, a, b, c = candidate
-    # at a = 4t the volume can be 0, which the square test accepts
-    if a[0] >= 4 * t * a[1] or not has_rational_apex(a, b, c, t):
-        return None
-    y0, y1 = map(from_integral, forms)
-    for z in circle_plane_intersections(equidistant_circle(y0, y1, t), sym.plane):
-        found = _assemble_device(sym, y0, y1, z)
-        if found is not None:
-            return found
+    from both circle points y0, y1 that assembles into a verified device, y0
+    fixed and y1 over the columns in order, or None.  For y0 off the mirror,
+    such a z is exactly a rational apex at √t over (y0, y1, y4): it is at √t
+    from y4 by symmetry, and the points at √t from y0 and y4 lie on the
+    mirror.  So a pair is decided by `_row_hits`, and y1 and z are built only
+    for a pair that passes."""
+    y0 = from_integral(form0)
+    for form1 in _row_hits(t, mirror, columns, form0):
+        y1 = from_integral(form1)
+        for z in circle_plane_intersections(equidistant_circle(y0, y1, t), sym.plane):
+            found = _assemble_device(sym, y0, y1, z)
+            if found is not None:
+                return found
     return None
 
 
@@ -368,27 +421,18 @@ def grotzsch_subgraph_hunt(sym: SymCycle, params) -> tuple[Certificate, Report] 
     The circle about (x4, x1) is charted from x0, which lies on it by two
     cycle edges, and the circle about (x0, x2) from the cycle's solved base,
     so no circle is solved.  The parameter pairs (s0, s1) of the sequence
-    `params` are tried in product order, s0 outer, each decided by the
-    integer apex test of `_first_device`; z is solved, in order, only for a
-    pair that passes.  Returns the first certificate with its verification
-    report."""
+    `params` are tried in product order, s0 outer: one first-hit pass over
+    the rows s0, each deciding its pairs in integers (`_row_hits`); z is
+    solved, in order, only for a pair that passes.  Returns the first
+    certificate with its verification report."""
     if Fraction(sym.t).denominator != 1:
         raise ValueError(f"cycle squared edge length {sym.t} is not an integer")
     t = int(sym.t)
     chart0 = circle_param(equidistant_circle(sym.x4, sym.x1, t), sym.x0)
     chart1 = circle_param(equidistant_circle(sym.x0, sym.x2, t), sym.base)
-    seconds = [chart1.form_at(s) for s in params]
-
-    def candidates():
-        # per row, y0's form, its mirror image y4 and b = |y0y4|² once
-        for s0 in params:
-            p0 = chart0.form_at(s0)
-            p4 = integral(reflect_point(from_integral(p0), sym.plane))
-            b = integral_dist_sq(p0, p4)
-            for p1 in seconds:
-                yield (p0, p1), integral_dist_sq(p0, p1), b, integral_dist_sq(p1, p4)
-
-    hit = parallel_first(candidates(), partial(_first_device, sym, t))
+    columns = _device_columns([chart1.form_at(s) for s in params])
+    rows = (chart0.form_at(s) for s in params)
+    hit = parallel_first(rows, partial(_first_device_in_row, sym, t, _integer_mirror(sym.plane), columns))
     return None if hit is None else hit[1]
 
 

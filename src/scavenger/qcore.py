@@ -287,13 +287,21 @@ def squarefree_part(n: int) -> int:
     return out
 
 
-_SQ64, _SQ63, _SQ65, _SQ11 = (frozenset(k * k % m for k in range(m)) for m in (64, 63, 65, 11))
+_SQ63, _SQ65, _SQ11 = (frozenset(k * k % m for k in range(m)) for m in (63, 65, 11))
 
 
 def is_square(n: int) -> bool:
-    """Whether the integer n >= 0 is a perfect square.  Its residues mod 64,
-    63, 65 and 11 reject all but about 0.8% of non-squares before `isqrt`."""
-    residue = n & 63 in _SQ64 and n % 63 in _SQ63 and n % 65 in _SQ65 and n % 11 in _SQ11
+    """Whether the integer n >= 0 is a perfect square.  An odd power of two
+    rejects it; once an even one is shifted out, the odd part must be 1 mod 8
+    and a square mod 63, 65 and 11, which rejects all but about 0.8% of
+    non-squares before `isqrt`."""
+    if n == 0:
+        return True
+    twos = (n & -n).bit_length() - 1
+    if twos & 1:
+        return False
+    n >>= twos
+    residue = n & 7 == 1 and n % 63 in _SQ63 and n % 65 in _SQ65 and n % 11 in _SQ11
     return residue and math.isqrt(n) ** 2 == n
 
 

@@ -524,7 +524,7 @@ EVERY_COMMAND = {
 
 
 def test_every_command_has_a_worker_env_case():
-    (sub,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    (sub,) = [a for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction)]
     assert sorted(EVERY_COMMAND) == sorted(sub.choices)
 
 
@@ -771,6 +771,21 @@ def _greedy_seed(tmp_path, image: bool) -> str:
 def test_hunt_greedy_matches_golden(capsys, tmp_path, golden, image, options, code):
     got = run(capsys, "hunt-greedy", _greedy_seed(tmp_path, image), *options)
     assert got == (code, (GOLDEN / f"{golden}.out").read_text(encoding="utf-8"), "")
+
+
+def test_one_process_parses_each_call_afresh(capsys, tmp_path):
+    # the parser is built once per process; no option value or default
+    # carries over from one call to the next
+    seed = str(DATA / "t22_seed.txt")
+    calls = [
+        (["hunt-greedy", seed, "--cap", "12"], 1, "hunt_greedy_cap12.out"),
+        (["hunt-greedy", seed], 0, "hunt_greedy_d3.out"),
+        (["hunt-greedy", seed, "--cap", "12"], 1, "hunt_greedy_cap12.out"),
+        (["hunt-grotzsch-subgraph", "66", "--d", "54", "--height", "8"], 0, "hunt_device66_d54.out"),
+        (["hunt-grotzsch-subgraph", "30"], 0, "hunt_device30.out"),
+    ]
+    for argv, code, golden in calls:
+        assert run(capsys, *argv) == (code, (GOLDEN / golden).read_text(encoding="utf-8"), "")
 
 
 def test_hunt_greedy_seed_outside_box_exits_64(capsys):

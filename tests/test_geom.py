@@ -7,6 +7,7 @@ independent substitution, not trusted blindly).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction as F
 from itertools import permutations, product
 from pathlib import Path
@@ -408,9 +409,12 @@ def test_apex_points_irrational_case():
 
 
 def _decide(p1, p2, p3, t):
-    """has_rational_apex on the three squared distances of the points."""
-    pairs = [(d.numerator, d.denominator) for d in (dist_sq(p1, p2), dist_sq(p1, p3), dist_sq(p2, p3))]
-    return has_rational_apex(*pairs, t)
+    """has_rational_apex on the three squared distances of the points, over
+    the square of the lcm of the points' denominators."""
+    m = math.lcm(*(integral(p)[3] for p in (p1, p2, p3))) ** 2
+    sides = [d * m for d in (dist_sq(p1, p2), dist_sq(p1, p3), dist_sq(p2, p3))]
+    assert all(side.denominator == 1 for side in sides)
+    return has_rational_apex(*(int(side) for side in sides), m, t)
 
 
 def test_has_rational_apex_examples():
@@ -457,6 +461,17 @@ def test_has_rational_apex_matches_apex_solve(case):
     else:
         expected = bool(apex_points_detailed(p1, p2, p3, t)[0])
     assert _decide(p1, p2, p3, t) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(triples_and_t(), st.integers(1, 30))
+def test_has_rational_apex_ignores_the_choice_of_square_denominator(case, k):
+    # the same sides over m and over m·k²
+    p1, p2, p3, t = case
+    m = math.lcm(*(integral(p)[3] for p in (p1, p2, p3))) ** 2
+    sides = [int(d * m) for d in (dist_sq(p1, p2), dist_sq(p1, p3), dist_sq(p2, p3))]
+    scaled = [side * k * k for side in sides]
+    assert has_rational_apex(*scaled, m * k * k, t) == has_rational_apex(*sides, m, t) == _decide(p1, p2, p3, t)
 
 
 # --- exact isosceles embedding --------------------------------------------------------

@@ -515,10 +515,6 @@ def test_grotzsch_type_hunt_rejects_non_cycle():
 # --- the order-25 table test against the apex solve ---------------------------------
 
 
-def _as_pair(q):
-    return q.numerator, q.denominator
-
-
 def _apex_oracle(x, y, z, t) -> bool:
     """Whether the apex solve finds a rational apex.  Coincident points have
     none, and neither do collinear ones, on which `circumcenter` raises."""
@@ -531,9 +527,12 @@ def _apex_oracle(x, y, z, t) -> bool:
 
 
 def _table_decides(x, y, z, t) -> bool:
-    return has_rational_apex(
-        _as_pair(dist_sq(x, y)), _as_pair(dist_sq(x, z)), _as_pair(dist_sq(y, z)), t
-    )
+    """The order-25 hunt's decision: the squared sides as numerators over
+    the common square denominator (dx·dy·dz)² of the points' forms."""
+    forms = [integral(p) for p in (x, y, z)]
+    a, b, c = (integral_dist_sq(forms[m], forms[n])[0] for m, n in ((0, 1), (0, 2), (1, 2)))
+    dx, dy, dz = (form[3] ** 2 for form in forms)
+    return has_rational_apex(a * dz, b * dy, c * dx, dx * dy * dz, t)
 
 
 def _ring_charts(charts, i):
@@ -618,7 +617,7 @@ def test_grotzsch_type_hunt_takes_the_first_hit_in_product_order(reverse):
 
 
 @pytest.mark.parametrize("name", ["t34_order25.cert", "t66_order25.cert"])
-def test_grotzsch_type_tables_hold_the_reduced_dist_sq(monkeypatch, name):
+def test_grotzsch_type_tables_hold_the_dist_sq(monkeypatch, name):
     cycle, params = _oracle_params(name)
     params = [*farey_parameters(2), *params]
     _, charts = _reference_charts(name)
@@ -628,10 +627,12 @@ def test_grotzsch_type_tables_hold_the_reduced_dist_sq(monkeypatch, name):
         ring = len(read)
         xs, ys, zs = ([chart.point_at(s) for s in params] for chart in _ring_charts(charts, ring))
         candidates = list(candidates)
-        for (i, j), a, xz_row, yz_row in candidates:
-            assert a == _as_pair(dist_sq(xs[i], ys[j]))
-            assert xz_row == [_as_pair(dist_sq(xs[i], z)) for z in zs]
-            assert yz_row == [_as_pair(dist_sq(ys[j], z)) for z in zs]
+        for (i, j), dx, dy, a, dz_row, xz_row, yz_row in candidates:
+            assert (dx, dy) == (integral(xs[i])[3] ** 2, integral(ys[j])[3] ** 2)
+            assert F(a, dx * dy) == dist_sq(xs[i], ys[j])
+            assert dz_row == [integral(z)[3] ** 2 for z in zs]
+            assert [F(b, dx * dz) for b, dz in zip(xz_row, dz_row, strict=True)] == [dist_sq(xs[i], z) for z in zs]
+            assert [F(c, dy * dz) for c, dz in zip(yz_row, dz_row, strict=True)] == [dist_sq(ys[j], z) for z in zs]
         read.append(len(candidates))
         return parallel_first(candidates, predicate)
 
@@ -650,11 +651,15 @@ def test_collinear_triple_is_rejected_and_the_row_scan_moves_on():
     assert not _table_decides(x, y, zs[0], 3)
     for z in zs[1:]:
         assert point(1, 1, 1) in apex_points_detailed(x, y, z, 3)[0]
+    x, y, *zs = (integral(p) for p in (x, y, *zs))
     candidate = (
         (4, 7),
-        _as_pair(dist_sq(x, y)),
-        [_as_pair(dist_sq(x, z)) for z in zs],
-        [_as_pair(dist_sq(y, z)) for z in zs],
+        x[3] ** 2,
+        y[3] ** 2,
+        integral_dist_sq(x, y)[0],
+        [z[3] ** 2 for z in zs],
+        [integral_dist_sq(x, z)[0] for z in zs],
+        [integral_dist_sq(y, z)[0] for z in zs],
     )
     assert _gt_first_apex(3, candidate) == (4, 7, 1)
 
@@ -838,8 +843,9 @@ def _reject_first(monkeypatch, rejected: int) -> list:
 
 
 def _reference_first_device(cert, sym):
-    """The device `_first_device` assembles from the reference (y0, y1)."""
-    return hunts._first_device(sym, 30, _device_candidate(sym, *cert.points[5:7]))
+    """The device the row of the reference y0 assembles, with the reference
+    y1 as its one column."""
+    return _first_device_of_pair(sym, *cert.points[5:7])
 
 
 def test_subgraph_hunt_takes_the_first_z_that_assembles(monkeypatch):
@@ -901,13 +907,26 @@ def test_subgraph_hunt_exhausts_empty_and_refuses_non_integer_t():
 # --- the device pair test against the z solve ---------------------------------------
 
 
-def _device_candidate(sym, y0, y1):
-    """The hunt's candidate for the pair (y0, y1): the points' integer forms
-    and a = |y0y1|², b = |y0y4|² and c = |y1y4|² from them, y4 the mirror
-    image of y0."""
-    p0, p1 = integral(y0), integral(y1)
-    p4 = integral(reflect_point(y0, sym.plane))
-    return (p0, p1), integral_dist_sq(p0, p1), integral_dist_sq(p0, p4), integral_dist_sq(p1, p4)
+def _row_decides(sym, y0, y1) -> bool:
+    """Whether the hunt's row decision passes the pair (y0, y1): the row of
+    y0 with y1 as its one column."""
+    columns = hunts._device_columns([integral(y1)])
+    mirror = hunts._integer_mirror(sym.plane)
+    return list(hunts._row_hits(int(sym.t), mirror, columns, integral(y0))) == [integral(y1)]
+
+
+def _first_device_of_pair(sym, y0, y1):
+    """What the row of y0, with y1 as its one column, assembles."""
+    columns = hunts._device_columns([integral(y1)])
+    mirror = hunts._integer_mirror(sym.plane)
+    return hunts._first_device_in_row(sym, int(sym.t), mirror, columns, integral(y0))
+
+
+def _apex_from_distances(a, b, c, t) -> bool:
+    """The Cayley–Menger decision in Fraction arithmetic: D = 4ab − (a+b−c)²
+    is nonzero and tD − abc is a rational square."""
+    area = 4 * a * b - (a + b - c) ** 2
+    return area != 0 and t * area >= a * b * c and rational_square_root(t * area - a * b * c) is not None
 
 
 def _z_solve(sym, y0, y1):
@@ -935,8 +954,7 @@ FAREY_12 = st.sampled_from(farey_parameters(12))
 def test_pair_test_accepts_the_known_devices(name):
     sym, charts, hit = _device_case(name)
     y0, y1 = (chart.point_at(s) for chart, s in zip(charts, hit))
-    _, a, b, c = _device_candidate(sym, y0, y1)
-    assert has_rational_apex(a, b, c, int(sym.t))
+    assert _row_decides(sym, y0, y1)
     assert _z_solve(sym, y0, y1)
 
 
@@ -948,9 +966,9 @@ def test_pair_test_agrees_with_the_z_solve(data, name):
     y0, y1 = (chart.point_at(data.draw(s)) for chart, s in zip(charts, near))
     y4 = reflect_point(y0, sym.plane)
     assume(y4 != y0 and 0 < dist_sq(y0, y1) < 4 * sym.t)
-    _, a, b, c = _device_candidate(sym, y0, y1)
-    assert (F(*a), F(*b), F(*c)) == (dist_sq(y0, y1), dist_sq(y0, y4), dist_sq(y1, y4))
-    assert has_rational_apex(a, b, c, int(sym.t)) == bool(_z_solve(sym, y0, y1))
+    decided = _row_decides(sym, y0, y1)
+    assert decided == _apex_from_distances(dist_sq(y0, y1), dist_sq(y0, y4), dist_sq(y1, y4), sym.t)
+    assert decided == bool(_z_solve(sym, y0, y1))
 
 
 def test_pair_with_y0_on_the_mirror_is_rejected_unassembled(monkeypatch):
@@ -963,7 +981,8 @@ def test_pair_with_y0_on_the_mirror_is_rejected_unassembled(monkeypatch):
     assert sym.x2 in _z_solve(sym, y0, y1)
     offered = []
     monkeypatch.setattr(hunts, "_assemble_device", lambda *args: offered.append(args))
-    assert hunts._first_device(sym, 10, _device_candidate(sym, y0, y1)) is None
+    assert not _row_decides(sym, y0, y1)
+    assert _first_device_of_pair(sym, y0, y1) is None
     assert offered == []
 
 
@@ -973,8 +992,38 @@ def test_apex_test_rejects_y0_equal_to_y1_and_y0_on_the_mirror():
     sym = find_symmetric_5cycle(10)
     on_mirror = rational_point_on_circle(RCircle(sym.x2, F(10), sym.plane))
     for y0, y1 in ((sym.x1, sym.x1), (on_mirror, sym.x1)):
-        _, a, b, c = _device_candidate(sym, y0, y1)
-        assert not has_rational_apex(a, b, c, 10)
+        assert not _row_decides(sym, y0, y1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(DEVICE_CASES), chart=st.integers(0, 1), s=st.one_of(st.just(INF), FAREY_12))
+def test_integer_mirror_image_is_the_reflection(name, chart, s):
+    sym, charts, _ = _device_case(name)
+    y0 = charts[chart].point_at(s)
+    got = hunts._mirror_form(integral(y0), hunts._integer_mirror(sym.plane))
+    assert got == integral(reflect_point(y0, sym.plane))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), name=st.sampled_from(DEVICE_CASES))
+def test_row_hits_are_the_passing_columns_in_order(data, name):
+    # a whole row against the pair oracle: the a < 4t guard, then the apex
+    # test on the Fraction distances, column by column
+    sym, (chart0, chart1), hit = _device_case(name)
+    near = [st.one_of(FAREY_12, _near(s)) for s in hit] if hit else [FAREY_12, FAREY_12]
+    s0 = data.draw(near[0])
+    s1s = data.draw(st.lists(near[1], max_size=8))
+    y0, y4 = chart0.point_at(s0), reflect_point(chart0.point_at(s0), sym.plane)
+    forms = [chart1.form_at(s) for s in s1s]
+    want = [
+        form
+        for form, y1 in zip(forms, map(chart1.point_at, s1s))
+        if dist_sq(y0, y1) < 4 * sym.t
+        and _apex_from_distances(dist_sq(y0, y1), dist_sq(y0, y4), dist_sq(y1, y4), sym.t)
+    ]
+    mirror = hunts._integer_mirror(sym.plane)
+    got = hunts._row_hits(int(sym.t), mirror, hunts._device_columns(forms), chart0.form_at(s0))
+    assert list(got) == want
 
 
 DEVICE_CERTS = [

@@ -191,6 +191,25 @@ def test_is_square_matches_isqrt(n):
     assert is_square(n) == (math.isqrt(n) ** 2 == n)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**20),
+    st.integers(min_value=0, max_value=40),
+    st.sampled_from([1, 2]),
+    st.integers(min_value=0, max_value=10**30),
+)
+def test_is_square_on_powers_of_two(k, j, twice, n):
+    # k²·4^j is a square and 2·k²·4^j is not (k > 0): the power of two is
+    # decided before the residue screen, and 0 stays a square
+    for m in (twice * k * k * 4**j, n):
+        assert is_square(m) == (math.isqrt(m) ** 2 == m)
+
+
+def test_is_square_edge_cases():
+    assert is_square(0) and is_square(1) and is_square(4**30) and is_square(9 * 4**7)
+    assert not is_square(2) and not is_square(2 * 4**30) and not is_square(8) and not is_square(4**30 * 3)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.fractions(min_value=0, max_value=500, max_denominator=100))
 def test_square_root_of_square(q):

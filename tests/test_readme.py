@@ -88,7 +88,7 @@ def _synopsis() -> dict[str, set[str]]:
 
 
 def _parser_options() -> dict[str, set[str]]:
-    (sub,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    (sub,) = [a for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction)]
     return {
         name: {o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")}
         for name, p in sub.choices.items()
