@@ -464,14 +464,14 @@ def test_has_rational_apex_matches_apex_solve(case):
 
 
 @settings(max_examples=200, deadline=None)
-@given(triples_and_t(), st.integers(1, 30))
+@given(triples_and_t(), st.integers(2, 30))
 def test_has_rational_apex_ignores_the_choice_of_square_denominator(case, k):
     # the same sides over m and over m·k²
     p1, p2, p3, t = case
     m = math.lcm(*(integral(p)[3] for p in (p1, p2, p3))) ** 2
     sides = [int(d * m) for d in (dist_sq(p1, p2), dist_sq(p1, p3), dist_sq(p2, p3))]
     scaled = [side * k * k for side in sides]
-    assert has_rational_apex(*scaled, m * k * k, t) == has_rational_apex(*sides, m, t) == _decide(p1, p2, p3, t)
+    assert has_rational_apex(*scaled, m * k * k, t) == has_rational_apex(*sides, m, t)
 
 
 # --- exact isosceles embedding --------------------------------------------------------

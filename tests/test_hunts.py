@@ -4,7 +4,9 @@ from collections import Counter
 from fractions import Fraction as F
 from functools import cache
 from itertools import product
+from math import isqrt
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -631,8 +633,8 @@ def test_grotzsch_type_tables_hold_the_dist_sq(monkeypatch, name):
             assert (dx, dy) == (integral(xs[i])[3] ** 2, integral(ys[j])[3] ** 2)
             assert F(a, dx * dy) == dist_sq(xs[i], ys[j])
             assert dz_row == [integral(z)[3] ** 2 for z in zs]
-            assert [F(b, dx * dz) for b, dz in zip(xz_row, dz_row, strict=True)] == [dist_sq(xs[i], z) for z in zs]
-            assert [F(c, dy * dz) for c, dz in zip(yz_row, dz_row, strict=True)] == [dist_sq(ys[j], z) for z in zs]
+            for z, dz, b, c in zip(zs, dz_row, xz_row, yz_row, strict=True):
+                assert (F(b, dx * dz), F(c, dy * dz)) == (dist_sq(xs[i], z), dist_sq(ys[j], z))
         read.append(len(candidates))
         return parallel_first(candidates, predicate)
 
@@ -966,7 +968,12 @@ def test_pair_test_agrees_with_the_z_solve(data, name):
     y0, y1 = (chart.point_at(data.draw(s)) for chart, s in zip(charts, near))
     y4 = reflect_point(y0, sym.plane)
     assume(y4 != y0 and 0 < dist_sq(y0, y1) < 4 * sym.t)
-    decided = _row_decides(sym, y0, y1)
+    with patch.object(hunts, "has_rational_apex", wraps=has_rational_apex) as apex:
+        decided = _row_decides(sym, y0, y1)
+    # the row's integer sides are the Fraction distances over one square
+    ((a, b, c, m, t),) = (call.args for call in apex.call_args_list)
+    assert isqrt(m) ** 2 == m and t == sym.t
+    assert (F(a, m), F(b, m), F(c, m)) == (dist_sq(y0, y1), dist_sq(y0, y4), dist_sq(y1, y4))
     assert decided == _apex_from_distances(dist_sq(y0, y1), dist_sq(y0, y4), dist_sq(y1, y4), sym.t)
     assert decided == bool(_z_solve(sym, y0, y1))
 
