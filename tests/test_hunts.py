@@ -909,19 +909,19 @@ def test_subgraph_hunt_exhausts_empty_and_refuses_non_integer_t():
 # --- the device pair test against the z solve ---------------------------------------
 
 
+def _row_of_pair(sym, y0, y1):
+    """The hunt's row arguments for y0 with y1 as its one column."""
+    return int(sym.t), hunts._integer_mirror(sym.plane), hunts._device_columns([integral(y1)]), integral(y0)
+
+
 def _row_decides(sym, y0, y1) -> bool:
-    """Whether the hunt's row decision passes the pair (y0, y1): the row of
-    y0 with y1 as its one column."""
-    columns = hunts._device_columns([integral(y1)])
-    mirror = hunts._integer_mirror(sym.plane)
-    return list(hunts._row_hits(int(sym.t), mirror, columns, integral(y0))) == [integral(y1)]
+    """Whether the hunt's row decision passes the pair (y0, y1)."""
+    return list(hunts._row_hits(*_row_of_pair(sym, y0, y1))) == [integral(y1)]
 
 
 def _first_device_of_pair(sym, y0, y1):
     """What the row of y0, with y1 as its one column, assembles."""
-    columns = hunts._device_columns([integral(y1)])
-    mirror = hunts._integer_mirror(sym.plane)
-    return hunts._first_device_in_row(sym, int(sym.t), mirror, columns, integral(y0))
+    return hunts._first_device_in_row(sym, *_row_of_pair(sym, y0, y1))
 
 
 def _apex_from_distances(a, b, c, t) -> bool:
