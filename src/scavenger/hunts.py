@@ -400,11 +400,10 @@ def _first_device_in_row(sym: SymCycle, t: int, mirror, columns, form0):
     fixed and y1 over the columns in order, or None.  For y0 off the mirror,
     such a z is exactly a rational apex at √t over (y0, y1, y4): it is at √t
     from y4 by symmetry, and the points at √t from y0 and y4 lie on the
-    mirror.  So a pair is decided by `_row_hits`, and y1 and z are built only
-    for a pair that passes."""
-    y0 = from_integral(form0)
+    mirror.  So a pair is decided by `_row_hits`, and y0, y1 and z are built
+    only for a pair that passes."""
     for form1 in _row_hits(t, mirror, columns, form0):
-        y1 = from_integral(form1)
+        y0, y1 = from_integral(form0), from_integral(form1)
         for z in circle_plane_intersections(equidistant_circle(y0, y1, t), sym.plane):
             found = _assemble_device(sym, y0, y1, z)
             if found is not None:
