@@ -1,8 +1,9 @@
 """Distance graphs, exact graph coloring, and forced-color analysis.
 
 The coloring solver is exact backtracking with saturation-first (DSATUR)
-vertex selection, served from per-saturation sets of vertex ranks, and
-new-color symmetry breaking; `is_proper` re-checks everything it reports.
+vertex selection, served from per-saturation sets of vertex ranks with one
+colored-neighbor bitmask per rank, and new-color symmetry breaking; it reads
+only an adjacency list, and `is_proper` re-checks everything it reports.
 """
 
 from __future__ import annotations
@@ -77,15 +78,18 @@ def build_graph(points: list[QPoint3], t: Rational) -> DistGraph:
 # --- exact coloring ---------------------------------------------------------------
 
 
-def is_proper(g: AbstractGraph, coloring: tuple[int, ...]) -> bool:
-    if len(coloring) != g.order:
+def is_proper(adj: list, coloring: tuple[int, ...]) -> bool:
+    """Whether `coloring` gives a color to each vertex of the adjacency list
+    `adj` and a different one to each pair of neighbors."""
+    if len(coloring) != len(adj):
         return False
-    return all(coloring[u] != coloring[v] for u, v in g.edges)
+    return all(coloring[u] != coloring[v] for u, nbrs in enumerate(adj) for v in nbrs)
 
 
-def k_colorable(g: AbstractGraph, k: int) -> tuple[int, ...] | None:
+def k_colorable(adj: list, k: int) -> tuple[int, ...] | None:
     """A proper k-coloring (a color per vertex), or None when none exists (exact decision).
 
+    `adj[v]` holds v's neighbors, as `AbstractGraph.adjacency` gives them.
     Backtracking assigns the most saturated vertex first (ties: degree, then
     lowest index) and never opens color c+1 before colors 0..c are in use.
     Each vertex has a rank, its place in the order by degree descending then
@@ -94,30 +98,39 @@ def k_colorable(g: AbstractGraph, k: int) -> tuple[int, ...] | None:
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    n, adj = g.order, g.adjacency()
+    n = len(adj)
     order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
-    rank = {v: r for r, v in enumerate(order)}
-    # all state below is by rank; a colored rank's counts stay frozen: every
+    rank = [0] * n
+    for r, v in enumerate(order):
+        rank[v] = r
+    # all state below is by rank; a colored rank's mask stays frozen: every
     # change made while it is colored is undone before it is uncolored
     nbrs = [[rank[u] for u in adj[v]] for v in order]
     colors = [-1] * n
-    counts = [[0] * k for _ in range(n)]  # colored neighbors of each color
+    masks = [0] * n  # bit c: some colored neighbor has color c
     sat = [0] * n
     buckets = [set(range(n))] + [set() for _ in range(k)]  # uncolored ranks by saturation
 
-    def paint(v: int, c: int, step: int) -> None:
-        # step 1 colors v with c and step -1 takes it back; an uncolored
-        # neighbor whose count of c leaves or returns to 0 changes saturation
-        colors[v] = c if step > 0 else -1
+    def paint(v: int, bit: int) -> list[int]:
+        # the uncolored neighbors that gain the color: undo clears exactly these
+        gained = []
         for u in nbrs[v]:
-            if colors[u] < 0:
-                cu = counts[u]
-                was = cu[c]
-                cu[c] += step
-                if not was or not cu[c]:
-                    buckets[sat[u]].remove(u)
-                    sat[u] += step
-                    buckets[sat[u]].add(u)
+            if colors[u] < 0 and not masks[u] & bit:
+                masks[u] |= bit
+                s = sat[u]
+                buckets[s].remove(u)
+                buckets[s + 1].add(u)
+                sat[u] = s + 1
+                gained.append(u)
+        return gained
+
+    def unpaint(gained: list[int], bit: int) -> None:
+        for u in gained:
+            masks[u] ^= bit
+            s = sat[u]
+            buckets[s].remove(u)
+            buckets[s - 1].add(u)
+            sat[u] = s - 1
 
     def solve(max_used: int) -> bool:
         for s in range(k, -1, -1):
@@ -127,14 +140,17 @@ def k_colorable(g: AbstractGraph, k: int) -> tuple[int, ...] | None:
             return True
         v = min(buckets[s])
         buckets[s].remove(v)
-        blocked = counts[v]
+        blocked = masks[v]
         for c in range(min(k - 1, max_used + 1) + 1):
-            if blocked[c]:
+            bit = 1 << c
+            if blocked & bit:
                 continue
-            paint(v, c, 1)
+            colors[v] = c
+            gained = paint(v, bit)
             if solve(max(max_used, c)):
                 return True
-            paint(v, c, -1)
+            colors[v] = -1
+            unpaint(gained, bit)
         buckets[s].add(v)
         return False
 
@@ -145,15 +161,15 @@ def k_colorable(g: AbstractGraph, k: int) -> tuple[int, ...] | None:
     finally:
         sys.setrecursionlimit(limit)
     if solved:
-        coloring = tuple(colors[rank[v]] for v in range(n))
-        assert is_proper(g, coloring)
+        coloring = tuple(colors[r] for r in rank)
+        assert is_proper(adj, coloring)
         return coloring
     return None
 
 
-def is_triangle_free(g: AbstractGraph) -> bool:
-    adj = g.adjacency()
-    return all(not (adj[u] & adj[v]) for u, v in g.edges)
+def is_triangle_free(adj: list[set[int]]) -> bool:
+    """Whether no two neighbors share a neighbor, for the adjacency sets `adj`."""
+    return all(not (adj[u] & adj[v]) for u, nbrs in enumerate(adj) for v in nbrs if u < v)
 
 
 # --- forced relations under k-coloring --------------------------------------------------

@@ -31,7 +31,6 @@ from .geom import (
     reflect_point,
 )
 from .graph import (
-    AbstractGraph,
     DistGraph,
     H_LABELS,
     build_graph,
@@ -98,7 +97,10 @@ def greedy_hunt(
     appear at odd squared distances ≡ 2 mod 4.
     Ties are broken by the number of distinct colors among a candidate's
     neighbors under the stored coloring, then by lexicographic point order.
-    The stored coloring is recomputed from scratch after every insertion.
+    The graph grows in place: each admission appends the new vertex's
+    neighbor list to the adjacency.  The stored coloring is still an exact
+    DSATUR search run from scratch on the whole adjacency after every
+    insertion.
     """
     t, d = int(t), denominator
     if d < 1 or d % 2 == 0:
@@ -112,60 +114,87 @@ def greedy_hunt(
     # becomes a QPoint3
     hi = floor(box * d)
     lo = -hi
-    keys = []
+    seed_coords = []
     for p in seed:
-        key = [c * d for c in p.coords()]
-        if any(x.denominator != 1 or not lo <= x <= hi for x in key):
+        coords = [c * d for c in p.coords()]
+        if any(x.denominator != 1 or not lo <= x <= hi for x in coords):
             raise ValueError(f"seed point {format_point(p)} is outside the candidate set")
-        keys.append(tuple(map(int, key)))
+        seed_coords.append(tuple(map(int, coords)))
     if cap < len(seed):
         raise ValueError(f"cap {cap} is below the seed size")
 
     # every vector of squared norm t joining two candidates, as (x, y, z)/D
     divisors = {k for k in range(1, d + 1) if d % k == 0}
     steps = gen_vectors(t, divisors, isqrt(t * d * d) + 1).vectors
+    # a lattice point (X, Y, Z) within reach of the box is the one integer
+    # ((X+off)·w + (Y+off))·w + Z+off: every digit lies in [0, w), so a step
+    # is one addition and integer order is lexicographic point order
+    reach = max(max(map(abs, s)) for s in steps)
+    off = hi + reach
+    w = 2 * off + 1
+    moves = [((dx * w + dy) * w + dz, dx, dy, dz) for dx, dy, dz in steps]
+    deltas = [delta for delta, *_ in moves]
+
     vertices: list[QPoint3] = []
-    chosen: set[tuple[int, int, int]] = set()
-    edges: set[tuple[int, int]] = set()
+    chosen: set[int] = set()
+    adj: list[list[int]] = []
     # the frontier: each candidate's chosen neighbors, and the candidates
     # bucketed by how many they have
-    neighbor_sets: dict[tuple[int, int, int], set[int]] = {}
-    buckets: dict[int, set[tuple[int, int, int]]] = {}
+    frontier: dict[int, list[int]] = {}
+    buckets: list[set[int]] = [set(), set()]
 
-    def admit(key: tuple[int, int, int]) -> None:
+    def admit(key: int) -> None:
         m = len(vertices)
-        vertices.append(QPoint3(*(Fraction(c, d) for c in key)))
+        yz, z = divmod(key, w)
+        x, y = divmod(yz, w)
+        x, y, z = x - off, y - off, z - off
+        vertices.append(QPoint3(Fraction(x, d), Fraction(y, d), Fraction(z, d)))
         chosen.add(key)
-        nbrs = neighbor_sets.pop(key, ())
-        if nbrs:
+        nbrs = frontier.pop(key, None)
+        if nbrs is None:
+            nbrs = []
+        else:
             buckets[len(nbrs)].remove(key)
-        edges.update((j, m) for j in nbrs)
-        x, y, z = key
-        for dx, dy, dz in steps:
-            q = (x + dx, y + dy, z + dz)
-            if q in chosen or not (lo <= q[0] <= hi and lo <= q[1] <= hi and lo <= q[2] <= hi):
+        for j in nbrs:
+            adj[j].append(m)
+        adj.append(nbrs)
+        if all(lo + reach <= c <= hi - reach for c in (x, y, z)):
+            qs = [key + delta for delta in deltas]
+        else:
+            qs = [
+                key + delta
+                for delta, dx, dy, dz in moves
+                if lo <= x + dx <= hi and lo <= y + dy <= hi and lo <= z + dz <= hi
+            ]
+        for q in qs:
+            if q in chosen:
                 continue
-            qn = neighbor_sets.setdefault(q, set())
-            if qn:
+            qn = frontier.get(q)
+            if qn is None:
+                frontier[q] = [m]
+                buckets[1].add(q)
+            else:
                 buckets[len(qn)].remove(q)
-            qn.add(m)
-            buckets.setdefault(len(qn), set()).add(q)
+                qn.append(m)
+                if len(qn) == len(buckets):
+                    buckets.append(set())
+                buckets[len(qn)].add(q)
 
-    for key in keys:
-        admit(key)
+    for x, y, z in seed_coords:
+        admit(((x + off) * w + (y + off)) * w + z + off)
 
     while True:
-        coloring = k_colorable(AbstractGraph(len(vertices), frozenset(edges)), 3)
-        if coloring is None or len(vertices) >= cap or not neighbor_sets:
+        coloring = k_colorable(adj, 3)
+        if coloring is None or len(vertices) >= cap or not frontier:
             break
-        # only the candidates with the most chosen neighbors are scored; with
-        # D > 0 the integer order is the order of the points
-        top = buckets[max(c for c, bucket in buckets.items() if bucket)]
-        admit(min(top, key=lambda q: (-len({coloring[j] for j in neighbor_sets[q]}), q)))
+        # only the candidates with the most chosen neighbors are scored
+        top = next(bucket for bucket in reversed(buckets) if bucket)
+        admit(min(top, key=lambda q: (-len({coloring[j] for j in frontier[q]}), q)))
 
     # every candidate pair at squared distance t is joined by a step vector,
     # so these are all the edges build_graph would find
-    graph = DistGraph(len(vertices), frozenset(edges), tuple(vertices))
+    edges = frozenset((j, m) for m, nbrs in enumerate(adj) for j in nbrs if j < m)
+    graph = DistGraph(len(vertices), edges, tuple(vertices))
     if coloring is not None:
         return GreedyResult(graph, coloring, None, None)
     cert = Certificate("direct-chromatic", t, graph.vertices, tuple(sorted(graph.edges)), {})
@@ -617,8 +646,8 @@ def _chain_check(t: int, h: Rational) -> Check:
     )
 
 
-def _four_colorable_check(g: DistGraph) -> Check:
-    if k_colorable(g, 4) is None:
+def _four_colorable_check(adj: list[set[int]]) -> Check:
+    if k_colorable(adj, 4) is None:
         return Check("four-colorable", "FAIL", "no proper 4-coloring found")
     return Check("four-colorable", "PASS", "proper 4-coloring found")
 
@@ -645,15 +674,16 @@ def _verify_direct(cert: Certificate) -> list[Check]:
             missing = sorted(frozenset(cert.edges) - g.edges)
             extra = sorted(g.edges - frozenset(cert.edges))
             checks.append(Check("edge-set", "FAIL", f"missing={missing} extra={extra}"))
-    tf = is_triangle_free(g)
+    adj = g.adjacency()
+    tf = is_triangle_free(adj)
     checks.append(Check("triangle-free", "PASS" if tf else "FAIL", f"order {g.order}"))
-    three = k_colorable(g, 3)
+    three = k_colorable(adj, 3)
     checks.append(
         Check("chromatic", "PASS", "no proper 3-coloring exists")
         if three is None
         else Check("chromatic", "FAIL", "graph is 3-colorable")
     )
-    checks.append(_four_colorable_check(g))
+    checks.append(_four_colorable_check(adj))
     return checks
 
 
@@ -714,7 +744,8 @@ def _verify_grotzsch_type(cert: Certificate) -> list[Check]:
     checks.append(Check("degrees", "PASS", "twenty structural degree-3 and five degree-8 vertices"))
 
     structure_ok = not any(c.status == "FAIL" for c in checks)
-    three = k_colorable(g, 3)
+    adj = g.adjacency()
+    three = k_colorable(adj, 3)
     checks.append(
         Check("chromatic", "PASS", f"no proper 3-coloring of the {g.order} distinct points")
         if three is None
@@ -728,7 +759,7 @@ def _verify_grotzsch_type(cert: Certificate) -> list[Check]:
                 "internal error: structural premises hold but a 3-coloring exists",
             )
         )
-    checks.append(_four_colorable_check(g))
+    checks.append(_four_colorable_check(adj))
     return checks
 
 

@@ -59,9 +59,9 @@ def test_criterion_1_t22_table():
     assert g.order == 29
     for u, v in g.edges:
         assert dist_sq(g.vertices[u], g.vertices[v]) == 22
-    assert is_triangle_free(g)
-    assert k_colorable(g, 3) is None
-    assert k_colorable(g, 4) is not None
+    assert is_triangle_free(g.adjacency())
+    assert k_colorable(g.adjacency(), 3) is None
+    assert k_colorable(g.adjacency(), 4) is not None
     elapsed = time.monotonic() - start
     assert elapsed < 60
     print(
@@ -158,11 +158,11 @@ def test_criterion_4_solver_oracle():
         ]
         g = AbstractGraph.from_edges(n, edges)
         for k in (2, 3, 4):
-            got = k_colorable(g, k)
+            got = k_colorable(g.adjacency(), k)
             want = _exhaustive_colorable(g, k)
             assert (got is not None) == want, (n, sorted(g.edges), k)
             if got is not None:
-                assert is_proper(g, got)
+                assert is_proper(g.adjacency(), got)
                 assert len(set(got)) <= k
             checked += 1
     print(f"CRITERION 4 PASS solver matches exhaustive enumeration on {checked} decisions")
@@ -346,8 +346,8 @@ def test_criterion_11_greedy_weak_form():
     assert result.succeeded
     assert result.graph.order <= 1000
     g = build_graph(list(result.graph.vertices), 22)
-    assert k_colorable(g, 3) is None
-    assert k_colorable(g, 4) is not None
+    assert k_colorable(g.adjacency(), 3) is None
+    assert k_colorable(g.adjacency(), 4) is not None
     elapsed = time.monotonic() - start
     print(
         f"CRITERION 11 PASS greedy terminates non-3-colorable at order {result.graph.order} "

@@ -24,7 +24,14 @@ from scavenger.graph import (
     k_colorable,
     mod3_color,
 )
-from scavenger.hunts import Certificate, format_certificate, parse_certificate, read_certificate
+from scavenger.cli import parse_vertex_file
+from scavenger.hunts import (
+    Certificate,
+    format_certificate,
+    greedy_hunt,
+    parse_certificate,
+    read_certificate,
+)
 from scavenger.qcore import QPoint3, dist_sq, parse_point, point
 
 
@@ -76,46 +83,46 @@ def test_solver_matches_exhaustive_reference():
         n = rng.randint(1, 8)
         g = random_graph(rng, n, rng.choice([0.2, 0.4, 0.6]))
         k = rng.choice([2, 3, 4])
-        got = k_colorable(g, k)
+        got = k_colorable(g.adjacency(), k)
         want = brute_colorable(g, k)
         assert (got is not None) == want, f"trial {trial}: order {n}, k={k}"
         if got is not None:
-            assert is_proper(g, got)
+            assert is_proper(g.adjacency(), got)
             assert len(set(got)) <= k
 
 
 def test_solver_edge_cases():
     empty = AbstractGraph.from_edges(0, [])
-    assert k_colorable(empty, 1) == ()
+    assert k_colorable(empty.adjacency(), 1) == ()
     single = AbstractGraph.from_edges(1, [])
-    assert k_colorable(single, 1) is not None
+    assert k_colorable(single.adjacency(), 1) is not None
     k2 = AbstractGraph.from_edges(2, [(0, 1)])
-    assert k_colorable(k2, 1) is None
-    assert k_colorable(k2, 2) is not None
+    assert k_colorable(k2.adjacency(), 1) is None
+    assert k_colorable(k2.adjacency(), 2) is not None
     with pytest.raises(ValueError):
-        k_colorable(k2, 0)
+        k_colorable(k2.adjacency(), 0)
 
 
 def test_five_cycle_chromatic():
     c5 = AbstractGraph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
-    assert k_colorable(c5, 2) is None
-    assert k_colorable(c5, 3) is not None
+    assert k_colorable(c5.adjacency(), 2) is None
+    assert k_colorable(c5.adjacency(), 3) is not None
 
 
 def test_complete_graphs():
     for n in range(2, 7):
         kn = AbstractGraph.from_edges(n, combinations(range(n), 2))
-        assert k_colorable(kn, n - 1) is None
-        assert k_colorable(kn, n) is not None
+        assert k_colorable(kn.adjacency(), n - 1) is None
+        assert k_colorable(kn.adjacency(), n) is not None
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 7), st.randoms(use_true_random=False))
 def test_coloring_reported_is_proper(n, rng):
     g = random_graph(rng, n, 0.5)
-    coloring = k_colorable(g, 3)
+    coloring = k_colorable(g.adjacency(), 3)
     if coloring is not None:
-        assert is_proper(g, coloring)
+        assert is_proper(g.adjacency(), coloring)
         assert max(coloring) <= 2
 
 
@@ -124,12 +131,12 @@ def test_coloring_reported_is_proper(n, rng):
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def scan_k_colorable(g: AbstractGraph, k: int) -> tuple[int, ...] | None:
+def scan_k_colorable(adj: list[set[int]], k: int) -> tuple[int, ...] | None:
     """The solver with its next vertex found by scanning every vertex for the
     key (saturation, degree, -index): the same search as `k_colorable`,
-    without saturation buckets (reference oracle; orders below the default
-    recursion limit only)."""
-    n, adj = g.order, g.adjacency()
+    without saturation buckets or bitmasks (reference oracle; orders below
+    the default recursion limit only)."""
+    n = len(adj)
     colors = [-1] * n
     neighbor_colors: list[dict[int, int]] = [{} for _ in range(n)]
     degree = [len(adj[v]) for v in range(n)]
@@ -173,8 +180,9 @@ def scan_k_colorable(g: AbstractGraph, k: int) -> tuple[int, ...] | None:
 
 
 def assert_same_as_oracle(g: AbstractGraph) -> None:
+    adj = g.adjacency()
     for k in range(1, 5):
-        assert k_colorable(g, k) == scan_k_colorable(g, k), f"order {g.order}, k={k}"
+        assert k_colorable(adj, k) == scan_k_colorable(adj, k), f"order {g.order}, k={k}"
 
 
 @settings(max_examples=150, deadline=None)
@@ -209,19 +217,35 @@ def test_solver_matches_scan_oracle_under_deep_backtracking():
 
 
 @pytest.mark.parametrize(
-    "name", ["data/t22_direct.cert", "data/t34_order25.cert", "perfbench/inputs/t22_greedy144.cert"]
+    "name",
+    [
+        *(f"data/{p.name}" for p in sorted((ROOT / "data").glob("*.cert"))),
+        "perfbench/inputs/t22_greedy144.cert",
+    ],
 )
 def test_solver_matches_scan_oracle_on_corpus_graphs(name):
     cert = read_certificate(ROOT / name)
     assert_same_as_oracle(build_graph(list(cert.points), cert.t))
 
 
+def test_solver_matches_scan_oracle_on_the_grotzsch_graph():
+    # 3-coloring it fails only after backtracking
+    assert_same_as_oracle(grotzsch())
+
+
+def test_solver_matches_scan_oracle_on_a_grown_greedy_graph():
+    seed = parse_vertex_file(ROOT / "data" / "t22_seed.txt").points
+    res = greedy_hunt(22, list(seed), 15, cap=120)
+    assert res.graph.order == 120
+    assert_same_as_oracle(res.graph)
+
+
 def test_solver_restores_the_recursion_limit():
     path = AbstractGraph.from_edges(682, [(v, v + 1) for v in range(681)])
     before = sys.getrecursionlimit()
-    assert is_proper(path, k_colorable(path, 2))
+    assert is_proper(path.adjacency(), k_colorable(path.adjacency(), 2))
     assert sys.getrecursionlimit() == before
-    assert k_colorable(path, 1) is None
+    assert k_colorable(path.adjacency(), 1) is None
     assert sys.getrecursionlimit() == before
 
 
@@ -234,23 +258,23 @@ def test_small_mycielskian_shape():
     assert len(g.edges) == 20
     degrees = sorted(len(a) for a in g.adjacency())
     assert degrees == [3, 3, 3, 3, 3, 4, 4, 4, 4, 4, 5]
-    assert is_triangle_free(g)
-    assert k_colorable(g, 3) is None
-    assert k_colorable(g, 4) is not None
+    assert is_triangle_free(g.adjacency())
+    assert k_colorable(g.adjacency(), 3) is None
+    assert k_colorable(g.adjacency(), 4) is not None
 
 
 def test_small_mycielskian_is_vertex_critical():
     g = grotzsch()
     for v in range(11):
-        assert k_colorable(induced(g, [u for u in range(11) if u != v]), 3) is not None
+        assert k_colorable(induced(g, [u for u in range(11) if u != v]).adjacency(), 3) is not None
 
 
 def test_hub_deleted_graph_shape():
     h = h_graph()
     assert h.order == 10 == len(H_LABELS)
     assert len(h.edges) == 17
-    assert k_colorable(h, 2) is None
-    assert k_colorable(h, 3) is not None
+    assert k_colorable(h.adjacency(), 2) is None
+    assert k_colorable(h.adjacency(), 3) is not None
     # h is the order-11 graph with one inner vertex removed; its neighbors there
     # were x1, x3, and z.
     y2 = 7
@@ -286,7 +310,7 @@ def test_forced_relations_versus_unrestricted_enumeration():
         n = rng.randint(2, 6)
         g = random_graph(rng, n, 0.4)
         k = rng.choice([2, 3])
-        if k_colorable(g, k) is None:
+        if k_colorable(g.adjacency(), k) is None:
             continue
         edges = sorted(g.edges)
         same_ref = {(u, v): True for u in range(n) for v in range(u + 1, n)}
@@ -459,9 +483,9 @@ def test_abstract_graph_validation():
 
 def test_triangle_detection():
     tri = AbstractGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-    assert not is_triangle_free(tri)
+    assert not is_triangle_free(tri.adjacency())
     path = AbstractGraph.from_edges(3, [(0, 1), (1, 2)])
-    assert is_triangle_free(path)
+    assert is_triangle_free(path.adjacency())
 
 
 # --- the lattice 3-coloring -----------------------------------------------------------

@@ -168,8 +168,8 @@ def test_greedy_finds_non_3_colorable_set():
     assert res.succeeded
     assert res.graph.order <= 1000
     assert res.coloring is None
-    assert k_colorable(res.graph, 3) is None
-    assert k_colorable(res.graph, 4) is not None
+    assert k_colorable(res.graph.adjacency(), 3) is None
+    assert k_colorable(res.graph.adjacency(), 4) is not None
     # the hunt hands back its certificate with that certificate's one report
     assert res.graph == build_graph(list(res.graph.vertices), 22)
     assert res.certificate.points == res.graph.vertices
@@ -185,8 +185,8 @@ def test_greedy_cap_failure_keeps_last_coloring():
     assert res.certificate is None and res.report is None
     coloring = res.coloring
     assert coloring is not None
-    assert is_proper(res.graph, coloring)
-    assert k_colorable(res.graph, 3) is not None
+    assert is_proper(res.graph.adjacency(), coloring)
+    assert k_colorable(res.graph.adjacency(), 3) is not None
     assert len(set(coloring)) <= 3
 
 
@@ -318,7 +318,7 @@ def test_direct_certificate_verifies():
     assert "CHECK edge-set PASS" in rendered
     g = build_graph(list(cert.points), 22)
     assert len(g.edges) == 65
-    assert is_triangle_free(g)
+    assert is_triangle_free(g.adjacency())
 
 
 def test_direct_certificate_catches_edge_mismatch():
@@ -1097,9 +1097,9 @@ def test_reference_tables_are_triangle_free_and_4_chromatic():
     for name in ("t34_order25.cert", "t66_order25.cert"):
         cert = _cert(name)
         g = build_graph(list(cert.points), cert.t)
-        assert is_triangle_free(g)
-        assert k_colorable(g, 3) is None
-        assert k_colorable(g, 4) is not None
+        assert is_triangle_free(g.adjacency())
+        assert k_colorable(g.adjacency(), 3) is None
+        assert k_colorable(g.adjacency(), 4) is not None
 
 
 def test_device_forces_the_distance():
