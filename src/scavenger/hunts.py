@@ -150,10 +150,8 @@ def greedy_hunt(
         x, y, z = x - off, y - off, z - off
         vertices.append(QPoint3(Fraction(x, d), Fraction(y, d), Fraction(z, d)))
         chosen.add(key)
-        nbrs = frontier.pop(key, None)
-        if nbrs is None:
-            nbrs = []
-        else:
+        nbrs = frontier.pop(key, [])
+        if nbrs:
             buckets[len(nbrs)].remove(key)
         for j in nbrs:
             adj[j].append(m)

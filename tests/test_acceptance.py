@@ -59,9 +59,10 @@ def test_criterion_1_t22_table():
     assert g.order == 29
     for u, v in g.edges:
         assert dist_sq(g.vertices[u], g.vertices[v]) == 22
-    assert is_triangle_free(g.adjacency())
-    assert k_colorable(g.adjacency(), 3) is None
-    assert k_colorable(g.adjacency(), 4) is not None
+    adj = g.adjacency()
+    assert is_triangle_free(adj)
+    assert k_colorable(adj, 3) is None
+    assert k_colorable(adj, 4) is not None
     elapsed = time.monotonic() - start
     assert elapsed < 60
     print(
@@ -157,12 +158,13 @@ def test_criterion_4_solver_oracle():
             (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density
         ]
         g = AbstractGraph.from_edges(n, edges)
+        adj = g.adjacency()
         for k in (2, 3, 4):
-            got = k_colorable(g.adjacency(), k)
+            got = k_colorable(adj, k)
             want = _exhaustive_colorable(g, k)
             assert (got is not None) == want, (n, sorted(g.edges), k)
             if got is not None:
-                assert is_proper(g.adjacency(), got)
+                assert is_proper(adj, got)
                 assert len(set(got)) <= k
             checked += 1
     print(f"CRITERION 4 PASS solver matches exhaustive enumeration on {checked} decisions")
@@ -345,9 +347,9 @@ def test_criterion_11_greedy_weak_form():
     result = greedy_hunt(22, seed, 3, F(10), cap=1000)
     assert result.succeeded
     assert result.graph.order <= 1000
-    g = build_graph(list(result.graph.vertices), 22)
-    assert k_colorable(g.adjacency(), 3) is None
-    assert k_colorable(g.adjacency(), 4) is not None
+    adj = build_graph(list(result.graph.vertices), 22).adjacency()
+    assert k_colorable(adj, 3) is None
+    assert k_colorable(adj, 4) is not None
     elapsed = time.monotonic() - start
     print(
         f"CRITERION 11 PASS greedy terminates non-3-colorable at order {result.graph.order} "

@@ -258,9 +258,10 @@ def test_small_mycielskian_shape():
     assert len(g.edges) == 20
     degrees = sorted(len(a) for a in g.adjacency())
     assert degrees == [3, 3, 3, 3, 3, 4, 4, 4, 4, 4, 5]
-    assert is_triangle_free(g.adjacency())
-    assert k_colorable(g.adjacency(), 3) is None
-    assert k_colorable(g.adjacency(), 4) is not None
+    adj = g.adjacency()
+    assert is_triangle_free(adj)
+    assert k_colorable(adj, 3) is None
+    assert k_colorable(adj, 4) is not None
 
 
 def test_small_mycielskian_is_vertex_critical():

@@ -168,8 +168,9 @@ def test_greedy_finds_non_3_colorable_set():
     assert res.succeeded
     assert res.graph.order <= 1000
     assert res.coloring is None
-    assert k_colorable(res.graph.adjacency(), 3) is None
-    assert k_colorable(res.graph.adjacency(), 4) is not None
+    adj = res.graph.adjacency()
+    assert k_colorable(adj, 3) is None
+    assert k_colorable(adj, 4) is not None
     # the hunt hands back its certificate with that certificate's one report
     assert res.graph == build_graph(list(res.graph.vertices), 22)
     assert res.certificate.points == res.graph.vertices
@@ -185,8 +186,9 @@ def test_greedy_cap_failure_keeps_last_coloring():
     assert res.certificate is None and res.report is None
     coloring = res.coloring
     assert coloring is not None
-    assert is_proper(res.graph.adjacency(), coloring)
-    assert k_colorable(res.graph.adjacency(), 3) is not None
+    adj = res.graph.adjacency()
+    assert is_proper(adj, coloring)
+    assert k_colorable(adj, 3) is not None
     assert len(set(coloring)) <= 3
 
 
@@ -1096,10 +1098,10 @@ def test_device_hunt_on_the_antipodal_branch_matches_golden():
 def test_reference_tables_are_triangle_free_and_4_chromatic():
     for name in ("t34_order25.cert", "t66_order25.cert"):
         cert = _cert(name)
-        g = build_graph(list(cert.points), cert.t)
-        assert is_triangle_free(g.adjacency())
-        assert k_colorable(g.adjacency(), 3) is None
-        assert k_colorable(g.adjacency(), 4) is not None
+        adj = build_graph(list(cert.points), cert.t).adjacency()
+        assert is_triangle_free(adj)
+        assert k_colorable(adj, 3) is None
+        assert k_colorable(adj, 4) is not None
 
 
 def test_device_forces_the_distance():
