@@ -18,6 +18,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from scavenger import numtheory
+from scavenger.cycles import _d_candidates
 from scavenger.numtheory import (
     ChainCertificate,
     TernaryForm,
@@ -470,6 +471,63 @@ def test_unsolvable_big_forms_are_refused_before_any_search(a, b, c):
         legendre_solution(form)
     assert time.perf_counter() - start < 1.0
     assert re.fullmatch(r"definite form, only the trivial zero|-(ab|ac|bc) = -?\d+ not a QR of \d+", str(info.value))
+
+
+# --- the decision against Legendre's conditions on the normalized form ---------
+
+
+def _normalized_decision(form: TernaryForm) -> bool:
+    """The decision `legendre_solution` makes before its search."""
+    return numtheory._obstruction(*normalize_form(form)[::2]) is None
+
+
+def _scan_forms(limit: int) -> set[TernaryForm]:
+    """Every form the d scan decides for the admissible t < limit: both
+    isosceles forms of each candidate d, up to and including the first
+    feasible one."""
+    forms: set[TernaryForm] = set()
+
+    def record(form):
+        forms.add(form)
+        return _normalized_decision(form)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numtheory, "legendre_solvable", record)
+        for t in filter(in_T, range(2, limit)):
+            for pq in _d_candidates(t, None):
+                first = isosceles_embeddable((t, 1), pq)
+                if isosceles_embeddable(pq, (t, 1)) and first:
+                    break
+    return forms
+
+
+def test_legendre_solvable_matches_normalized_decision_on_the_d_scan():
+    forms = _scan_forms(2000)
+    assert len(forms) > 40_000
+    assert [f for f in forms if legendre_solvable(f) != _normalized_decision(f)] == []
+
+
+# a prime p = 3 (mod 4) at odd valuation in two coefficients, with and without a share of 2
+_SHARED_ODD = [s * 3**i * 7**j * 2**k for s in (1, -1) for i in (0, 1, 3) for j in (0, 1) for k in (0, 1)]
+
+
+def test_legendre_solvable_matches_normalized_decision_on_shared_odd_valuations():
+    forms = [TernaryForm(*cs) for cs in product(_SHARED_ODD, repeat=3)]
+    assert [f for f in forms if legendre_solvable(f) != _normalized_decision(f)] == []
+
+
+@settings(max_examples=400, deadline=None)
+@given(_SMOOTH, _SMOOTH, _SMOOTH)
+def test_legendre_solvable_matches_normalized_decision_on_smooth_forms(a, b, c):
+    form = TernaryForm(a, b, c)
+    assert legendre_solvable(form) == _normalized_decision(form)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_BIG, _BIG, _BIG)
+def test_legendre_solvable_matches_normalized_decision_on_big_forms(a, b, c):
+    form = TernaryForm(a, b, c)
+    assert legendre_solvable(form) == _normalized_decision(form)
 
 
 # --- step-length criteria ------------------------------------------------------
