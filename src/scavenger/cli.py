@@ -305,7 +305,10 @@ def _positive_list(text: str) -> list[int]:
 def _positive_rational(text: str) -> Fraction:
     """argparse type of a forced squared distance or a box half-width: a
     rational greater than 0."""
-    value = parse_rational(text)
+    try:
+        value = parse_rational(text)
+    except ValueError:
+        value = 0
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be a positive rational, got {text!r}")
     return value

@@ -1,10 +1,12 @@
 """Diophantine decision procedures and constructive same-color chain certificates.
 
 Covers: membership in the open-case distance set T, square roots modulo
-square-free moduli, Legendre's solvability criterion for ternary forms (with
-a Holzer-bounded constructive search), sums of three squares, the
-additive-closure criteria for step sets, and embeddability tests for
-isosceles triangles in Q^3.
+square-free moduli, solvability of diagonal ternary forms (decided by
+Hilbert symbols on the form's own coefficients; a constructive solve
+normalizes the form, names the failing Legendre condition and searches
+within the Holzer bounds), sums of three squares, the additive-closure
+criteria for step sets, and embeddability tests for isosceles triangles in
+Q^3.
 """
 
 from __future__ import annotations
@@ -143,7 +145,12 @@ def _obstruction(coeffs: tuple[int, int, int], primes: Sequence[Sequence[int]]) 
     coefficient: why it has no nontrivial zero (it is definite, or the first
     of the three residue conditions that fails), or None when it has one.
     The coefficients are pairwise coprime, so each value is a unit modulo
-    the square-free coefficient it is tested against."""
+    the square-free coefficient it is tested against.
+
+    This is the local test of `legendre_solvable` on the normalized form:
+    there every odd prime divides exactly one coefficient once, so each
+    Hilbert symbol reduces to Euler's criterion of one of -ab, -ac, -bc.  A
+    test pins the two decisions to each other on the d scan's forms."""
     a, b, c = coeffs
     if (a > 0) == (b > 0) == (c > 0):
         return "definite form, only the trivial zero"
@@ -154,9 +161,38 @@ def _obstruction(coeffs: tuple[int, int, int], primes: Sequence[Sequence[int]]) 
 
 
 def legendre_solvable(form: TernaryForm) -> bool:
-    """Exact decision for nontrivial integer solvability of a*x^2+b*y^2+c*z^2 = 0."""
-    coeffs, _, primes = normalize_form(form)
-    return _obstruction(coeffs, primes) is None
+    """Exact decision for nontrivial integer solvability of a*x^2+b*y^2+c*z^2 = 0,
+    by the local test on the form's own coefficients.  Nothing is normalized:
+    only `legendre_solution` needs the reduced form, its multipliers and the
+    named condition of `_obstruction`.
+
+    By Hasse-Minkowski the form has a nontrivial zero exactly when it is
+    indefinite and, with g = gcd(a, b, c) divided out, the Hilbert symbol
+    (-ab, -ac)_p is 1 at every odd prime p of abc; the product formula then
+    covers p = 2.  With -ab = p^alpha * u and -ac = p^beta * v, u and v prime
+    to p, the symbol is Euler's criterion of (-1)^(alpha*beta) * u^beta *
+    v^alpha modulo p.  Each p-free part is taken from the whole of -ab or
+    -ac, never from a value another prime was divided out of."""
+    a, b, c = form.coeffs()
+    if (a > 0) == (b > 0) == (c > 0):
+        return False
+    g = math.gcd(a, b, c)
+    a, b, c = a // g, b // g, c // g
+    fa, fb, fc = factorize(abs(a)), factorize(abs(b)), factorize(abs(c))
+    x, y = -a * b, -a * c
+    for p in fa.keys() | fb.keys() | fc.keys():
+        e = fa.get(p, 0)
+        alpha, beta = e + fb.get(p, 0), e + fc.get(p, 0)
+        if p == 2 or not (alpha | beta) & 1:
+            continue
+        w = -1 if alpha & beta & 1 else 1
+        if beta & 1:
+            w *= x // p**alpha
+        if alpha & 1:
+            w *= y // p**beta
+        if pow(w, (p - 1) // 2, p) != 1:
+            return False
+    return True
 
 
 def _holzer_search(coeffs: tuple[int, int, int], primes: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:

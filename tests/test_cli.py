@@ -163,6 +163,22 @@ def test_bad_option_value_exits_64_before_any_output(capsys, tmp_path, command, 
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command,option,value",
+    [
+        (["hunt-greedy", "t22_seed"], "--box", "abc"),
+        (["find-symmetric-cycle", "30"], "--d", "1/0"),
+        (["hunt-grotzsch-subgraph", "30"], "--d", "x/3"),
+    ],
+    ids=lambda x: x[0] if isinstance(x, list) else x,
+)
+def test_unparsable_rational_option_names_the_expected_value(capsys, tmp_path, command, option, value):
+    code = exit_code(_argv(tmp_path, command) + [option, value])
+    out, err = capsys.readouterr()
+    assert (code, out) == (64, "")
+    assert err.splitlines()[-1] == f"error: argument {option}: must be a positive rational, got {value!r}"
+
+
 # --- verify ------------------------------------------------------------------------
 
 
