@@ -73,22 +73,6 @@ def test_open_case_members_are_2_mod_4():
 # --- quadratic residues -------------------------------------------------------
 
 
-def qr_brute(a: int, m: int) -> bool:
-    return any((x * x - a) % m == 0 for x in range(m))
-
-
-def test_is_square_mod_matches_exhaustive_squaring():
-    """Euler's criterion on the primes of m against squaring, for each
-    square-free m <= 300 and each unit k in [-m, m)."""
-    for m in range(1, 301):
-        primes = factorize(m)
-        if any(e > 1 for e in primes.values()):
-            continue
-        for k in range(-m, m):
-            if math.gcd(k, m) == 1:
-                assert numtheory._is_square_mod(k, primes) == qr_brute(k, m), (k, m)
-
-
 def test_sqrt_mod_matches_exhaustive_squaring():
     """Every root r in [0, m) of r^2 = k, for each square-free m <= 300 and each
     unit k mod m (the empty list when k is no square)."""
@@ -357,9 +341,8 @@ def _holzer_full_box(a, b, c):
     ],
 )
 def test_holzer_search_matches_full_box_scan(coeffs, solved):
-    reduced, _, primes = normalize_form(TernaryForm(*coeffs))
-    assert reduced == coeffs
-    assert numtheory._obstruction(coeffs, primes) is None
+    assert normalize_form(TernaryForm(*coeffs))[0] == coeffs
+    assert legendre_solvable(TernaryForm(*coeffs))
     assert min(coeffs, key=abs) == solved
     assert numtheory._holzer_search(coeffs, [factorize(abs(c)) for c in coeffs]) == _holzer_full_box(*coeffs)
 
@@ -372,9 +355,9 @@ def test_holzer_search_matches_full_box_scan(coeffs, solved):
     st.permutations(range(3)),
 )
 def test_holzer_search_matches_full_box_scan_on_random_forms(a, b, c, order):
-    reduced, _, primes = normalize_form(TernaryForm(a, b, c))
+    reduced, _, _ = normalize_form(TernaryForm(a, b, c))
     coeffs = tuple(reduced[i] for i in order)
-    assume(numtheory._obstruction(coeffs, tuple(primes[i] for i in order)) is None)
+    assume(legendre_solvable(TernaryForm(*coeffs)))
     assert numtheory._holzer_search(coeffs, [factorize(abs(c)) for c in coeffs]) == _holzer_full_box(*coeffs)
 
 
@@ -445,6 +428,10 @@ def test_legendre_decision_is_certified_both_ways(a, b, c):
         ((1, -3, 7), "-ab = 3 not a QR of 7"),
         ((-13, -11, 1), "-ac = 13 not a QR of 11"),
         ((3, -5, 7), "-bc = 35 not a QR of 3"),
+        ((3, 7, -29), "-ab = -21 not a QR of 29"),  # all three conditions fail
+        ((3, 5, -34), "-ac = 102 not a QR of 5"),  # -ac and -bc fail
+        ((4, 4, -12), "-ab = -1 not a QR of 3"),  # named on the normalized form (1, 1, -3)
+        ((3, 11, -10), "-ab = -33 not a QR of 10"),
     ],
 )
 def test_legendre_obstruction_names_the_failing_condition(coeffs, reason):
@@ -476,9 +463,24 @@ def test_unsolvable_big_forms_are_refused_before_any_search(a, b, c):
 # --- the decision against Legendre's conditions on the normalized form ---------
 
 
+def _legendre_conditions(coeffs: tuple[int, int, int], primes) -> str | None:
+    """Legendre's conditions on a normalized form with the primes of each
+    coefficient, kept apart from the Hilbert-symbol decision as its oracle:
+    the definite refusal, else the first of -ab mod |c|, -ac mod |b| and
+    -bc mod |a| that is no square by Euler's criterion at an odd prime,
+    else None."""
+    a, b, c = coeffs
+    if (a > 0) == (b > 0) == (c > 0):
+        return "definite form, only the trivial zero"
+    for name, value, k in (("-ab", -a * b, 2), ("-ac", -a * c, 1), ("-bc", -b * c, 0)):
+        if any(pow(value, (p - 1) // 2, p) != 1 for p in primes[k] if p > 2):
+            return f"{name} = {value} not a QR of {abs(coeffs[k])}"
+    return None
+
+
 def _normalized_decision(form: TernaryForm) -> bool:
-    """The decision `legendre_solution` makes before its search."""
-    return numtheory._obstruction(*normalize_form(form)[::2]) is None
+    """Legendre's decision on the form's normalization."""
+    return _legendre_conditions(*normalize_form(form)[::2]) is None
 
 
 def _scan_forms(limit: int) -> set[TernaryForm]:
@@ -528,6 +530,18 @@ def test_legendre_solvable_matches_normalized_decision_on_smooth_forms(a, b, c):
 def test_legendre_solvable_matches_normalized_decision_on_big_forms(a, b, c):
     form = TernaryForm(a, b, c)
     assert legendre_solvable(form) == _normalized_decision(form)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(_SMOOTH, _SMOOTH, _SMOOTH), st.tuples(_BIG, _BIG, _BIG)))
+def test_unsolvable_form_names_the_first_failing_legendre_condition(coeffs):
+    form = TernaryForm(*coeffs)
+    reason = _legendre_conditions(*normalize_form(form)[::2])
+    if reason is None:
+        return
+    with pytest.raises(UnsolvableFormError) as info:
+        legendre_solution(form)
+    assert str(info.value) == reason
 
 
 # --- step-length criteria ------------------------------------------------------
