@@ -1,10 +1,11 @@
 """Diophantine decision procedures and constructive same-color chain certificates.
 
 Covers: membership in the open-case distance set T, square roots modulo
-square-free moduli, solvability of diagonal ternary forms (decided by
-Hilbert symbols on the form's own coefficients; a constructive solve
-normalizes the form, names the failing Legendre condition and searches
-within the Holzer bounds), sums of three squares, the additive-closure
+square-free moduli, solvability of diagonal ternary forms (decided by one
+Hilbert-symbol test, on the form's own coefficients or, for a constructive
+solve, on the normalized form, where the failing prime names the failing
+Legendre condition before the search within the Holzer bounds), sums of
+three squares, the additive-closure
 criteria for step sets, and embeddability tests for isosceles triangles in
 Q^3.
 """
@@ -41,13 +42,6 @@ def in_T(t: int) -> bool:
 # --- quadratic residues ------------------------------------------------------
 
 
-def _is_square_mod(k: int, primes: Sequence[int]) -> bool:
-    """Whether k is a square modulo the square-free product of `primes`, for
-    k a unit modulo each of them: Euler's criterion at each odd prime (every
-    unit is a square mod 2)."""
-    return all(pow(k, (p - 1) // 2, p) == 1 for p in primes if p > 2)
-
-
 def _sqrt_mod_prime(a: int, p: int) -> int:
     """A square root of the unit quadratic residue a mod the odd prime p (Tonelli-Shanks)."""
     q, e, z = p - 1, 0, 2
@@ -68,11 +62,12 @@ def _sqrt_mod_prime(a: int, p: int) -> int:
 def _sqrt_mod(k: int, primes: Sequence[int]) -> list[int]:
     """Sorted r in [0, m) with r^2 = k (mod m), for m the square-free product
     of `primes` and k a unit mod m: the roots modulo each prime, combined by
-    CRT."""
-    if not _is_square_mod(k, primes):
-        return []
+    CRT, and none when Euler's criterion fails at an odd prime (every unit is
+    a square mod 2)."""
     roots, mod = [0], 1
     for p in primes:
+        if p > 2 and pow(k, (p - 1) // 2, p) != 1:
+            return []
         r = _sqrt_mod_prime(k % p, p) if p > 2 else 1
         inv = pow(mod, -1, p)
         roots = [x + mod * ((y - x) * inv % p) for x in roots for y in {r, p - r}]
@@ -140,47 +135,19 @@ def normalize_form(
     return (coeffs[0], coeffs[1], coeffs[2]), (mult[0], mult[1], mult[2]), tuple(primes)
 
 
-def _obstruction(coeffs: tuple[int, int, int], primes: Sequence[Sequence[int]]) -> str | None:
-    """Legendre's decision on a normalized form with the primes of each
-    coefficient: why it has no nontrivial zero (it is definite, or the first
-    of the three residue conditions that fails), or None when it has one.
-    The coefficients are pairwise coprime, so each value is a unit modulo
-    the square-free coefficient it is tested against.
+def _failing_prime(
+    a: int, b: int, c: int, fa: dict[int, int], fb: dict[int, int], fc: dict[int, int]
+) -> int | None:
+    """The first odd prime p at which the Hilbert symbol (-ab, -ac)_p is -1,
+    trying the primes of c, then of b, then of a, or None; fa, fb and fc map
+    the primes of |a|, |b| and |c| to their exponents, and gcd(a, b, c) = 1.
 
-    This is the local test of `legendre_solvable` on the normalized form:
-    there every odd prime divides exactly one coefficient once, so each
-    Hilbert symbol reduces to Euler's criterion of one of -ab, -ac, -bc.  A
-    test pins the two decisions to each other on the d scan's forms."""
-    a, b, c = coeffs
-    if (a > 0) == (b > 0) == (c > 0):
-        return "definite form, only the trivial zero"
-    for name, value, k in (("-ab", -a * b, 2), ("-ac", -a * c, 1), ("-bc", -b * c, 0)):
-        if not _is_square_mod(value, primes[k]):
-            return f"{name} = {value} not a QR of {abs(coeffs[k])}"
-    return None
-
-
-def legendre_solvable(form: TernaryForm) -> bool:
-    """Exact decision for nontrivial integer solvability of a*x^2+b*y^2+c*z^2 = 0,
-    by the local test on the form's own coefficients.  Nothing is normalized:
-    only `legendre_solution` needs the reduced form, its multipliers and the
-    named condition of `_obstruction`.
-
-    By Hasse-Minkowski the form has a nontrivial zero exactly when it is
-    indefinite and, with g = gcd(a, b, c) divided out, the Hilbert symbol
-    (-ab, -ac)_p is 1 at every odd prime p of abc; the product formula then
-    covers p = 2.  With -ab = p^alpha * u and -ac = p^beta * v, u and v prime
-    to p, the symbol is Euler's criterion of (-1)^(alpha*beta) * u^beta *
-    v^alpha modulo p.  Each p-free part is taken from the whole of -ab or
-    -ac, never from a value another prime was divided out of."""
-    a, b, c = form.coeffs()
-    if (a > 0) == (b > 0) == (c > 0):
-        return False
-    g = math.gcd(a, b, c)
-    a, b, c = a // g, b // g, c // g
-    fa, fb, fc = factorize(abs(a)), factorize(abs(b)), factorize(abs(c))
+    With -ab = p^alpha * u and -ac = p^beta * v, u and v prime to p, the
+    symbol is Euler's criterion of (-1)^(alpha*beta) * u^beta * v^alpha
+    modulo p.  Each p-free part is taken from the whole of -ab or -ac,
+    never from a value another prime was divided out of."""
     x, y = -a * b, -a * c
-    for p in fa.keys() | fb.keys() | fc.keys():
+    for p in {**fc, **fb, **fa}:
         e = fa.get(p, 0)
         alpha, beta = e + fb.get(p, 0), e + fc.get(p, 0)
         if p == 2 or not (alpha | beta) & 1:
@@ -191,8 +158,25 @@ def legendre_solvable(form: TernaryForm) -> bool:
         if alpha & 1:
             w *= y // p**beta
         if pow(w, (p - 1) // 2, p) != 1:
-            return False
-    return True
+            return p
+    return None
+
+
+def legendre_solvable(form: TernaryForm) -> bool:
+    """Exact decision for nontrivial integer solvability of a*x^2+b*y^2+c*z^2 = 0,
+    by the local test on the form's own coefficients: nothing is normalized.
+
+    By Hasse-Minkowski the form has a nontrivial zero exactly when it is
+    indefinite and, with g = gcd(a, b, c) divided out, `_failing_prime`
+    finds no odd prime of abc at which (-ab, -ac)_p = -1; the product
+    formula then covers p = 2."""
+    a, b, c = form.coeffs()
+    if (a > 0) == (b > 0) == (c > 0):
+        return False
+    g = math.gcd(a, b, c)
+    a, b, c = a // g, b // g, c // g
+    fa, fb, fc = factorize(abs(a)), factorize(abs(b)), factorize(abs(c))
+    return _failing_prime(a, b, c, fa, fb, fc) is None
 
 
 def _holzer_search(coeffs: tuple[int, int, int], primes: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
@@ -244,11 +228,23 @@ def legendre_solution(form: TernaryForm) -> tuple[int, int, int]:
     """A primitive nontrivial solution of the form: the form is normalized
     and decided once, raising UnsolvableFormError with the failing condition,
     and only a solvable form is searched within the Holzer bounds; the zero
-    found is scaled back by the normalization's multipliers."""
+    found is scaled back by the normalization's multipliers.
+
+    The decision is `_failing_prime` on the normalized form, where each odd
+    prime divides one coefficient once.  The symbol at p is then Euler's
+    criterion of -ab when p | c, of -ac when p | b and of -bc*(a/p)^2 when
+    p | a, so the failing prime names the first of Legendre's conditions
+    (-ab a square mod |c|, -ac mod |b|, -bc mod |a|) that fails."""
     coeffs, (mx, my, mz), primes = normalize_form(form)
-    reason = _obstruction(coeffs, primes)
-    if reason is not None:
-        raise UnsolvableFormError(reason)
+    a, b, c = coeffs
+    if (a > 0) == (b > 0) == (c > 0):
+        raise UnsolvableFormError("definite form, only the trivial zero")
+    p = _failing_prime(a, b, c, *(dict.fromkeys(ps, 1) for ps in primes))
+    if p is not None:
+        name, value, m = (
+            ("-ab", -a * b, c) if c % p == 0 else ("-ac", -a * c, b) if b % p == 0 else ("-bc", -b * c, a)
+        )
+        raise UnsolvableFormError(f"{name} = {value} not a QR of {abs(m)}")
     sol = _holzer_search(coeffs, primes)
     if sol is None:
         raise AssertionError(f"no zero of the solvable form {coeffs} within the Holzer bounds")
