@@ -7,14 +7,15 @@ forces a fourth color, and a device built from a symmetric 5-cycle that
 forces two vertices to share a color at a squared distance meeting the
 additive-closure membership criteria.
 
-Every search result is verified once by `verify_certificate` and handed back
-with its report; the verifier itself never trusts a claim it can recompute.
+Every search result is verified once by the verifier of its kind and handed
+back with its report; the verifier itself never trusts a claim it can
+recompute.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 from math import floor, gcd, isqrt, lcm
@@ -442,8 +443,9 @@ def grotzsch_subgraph_hunt(sym: SymCycle, params) -> tuple[Certificate, Report] 
     """From a symmetric 5-cycle at integer squared edge length t, search for
     y0 (equidistant from x4, x1) and y1 (equidistant from x0, x2) admitting a
     rational z at √t from both on the mirror plane; y3, y4 are the mirror
-    images of y1, y0.  The branch rule of `_device_branch` then certifies the
-    device through |x2-z|² or through the x1x3 circle's antipodal distance.
+    images of y1, y0.  The device verifier's branch rule (`_device_checks`)
+    then certifies the device through |x2-z|² or through the x1x3 circle's
+    antipodal distance.
     The circle about (x4, x1) is charted from x0, which lies on it by two
     cycle edges, and the circle about (x0, x2) from the cycle's solved base,
     so no circle is solved.  The parameter pairs (s0, s1) of the sequence
@@ -468,17 +470,16 @@ def _assemble_device(
     y4 = reflect_point(y0, sym.plane)
     y3 = reflect_point(y1, sym.plane)
     pts = (sym.x0, sym.x1, sym.x2, sym.x3, sym.x4, y0, y1, y3, y4, z)
-    t = int(sym.t)
-    _, data = _device_branch(pts, t, None)
-    if not data:
-        return None
-    # distinct points and the 17 device edges are decided by the verifier's checks
-    cert = Certificate("h-device", t, pts, tuple(sorted(h_graph().edges)), {"z": z, **data})
-    report = verify_certificate(cert)
+    # distinct points, the 17 device edges and the branch are decided once, by
+    # the verifier's checks
+    cert = Certificate("h-device", int(sym.t), pts, tuple(sorted(h_graph().edges)), {"z": z})
+    checks, data = _device_checks(cert)
+    report = Report(tuple(checks))
     if report.failed:
         logger.info("assembled device failed verification:\n%s", report.render())
         return None
-    return cert, report
+    # the recomputed h and radius, claimed, add no check and change no detail
+    return replace(cert, data={"z": z, **data}), report
 
 
 # --- certificates -----------------------------------------------------------------------
@@ -761,13 +762,19 @@ def _verify_grotzsch_type(cert: Certificate) -> list[Check]:
     return checks
 
 
-def _verify_h_device(cert: Certificate) -> list[Check]:
+def _device_checks(cert: Certificate) -> tuple[list[Check], dict[str, Rational]]:
+    """The h-device verifier's checks, and the data its branch decides: {"h":
+    |x2-z|²} when |x2-z|² meets the membership criteria; else {"radius_sq":
+    ρ, "h": the antipodal distance} when the circle about x1, x3 has a
+    squared radius ρ with denominator ≡ 2 (mod 4) and an antipodal distance
+    meeting the criteria; else {}.  A claimed ρ other than the recomputed one
+    is a warning, a claimed h other than the recomputed one a failure."""
     checks: list[Check] = []
     pts = cert.points
     if len(pts) != 10:
-        return [Check("order", "FAIL", f"expected 10 labeled points, got {len(pts)}")]
+        return [Check("order", "FAIL", f"expected 10 labeled points, got {len(pts)}")], {}
     if len(set(pts)) != 10:
-        return [Check("order", "FAIL", "device points must be distinct")]
+        return [Check("order", "FAIL", "device points must be distinct")], {}
     checks.append(Check("order", "PASS", "10 distinct points"))
 
     device = h_graph()
@@ -818,11 +825,46 @@ def _verify_h_device(cert: Certificate) -> list[Check]:
     else:
         checks.append(Check("z-consistent", "PASS", f"z = {format_point(pts[9])}"))
 
-    branch_checks, data = _device_branch(pts, cert.t, cert.data.get("radius_sq"))
-    checks += branch_checks
-    if not data:
-        return checks
-    h = data["h"]
+    t = cert.t
+    h_direct = dist_sq(pts[2], pts[9])
+    if phi_criteria(h_direct):
+        detail = f"|x2-z|^2 = {format_rational(h_direct)} meets the membership criteria"
+        checks.append(Check("branch", "PASS", detail))
+        h, data = h_direct, {"h": h_direct}
+    else:
+        span = dist_sq(pts[1], pts[3])
+        if span > 4 * t:
+            detail = (
+                f"x1 and x3 are at squared distance {format_rational(span)} > 4t; "
+                f"no point lies at squared distance {t} from both"
+            )
+            return checks + [Check("radius", "FAIL", detail)], {}
+        s_circle = equidistant_circle(pts[1], pts[3], t)
+        rho = s_circle.radius_sq
+        detail = (
+            f"|x2-z|^2 = {format_rational(h_direct)} fails the membership criteria; "
+            f"circle about x1, x3 has center {format_point(s_circle.center)} "
+            f"and squared radius {format_rational(rho)}"
+        )
+        claimed_rho = cert.data.get("radius_sq")
+        if claimed_rho is not None and claimed_rho != rho:
+            checks.append(
+                Check("radius", "WARN",
+                      f"claimed squared radius {format_rational(claimed_rho)} inconsistent; recomputed {format_rational(rho)}")
+            )
+        else:
+            checks.append(Check("radius", "PASS", f"squared radius {format_rational(rho)}"))
+        if rho.denominator % 4 != 2:
+            checks.append(Check("branch", "FAIL", detail + f"; denominator {rho.denominator} is not 2 mod 4"))
+            return checks, {}
+        h = antipodal_dist_sq(rho)
+        anti_ok = phi_criteria(h)
+        verdict = "meets" if anti_ok else "fails"
+        detail += f"; antipodal squared distance {format_rational(h)} {verdict} the membership criteria"
+        checks.append(Check("branch", "PASS" if anti_ok else "FAIL", detail))
+        if not anti_ok:
+            return checks, {}
+        data = {"radius_sq": rho, "h": h}
     claimed_h = cert.data.get("h")
     if claimed_h is not None and claimed_h != h:
         checks.append(
@@ -830,62 +872,12 @@ def _verify_h_device(cert: Certificate) -> list[Check]:
                   f"claimed h {format_rational(claimed_h)} != recomputed {format_rational(h)}")
         )
     checks.append(_chain_check(cert.t, h))
-    return checks
+    return checks, data
 
 
 VERIFIERS = {
     "direct-chromatic": _verify_direct,
     "grotzsch-type-structural": _verify_grotzsch_type,
-    "h-device": _verify_h_device,
+    "h-device": lambda cert: _device_checks(cert)[0],
 }
 
-
-def _device_branch(
-    pts: tuple[QPoint3, ...], t: int, claimed_rho: Rational | None
-) -> tuple[list[Check], dict[str, Rational]]:
-    """The device's branch decision: its `radius` and `branch` checks, and
-    the data they decide.  That is {"h": |x2-z|²} when |x2-z|² meets the
-    membership criteria; else {"radius_sq": ρ, "h": the antipodal distance}
-    when the circle about x1, x3 has a squared radius ρ with denominator
-    ≡ 2 (mod 4) and an antipodal distance meeting the criteria; else {}.  A
-    claimed ρ other than the recomputed one is a warning."""
-    h_direct = dist_sq(pts[2], pts[9])
-    if phi_criteria(h_direct):
-        detail = f"|x2-z|^2 = {format_rational(h_direct)} meets the membership criteria"
-        return [Check("branch", "PASS", detail)], {"h": h_direct}
-    span = dist_sq(pts[1], pts[3])
-    if span > 4 * t:
-        detail = (
-            f"x1 and x3 are at squared distance {format_rational(span)} > 4t; "
-            f"no point lies at squared distance {t} from both"
-        )
-        return [Check("radius", "FAIL", detail)], {}
-    s_circle = equidistant_circle(pts[1], pts[3], t)
-    rho = s_circle.radius_sq
-    detail = (
-        f"|x2-z|^2 = {format_rational(h_direct)} fails the membership criteria; "
-        f"circle about x1, x3 has center {format_point(s_circle.center)} "
-        f"and squared radius {format_rational(rho)}"
-    )
-    if claimed_rho is not None and claimed_rho != rho:
-        radius = Check(
-            "radius",
-            "WARN",
-            f"claimed squared radius {format_rational(claimed_rho)} inconsistent; recomputed {format_rational(rho)}",
-        )
-    else:
-        radius = Check("radius", "PASS", f"squared radius {format_rational(rho)}")
-    if rho.denominator % 4 != 2:
-        branch = Check("branch", "FAIL", detail + f"; denominator {rho.denominator} is not 2 mod 4")
-        return [radius, branch], {}
-    h_anti = antipodal_dist_sq(rho)
-    anti_ok = phi_criteria(h_anti)
-    branch = Check(
-        "branch",
-        "PASS" if anti_ok else "FAIL",
-        detail
-        + f"; antipodal squared distance {format_rational(h_anti)} "
-        + ("meets" if anti_ok else "fails")
-        + " the membership criteria",
-    )
-    return [radius, branch], {"radius_sq": rho, "h": h_anti} if anti_ok else {}

@@ -1047,17 +1047,59 @@ DEVICE_CERTS = [
 @pytest.mark.parametrize("path", DEVICE_CERTS, ids=lambda p: p.name)
 def test_device_branch_decides_each_certificates_h(path):
     cert = read_certificate(path)
-    checks, data = hunts._device_branch(cert.points, cert.t, None)
+    checks, data = hunts._device_checks(cert)
     assert data["h"] == cert.data["h"]
-    assert [(c.name, c.status) for c in checks][-1] == ("branch", "PASS")
+    assert [c.status for c in checks if c.name == "branch"] == ["PASS"]
 
 
 def test_device_branch_warns_on_a_wrong_claimed_radius():
     cert = read_certificate(DATA / "t30_device.cert")
     assert cert.data["radius_sq"] == F(1081, 10)
-    checks, data = hunts._device_branch(cert.points, 30, cert.data["radius_sq"])
-    assert [(c.name, c.status) for c in checks] == [("radius", "WARN"), ("branch", "PASS")]
+    checks, data = hunts._device_checks(cert)
+    branch = [(c.name, c.status) for c in checks if c.name in ("radius", "branch")]
+    assert branch == [("radius", "WARN"), ("branch", "PASS")]
     assert data == {"radius_sq": F(539, 30), "h": F(1078, 15)}
+
+
+def test_device_hunt_at_30_decides_the_branch_once(monkeypatch, capsys):
+    decided = []
+    criteria = hunts.phi_criteria
+
+    def counted(h):
+        decided.append(h)
+        return criteria(h)
+
+    monkeypatch.setattr(hunts, "phi_criteria", counted)
+    assert cli.dispatch(["hunt-grotzsch-subgraph", "30"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "hunt_device30.out").read_text(encoding="utf-8")
+    assert decided == [F(1462, 257)]
+
+
+def _antipodal_device_cycle() -> SymCycle:
+    """t=154, d=90 with x1 at s = -1/2 on the (x0, x2) circle's chart: |x2-z|²
+    fails the membership criteria, so h is the x1x3 circle's antipodal
+    distance."""
+    x0, x4, x2 = embed_isosceles(154, 90)
+    base = solved_base(x0, x2, 154)
+    mirror = bisector_plane(x0, x4)
+    x1 = circle_param(equidistant_circle(x0, x2, 154), base).point_at(F(-1, 2))
+    return SymCycle(x0, x1, x2, reflect_point(x1, mirror), x4, F(154), mirror, base)
+
+
+@pytest.mark.parametrize(
+    "golden,cycle,height",
+    [
+        ("hunt_device30.cert", lambda: find_symmetric_5cycle(30), 12),
+        ("hunt_device154_antipodal.cert", _antipodal_device_cycle, 10),
+        ("hunt_device66_d54.cert", lambda: find_symmetric_5cycle(66, d=F(54)), 8),
+    ],
+    ids=["30", "154-antipodal", "66-d54"],
+)
+def test_device_hunt_report_is_the_verification_of_its_certificate(golden, cycle, height):
+    # the hunt verifies the device before its claimed h and radius are added
+    cert, report = grotzsch_subgraph_hunt(cycle(), farey_parameters(height))
+    assert format_certificate(cert) == (GOLDEN / golden).read_text(encoding="utf-8")
+    assert verify_certificate(cert) == report
 
 
 def test_device_hunt_at_30_solves_z_only_for_the_hit(monkeypatch, capsys):
@@ -1076,15 +1118,7 @@ def test_device_hunt_at_30_solves_z_only_for_the_hit(monkeypatch, capsys):
 
 
 def test_device_hunt_on_the_antipodal_branch_matches_golden():
-    # t=154, d=90 with x1 at s = -1/2 on the (x0, x2) circle's chart: |x2-z|²
-    # fails the membership criteria, so h is the x1x3 circle's antipodal
-    # distance
-    x0, x4, x2 = embed_isosceles(154, 90)
-    base = solved_base(x0, x2, 154)
-    mirror = bisector_plane(x0, x4)
-    x1 = circle_param(equidistant_circle(x0, x2, 154), base).point_at(F(-1, 2))
-    sym = SymCycle(x0, x1, x2, reflect_point(x1, mirror), x4, F(154), mirror, base)
-    cert, report = grotzsch_subgraph_hunt(sym, farey_parameters(10))
+    cert, report = grotzsch_subgraph_hunt(_antipodal_device_cycle(), farey_parameters(10))
     assert cert.data["h"] == F(230950, 693) and cert.data["radius_sq"] == F(115475, 1386)
     assert format_certificate(cert) == (GOLDEN / "hunt_device154_antipodal.cert").read_text(
         encoding="utf-8"
