@@ -302,12 +302,20 @@ def _positive_list(text: str) -> list[int]:
     return [_positive(part) for part in text.split(",")]
 
 
+def _rational(text: str) -> Fraction:
+    """argparse type of a chart parameter: an ASCII rational."""
+    try:
+        return parse_rational(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a rational, got {text!r}") from None
+
+
 def _positive_rational(text: str) -> Fraction:
     """argparse type of a forced squared distance or a box half-width: a
     rational greater than 0."""
     try:
-        value = parse_rational(text)
-    except ValueError:
+        value = _rational(text)
+    except argparse.ArgumentTypeError:
         value = 0
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be a positive rational, got {text!r}")
@@ -383,7 +391,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("param-circle", help="exact rational points on an equidistant circle")
     p.add_argument("foci", help="vertex file with the two foci; header t is the focal squared distance")
-    p.add_argument("--params", nargs="+", type=parse_rational, help="explicit parameter values")
+    p.add_argument("--params", nargs="+", type=_rational, help="explicit parameter values")
     p.add_argument("--count", type=_positive, default=10, help="number of default parameters")
     p.add_argument("--height", type=_positive, default=12)
     p.set_defaults(func=_cmd_param_circle)

@@ -145,6 +145,8 @@ def exit_code(argv) -> int:
         (["param-circle", "foci"], "--count", "-1"),
         (["param-circle", "foci"], "--count", "0"),
         (["param-circle", "foci"], "--height", "0"),
+        (["param-circle", "foci"], "--params", "x"),
+        (["param-circle", "foci"], "--params", "1/0"),
         # numerals that are not plain ASCII integers or rationals
         (["scan-d", "\u0663\u0660"], "--bound", "100"),
         (["find-cycle", "22"], "--height", "\u0666\u0660"),
