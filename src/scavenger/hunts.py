@@ -825,7 +825,6 @@ def _device_checks(cert: Certificate) -> tuple[list[Check], dict[str, Rational]]
     else:
         checks.append(Check("z-consistent", "PASS", f"z = {format_point(pts[9])}"))
 
-    t = cert.t
     h_direct = dist_sq(pts[2], pts[9])
     if phi_criteria(h_direct):
         detail = f"|x2-z|^2 = {format_rational(h_direct)} meets the membership criteria"
@@ -833,13 +832,13 @@ def _device_checks(cert: Certificate) -> tuple[list[Check], dict[str, Rational]]
         h, data = h_direct, {"h": h_direct}
     else:
         span = dist_sq(pts[1], pts[3])
-        if span > 4 * t:
+        if span > 4 * cert.t:
             detail = (
                 f"x1 and x3 are at squared distance {format_rational(span)} > 4t; "
-                f"no point lies at squared distance {t} from both"
+                f"no point lies at squared distance {cert.t} from both"
             )
             return checks + [Check("radius", "FAIL", detail)], {}
-        s_circle = equidistant_circle(pts[1], pts[3], t)
+        s_circle = equidistant_circle(pts[1], pts[3], cert.t)
         rho = s_circle.radius_sq
         detail = (
             f"|x2-z|^2 = {format_rational(h_direct)} fails the membership criteria; "

@@ -5,9 +5,8 @@ square-free moduli, solvability of diagonal ternary forms (decided by one
 Hilbert-symbol test, on the form's own coefficients or, for a constructive
 solve, on the normalized form, where the failing prime names the failing
 Legendre condition before the search within the Holzer bounds), sums of
-three squares, the additive-closure
-criteria for step sets, and embeddability tests for isosceles triangles in
-Q^3.
+three squares, the additive-closure criteria for step sets, and
+embeddability tests for isosceles triangles in Q^3.
 """
 
 from __future__ import annotations
