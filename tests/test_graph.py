@@ -305,28 +305,30 @@ def test_forced_relations_bounds_and_errors():
 
 def test_forced_relations_versus_unrestricted_enumeration():
     # the symmetry-broken enumeration must agree with brute force over all
-    # k^n assignments
+    # k^n assignments, and must refuse exactly the graphs brute force cannot
+    # color
     rng = random.Random(7)
-    for _ in range(15):
-        n = rng.randint(2, 6)
-        g = random_graph(rng, n, 0.4)
-        k = rng.choice([2, 3])
-        if k_colorable(g.adjacency(), k) is None:
-            continue
-        edges = sorted(g.edges)
-        same_ref = {(u, v): True for u in range(n) for v in range(u + 1, n)}
-        diff_ref = {(u, v): True for u in range(n) for v in range(u + 1, n)}
-        for assignment in product(range(k), repeat=n):
-            if all(assignment[u] != assignment[v] for u, v in edges):
-                for u in range(n):
-                    for v in range(u + 1, n):
+    for n, k in product(range(9), range(1, 5)):
+        for p in (0.2, 0.4, 0.6):
+            pairs = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
+            same_ref = set(combinations(range(n), 2))
+            diff_ref = set(same_ref)
+            colorable = False
+            for assignment in product(range(k), repeat=n):
+                if all(assignment[u] != assignment[v] for u, v in pairs):
+                    colorable = True
+                    for u, v in combinations(range(n), 2):
                         if assignment[u] == assignment[v]:
-                            diff_ref[(u, v)] = False
+                            diff_ref.discard((u, v))
                         else:
-                            same_ref[(u, v)] = False
-        same, different = forced_relations(g, k)
-        assert same == {p for p, f in same_ref.items() if f}
-        assert different == {p for p, f in diff_ref.items() if f}
+                            same_ref.discard((u, v))
+            g = AbstractGraph.from_edges(n, pairs)
+            if not colorable:
+                with pytest.raises(ValueError, match=f"^graph admits no proper {k}-coloring$"):
+                    forced_relations(g, k)
+                continue
+            same, different = forced_relations(g, k)
+            assert (same, different) == (same_ref, diff_ref), f"order {n}, k={k}, edges {pairs}"
 
 
 # --- distance graphs ------------------------------------------------------------------
