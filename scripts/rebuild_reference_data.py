@@ -16,10 +16,11 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from scavenger.graph import build_graph, h_graph  # noqa: E402
+from scavenger.graph import build_graph  # noqa: E402
 from scavenger.hunts import (  # noqa: E402
     Certificate,
     gt_structural_edges,
+    h_edges,
     write_certificate,
 )
 from scavenger.qcore import format_point, parse_point  # noqa: E402
@@ -155,7 +156,7 @@ def main() -> None:
         "h-device",
         30,
         pts,
-        tuple(sorted(h_graph().edges)),
+        h_edges(),
         {"z": pts[9], "radius_sq": Fraction(1081, 10), "h": Fraction(1078, 15)},
     )
     write_certificate(device, DATA / "t30_device.cert")

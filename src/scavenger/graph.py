@@ -1,9 +1,13 @@
 """Distance graphs, exact graph coloring, and forced-color analysis.
 
+There is one graph type, `DistGraph`: points and the pairs among them at one
+squared distance.  Every graph routine reads an adjacency list, and
+`adjacency` is the one place where an edge set becomes one.
+
 The coloring solver is exact backtracking with saturation-first (DSATUR)
 vertex selection, served from per-saturation sets of vertex ranks with one
-colored-neighbor bitmask per rank, and new-color symmetry breaking; it reads
-only an adjacency list, and `is_proper` re-checks everything it reports.
+colored-neighbor bitmask per rank, and new-color symmetry breaking;
+`is_proper` re-checks everything it reports.
 """
 
 from __future__ import annotations
@@ -14,38 +18,34 @@ from dataclasses import dataclass
 from .qcore import QPoint3, Rational, _frac, integral, integral_dist_sq
 
 
-@dataclass(frozen=True)
-class AbstractGraph:
-    """Simple undirected graph on vertices 0..order-1."""
-
-    order: int
-    edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        for u, v in self.edges:
-            if not (0 <= u < v < self.order):
-                raise ValueError(f"edge ({u},{v}) out of range or misordered for order {self.order}")
-
-    def adjacency(self) -> list[set[int]]:
-        adj: list[set[int]] = [set() for _ in range(self.order)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
-
-    @classmethod
-    def from_edges(cls, order: int, pairs) -> AbstractGraph:
-        edges = frozenset((min(u, v), max(u, v)) for u, v in pairs if u != v)
-        return cls(order, edges)
+def adjacency(order: int, edges) -> list[set[int]]:
+    """The neighbor sets of vertices 0..order-1 joined by the pairs `edges`."""
+    adj: list[set[int]] = [set() for _ in range(order)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
 
 
 @dataclass(frozen=True)
-class DistGraph(AbstractGraph):
+class DistGraph:
     """Euclidean distance graph: exact adjacency at one squared distance among
-    `vertices`, which are listed in vertex-index order."""
+    `vertices`, which are listed in vertex-index order; `edges` holds each
+    adjacent pair (u, v) once, with u < v."""
 
     vertices: tuple[QPoint3, ...]
+    edges: frozenset[tuple[int, int]]
     duplicates_merged: int = 0
+
+    def __post_init__(self):
+        n = self.order
+        for u, v in self.edges:
+            if not (0 <= u < v < n):
+                raise ValueError(f"edge ({u},{v}) out of range or misordered for order {n}")
+
+    @property
+    def order(self) -> int:
+        return len(self.vertices)
 
 
 def build_graph(points: list[QPoint3], t: Rational) -> DistGraph:
@@ -72,7 +72,7 @@ def build_graph(points: list[QPoint3], t: Rational) -> DistGraph:
         return b * num == a * den
 
     edges = frozenset((i, j) for i in range(n) for j in range(i + 1, n) if adjacent(i, j))
-    return DistGraph(n, edges, tuple(vertices), len(points) - n)
+    return DistGraph(tuple(vertices), edges, len(points) - n)
 
 
 # --- exact coloring ---------------------------------------------------------------
@@ -89,7 +89,7 @@ def is_proper(adj: list, coloring: tuple[int, ...]) -> bool:
 def k_colorable(adj: list, k: int) -> tuple[int, ...] | None:
     """A proper k-coloring (a color per vertex), or None when none exists (exact decision).
 
-    `adj[v]` holds v's neighbors, as `AbstractGraph.adjacency` gives them.
+    `adj[v]` holds v's neighbors, as `adjacency` gives them.
     Backtracking assigns the most saturated vertex first (ties: degree, then
     lowest index) and never opens color c+1 before colors 0..c are in use.
     Each vertex has a rank, its place in the order by degree descending then
@@ -175,35 +175,28 @@ def is_triangle_free(adj: list[set[int]]) -> bool:
 # --- forced relations under k-coloring --------------------------------------------------
 
 
-def forced_relations(
-    g: AbstractGraph, k: int, max_order: int = 20
-) -> tuple[set[tuple[int, int]], set[tuple[int, int]]]:
-    """Vertex pairs colored identically in every proper k-coloring, and pairs
-    colored differently in every proper k-coloring.
+def forced_relations(adj: list, k: int) -> tuple[set[tuple[int, int]], set[tuple[int, int]]]:
+    """Vertex pairs colored identically in every proper k-coloring of the
+    adjacency list `adj`, and pairs colored differently in every one.
 
     Complete enumeration up to color permutation (sound for both relations,
-    which are permutation-invariant).
+    which are permutation-invariant), for orders up to 20.
     """
-    if g.order > max_order:
-        raise ValueError(f"order {g.order} exceeds the enumeration bound {max_order}")
-    n, adj = g.order, g.adjacency()
+    n = len(adj)
+    if n > 20:
+        raise ValueError(f"order {n} exceeds the enumeration bound 20")
     colors = [-1] * n
-    always_same = {(u, v): True for u in range(n) for v in range(u + 1, n)}
-    always_diff = {(u, v): True for u in range(n) for v in range(u + 1, n)}
-    found = [False]
-
-    def record():
-        found[0] = True
-        for u in range(n):
-            for v in range(u + 1, n):
-                if colors[u] == colors[v]:
-                    always_diff[(u, v)] = False
-                else:
-                    always_same[(u, v)] = False
+    same = {(u, v) for u in range(n) for v in range(u + 1, n)}
+    different = set(same)
+    found = False
 
     def enumerate_from(v: int, max_used: int):
+        nonlocal found
         if v == n:
-            record()
+            found = True
+            # each set only shrinks, so each coloring reads what is left of it
+            same.difference_update([(a, b) for a, b in same if colors[a] != colors[b]])
+            different.difference_update([(a, b) for a, b in different if colors[a] == colors[b]])
             return
         blocked = {colors[u] for u in adj[v] if colors[u] != -1}
         for c in range(min(k - 1, max_used + 1) + 1):
@@ -214,10 +207,8 @@ def forced_relations(
             colors[v] = -1
 
     enumerate_from(0, -1)
-    if not found[0]:
+    if not found:
         raise ValueError(f"graph admits no proper {k}-coloring")
-    same = {p for p, flag in always_same.items() if flag}
-    different = {p for p, flag in always_diff.items() if flag}
     return same, different
 
 
@@ -225,32 +216,5 @@ def forced_relations(
 
 
 def mod3_color(p) -> int:
-    """x + y + z mod 3 for an integer lattice point."""
-    if isinstance(p, QPoint3):
-        coords = p.coords()
-        if any(c.denominator != 1 for c in coords):
-            raise ValueError(f"{p} is not a lattice point")
-        x, y, z = (int(c) for c in coords)
-    else:
-        x, y, z = p
-    return (x + y + z) % 3
-
-
-# --- the device graph ----------------------------------------------------------------
-
-H_LABELS = ("x0", "x1", "x2", "x3", "x4", "y0", "y1", "y3", "y4", "z")
-
-
-def h_graph() -> AbstractGraph:
-    """The Grötzsch graph minus y2 (order 10, 17 edges), vertex order
-    x0..x4, y0, y1, y3, y4, z as in H_LABELS."""
-    y_index = {0: 5, 1: 6, 3: 7, 4: 8}
-    z = 9
-    edges = []
-    for i in range(5):
-        edges.append((i, (i + 1) % 5))
-    for i, yi in y_index.items():
-        edges.append((yi, (i - 1) % 5))
-        edges.append((yi, (i + 1) % 5))
-        edges.append((z, yi))
-    return AbstractGraph.from_edges(10, edges)
+    """x + y + z mod 3 for an integer lattice point (x, y, z)."""
+    return sum(p) % 3

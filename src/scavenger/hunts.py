@@ -33,10 +33,9 @@ from .geom import (
 )
 from .graph import (
     DistGraph,
-    H_LABELS,
+    adjacency,
     build_graph,
     forced_relations,
-    h_graph,
     is_triangle_free,
     k_colorable,
 )
@@ -193,7 +192,7 @@ def greedy_hunt(
     # every candidate pair at squared distance t is joined by a step vector,
     # so these are all the edges build_graph would find
     edges = frozenset((j, m) for m, nbrs in enumerate(adj) for j in nbrs if j < m)
-    graph = DistGraph(len(vertices), edges, tuple(vertices))
+    graph = DistGraph(tuple(vertices), edges)
     if coloring is not None:
         return GreedyResult(graph, coloring, None, None)
     cert = Certificate("direct-chromatic", t, graph.vertices, tuple(sorted(graph.edges)), {})
@@ -342,6 +341,17 @@ def grotzsch_type_hunt(
 
 # --- the forced-pair device --------------------------------------------------------------
 
+H_LABELS = ("x0", "x1", "x2", "x3", "x4", "y0", "y1", "y3", "y4", "z")
+
+
+def h_edges() -> tuple[tuple[int, int], ...]:
+    """The 17 edges of the device, the Grötzsch graph minus y2, on the 10
+    labels: the 5-cycle, each y_i to x_{i-1} and x_{i+1}, and z to each y_i."""
+    pairs = [(i, (i + 1) % 5) for i in range(5)]
+    for i, y in zip((0, 1, 3, 4), range(5, 9)):
+        pairs += [(y, (i - 1) % 5), (y, (i + 1) % 5), (y, 9)]
+    return tuple(sorted((min(a, b), max(a, b)) for a, b in pairs))
+
 
 def circle_plane_intersections(circle: RCircle, plane) -> tuple[QPoint3, ...]:
     """The rational intersection points of a circle with a plane (0, 1, or 2
@@ -472,7 +482,7 @@ def _assemble_device(
     pts = (sym.x0, sym.x1, sym.x2, sym.x3, sym.x4, y0, y1, y3, y4, z)
     # distinct points, the 17 device edges and the branch are decided once, by
     # the verifier's checks
-    cert = Certificate("h-device", int(sym.t), pts, tuple(sorted(h_graph().edges)), {"z": z})
+    cert = Certificate("h-device", int(sym.t), pts, h_edges(), {"z": z})
     checks, data = _device_checks(cert)
     report = Report(tuple(checks))
     if report.failed:
@@ -673,7 +683,7 @@ def _verify_direct(cert: Certificate) -> list[Check]:
             missing = sorted(frozenset(cert.edges) - g.edges)
             extra = sorted(g.edges - frozenset(cert.edges))
             checks.append(Check("edge-set", "FAIL", f"missing={missing} extra={extra}"))
-    adj = g.adjacency()
+    adj = adjacency(g.order, g.edges)
     tf = is_triangle_free(adj)
     checks.append(Check("triangle-free", "PASS" if tf else "FAIL", f"order {g.order}"))
     three = k_colorable(adj, 3)
@@ -743,7 +753,7 @@ def _verify_grotzsch_type(cert: Certificate) -> list[Check]:
     checks.append(Check("degrees", "PASS", "twenty structural degree-3 and five degree-8 vertices"))
 
     structure_ok = not any(c.status == "FAIL" for c in checks)
-    adj = g.adjacency()
+    adj = adjacency(g.order, g.edges)
     three = k_colorable(adj, 3)
     checks.append(
         Check("chromatic", "PASS", f"no proper 3-coloring of the {g.order} distinct points")
@@ -777,8 +787,7 @@ def _device_checks(cert: Certificate) -> tuple[list[Check], dict[str, Rational]]
         return [Check("order", "FAIL", "device points must be distinct")], {}
     checks.append(Check("order", "PASS", "10 distinct points"))
 
-    device = h_graph()
-    shape = tuple(sorted(device.edges))
+    shape = h_edges()
     if cert.edges is not None:
         checks.append(
             Check("h-shape", "PASS", "declared edges match the device shape")
@@ -796,7 +805,7 @@ def _device_checks(cert: Certificate) -> tuple[list[Check], dict[str, Rational]]
         else Check("h-edges", "FAIL", " ".join(bad))
     )
 
-    same, different = forced_relations(device, 3)
+    same, different = forced_relations(adjacency(10, shape), 3)
     x1, x2, x3, z_idx = 1, 2, 3, 9
     fr_ok = (x2, z_idx) in same and (x1, x3) in different
     checks.append(

@@ -18,10 +18,9 @@ from scavenger.cli import parse_vertex_file
 from scavenger.cycles import find_5cycle, gen_vectors, is_5cycle, scan_d
 from scavenger.geom import circle_param, embed_isosceles, equidistant_circle, rational_point_on_circle
 from scavenger.graph import (
-    AbstractGraph,
+    adjacency,
     build_graph,
     forced_relations,
-    h_graph,
     is_proper,
     is_triangle_free,
     k_colorable,
@@ -31,6 +30,7 @@ from scavenger.hunts import (
     Certificate,
     farey_parameters,
     greedy_hunt,
+    h_edges,
     read_certificate,
     verify_certificate,
 )
@@ -59,7 +59,7 @@ def test_criterion_1_t22_table():
     assert g.order == 29
     for u, v in g.edges:
         assert dist_sq(g.vertices[u], g.vertices[v]) == 22
-    adj = g.adjacency()
+    adj = adjacency(g.order, g.edges)
     assert is_triangle_free(adj)
     assert k_colorable(adj, 3) is None
     assert k_colorable(adj, 4) is not None
@@ -109,9 +109,9 @@ def test_criterion_3_t30_device():
     start = time.monotonic()
     cert = read_certificate(DATA / "t30_device.cert")
     pts = cert.points
-    for u, v in h_graph().edges:
+    for u, v in h_edges():
         assert dist_sq(pts[u], pts[v]) == 30
-    same, different = forced_relations(h_graph(), 3)
+    same, different = forced_relations(adjacency(10, h_edges()), 3)
     assert (2, 9) in same  # x2 with z
     assert (1, 3) in different  # x1 against x3
     assert dist_sq(pts[2], pts[0]) == 26
@@ -138,12 +138,12 @@ def test_criterion_3_t30_device():
     )
 
 
-def _exhaustive_colorable(g: AbstractGraph, k: int) -> bool:
-    if g.order == 0:
+def _exhaustive_colorable(n: int, edges: list[tuple[int, int]], k: int) -> bool:
+    if n == 0:
         return True
-    for tail in product(range(k), repeat=g.order - 1):
+    for tail in product(range(k), repeat=n - 1):
         assignment = (0,) + tail
-        if all(assignment[u] != assignment[v] for u, v in g.edges):
+        if all(assignment[u] != assignment[v] for u, v in edges):
             return True
     return False
 
@@ -157,12 +157,11 @@ def test_criterion_4_solver_oracle():
         edges = [
             (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density
         ]
-        g = AbstractGraph.from_edges(n, edges)
-        adj = g.adjacency()
+        adj = adjacency(n, edges)
         for k in (2, 3, 4):
             got = k_colorable(adj, k)
-            want = _exhaustive_colorable(g, k)
-            assert (got is not None) == want, (n, sorted(g.edges), k)
+            want = _exhaustive_colorable(n, edges, k)
+            assert (got is not None) == want, (n, edges, k)
             if got is not None:
                 assert is_proper(adj, got)
                 assert len(set(got)) <= k
@@ -347,7 +346,8 @@ def test_criterion_11_greedy_weak_form():
     result = greedy_hunt(22, seed, 3, F(10), cap=1000)
     assert result.succeeded
     assert result.graph.order <= 1000
-    adj = build_graph(list(result.graph.vertices), 22).adjacency()
+    g = build_graph(list(result.graph.vertices), 22)
+    adj = adjacency(g.order, g.edges)
     assert k_colorable(adj, 3) is None
     assert k_colorable(adj, 4) is not None
     elapsed = time.monotonic() - start

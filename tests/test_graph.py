@@ -13,12 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scavenger.graph import (
-    AbstractGraph,
     DistGraph,
-    H_LABELS,
+    adjacency,
     build_graph,
     forced_relations,
-    h_graph,
     is_proper,
     is_triangle_free,
     k_colorable,
@@ -26,22 +24,28 @@ from scavenger.graph import (
 )
 from scavenger.cli import parse_vertex_file
 from scavenger.hunts import (
+    H_LABELS,
     Certificate,
     format_certificate,
     greedy_hunt,
+    h_edges,
     parse_certificate,
     read_certificate,
 )
 from scavenger.qcore import QPoint3, dist_sq, parse_point, point
 
 
-def brute_colorable(g: AbstractGraph, k: int) -> bool:
+def edge_set(adj: list[set[int]]) -> frozenset[tuple[int, int]]:
+    return frozenset((u, v) for u, nbrs in enumerate(adj) for v in nbrs if u < v)
+
+
+def brute_colorable(adj: list[set[int]], k: int) -> bool:
     """Exhaustive reference decision: scan all k^(n-1) assignments with the
     first vertex pinned (sound for a yes/no answer)."""
-    n = g.order
+    n = len(adj)
     if n == 0:
         return True
-    edges = sorted(g.edges)
+    edges = sorted(edge_set(adj))
     for rest in product(range(k), repeat=n - 1):
         assignment = (0,) + rest
         if all(assignment[u] != assignment[v] for u, v in edges):
@@ -49,12 +53,12 @@ def brute_colorable(g: AbstractGraph, k: int) -> bool:
     return False
 
 
-def random_graph(rng: random.Random, n: int, p: float) -> AbstractGraph:
+def random_graph(rng: random.Random, n: int, p: float) -> list[set[int]]:
     pairs = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
-    return AbstractGraph.from_edges(n, pairs)
+    return adjacency(n, pairs)
 
 
-def grotzsch() -> AbstractGraph:
+def grotzsch() -> list[set[int]]:
     """The triangle-free 4-chromatic graph of minimum order (order 11):
     outer 5-cycle x0..x4 (0..4), inner y_i (5..9) adjacent to x_{i-1} and
     x_{i+1}, hub z (10) adjacent to every y_i."""
@@ -64,13 +68,13 @@ def grotzsch() -> AbstractGraph:
         edges.append((5 + i, (i - 1) % 5))
         edges.append((5 + i, (i + 1) % 5))
         edges.append((10, 5 + i))
-    return AbstractGraph.from_edges(11, edges)
+    return adjacency(11, edges)
 
 
-def induced(g: AbstractGraph, keep: list[int]) -> AbstractGraph:
+def induced(adj: list[set[int]], keep: list[int]) -> list[set[int]]:
     index = {v: i for i, v in enumerate(keep)}
-    return AbstractGraph.from_edges(
-        len(keep), [(index[u], index[v]) for u, v in g.edges if u in index and v in index]
+    return adjacency(
+        len(keep), [(index[u], index[v]) for u, v in edge_set(adj) if u in index and v in index]
     )
 
 
@@ -83,46 +87,44 @@ def test_solver_matches_exhaustive_reference():
         n = rng.randint(1, 8)
         g = random_graph(rng, n, rng.choice([0.2, 0.4, 0.6]))
         k = rng.choice([2, 3, 4])
-        got = k_colorable(g.adjacency(), k)
+        got = k_colorable(g, k)
         want = brute_colorable(g, k)
         assert (got is not None) == want, f"trial {trial}: order {n}, k={k}"
         if got is not None:
-            assert is_proper(g.adjacency(), got)
+            assert is_proper(g, got)
             assert len(set(got)) <= k
 
 
 def test_solver_edge_cases():
-    empty = AbstractGraph.from_edges(0, [])
-    assert k_colorable(empty.adjacency(), 1) == ()
-    single = AbstractGraph.from_edges(1, [])
-    assert k_colorable(single.adjacency(), 1) is not None
-    k2 = AbstractGraph.from_edges(2, [(0, 1)])
-    assert k_colorable(k2.adjacency(), 1) is None
-    assert k_colorable(k2.adjacency(), 2) is not None
+    assert k_colorable(adjacency(0, []), 1) == ()
+    assert k_colorable(adjacency(1, []), 1) is not None
+    k2 = adjacency(2, [(0, 1)])
+    assert k_colorable(k2, 1) is None
+    assert k_colorable(k2, 2) is not None
     with pytest.raises(ValueError):
-        k_colorable(k2.adjacency(), 0)
+        k_colorable(k2, 0)
 
 
 def test_five_cycle_chromatic():
-    c5 = AbstractGraph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
-    assert k_colorable(c5.adjacency(), 2) is None
-    assert k_colorable(c5.adjacency(), 3) is not None
+    c5 = adjacency(5, [(i, (i + 1) % 5) for i in range(5)])
+    assert k_colorable(c5, 2) is None
+    assert k_colorable(c5, 3) is not None
 
 
 def test_complete_graphs():
     for n in range(2, 7):
-        kn = AbstractGraph.from_edges(n, combinations(range(n), 2))
-        assert k_colorable(kn.adjacency(), n - 1) is None
-        assert k_colorable(kn.adjacency(), n) is not None
+        kn = adjacency(n, combinations(range(n), 2))
+        assert k_colorable(kn, n - 1) is None
+        assert k_colorable(kn, n) is not None
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 7), st.randoms(use_true_random=False))
 def test_coloring_reported_is_proper(n, rng):
     g = random_graph(rng, n, 0.5)
-    coloring = k_colorable(g.adjacency(), 3)
+    coloring = k_colorable(g, 3)
     if coloring is not None:
-        assert is_proper(g.adjacency(), coloring)
+        assert is_proper(g, coloring)
         assert max(coloring) <= 2
 
 
@@ -179,10 +181,9 @@ def scan_k_colorable(adj: list[set[int]], k: int) -> tuple[int, ...] | None:
     return tuple(colors) if solve(-1) else None
 
 
-def assert_same_as_oracle(g: AbstractGraph) -> None:
-    adj = g.adjacency()
+def assert_same_as_oracle(adj: list[set[int]]) -> None:
     for k in range(1, 5):
-        assert k_colorable(adj, k) == scan_k_colorable(adj, k), f"order {g.order}, k={k}"
+        assert k_colorable(adj, k) == scan_k_colorable(adj, k), f"order {len(adj)}, k={k}"
 
 
 @settings(max_examples=150, deadline=None)
@@ -202,14 +203,14 @@ def test_solver_matches_scan_oracle_under_deep_backtracking():
         # the search colors the star first and refutes the Grötzsch graph,
         # which has no 3-coloring, once more under each coloring of the star:
         # thousands of backtracks per graph; random pendants shift the order
-        pairs = list(grotzsch().edges) + [(11, 12 + i) for i in range(6)]
+        pairs = list(edge_set(grotzsch())) + [(11, 12 + i) for i in range(6)]
         n = 18
         for _ in range(rng.randint(0, 6)):
             pairs.append((n, rng.randrange(n)))
             n += 1
         label = list(range(n))
         rng.shuffle(label)
-        assert_same_as_oracle(AbstractGraph.from_edges(n, [(label[u], label[v]) for u, v in pairs]))
+        assert_same_as_oracle(adjacency(n, [(label[u], label[v]) for u, v in pairs]))
     for _ in range(24):
         # sparse graphs near the 3-coloring threshold (average degree 4-6)
         n = rng.randint(20, 60)
@@ -225,7 +226,8 @@ def test_solver_matches_scan_oracle_under_deep_backtracking():
 )
 def test_solver_matches_scan_oracle_on_corpus_graphs(name):
     cert = read_certificate(ROOT / name)
-    assert_same_as_oracle(build_graph(list(cert.points), cert.t))
+    g = build_graph(list(cert.points), cert.t)
+    assert_same_as_oracle(adjacency(g.order, g.edges))
 
 
 def test_solver_matches_scan_oracle_on_the_grotzsch_graph():
@@ -237,15 +239,15 @@ def test_solver_matches_scan_oracle_on_a_grown_greedy_graph():
     seed = parse_vertex_file(ROOT / "data" / "t22_seed.txt").points
     res = greedy_hunt(22, list(seed), 15, cap=120)
     assert res.graph.order == 120
-    assert_same_as_oracle(res.graph)
+    assert_same_as_oracle(adjacency(res.graph.order, res.graph.edges))
 
 
 def test_solver_restores_the_recursion_limit():
-    path = AbstractGraph.from_edges(682, [(v, v + 1) for v in range(681)])
+    path = adjacency(682, [(v, v + 1) for v in range(681)])
     before = sys.getrecursionlimit()
-    assert is_proper(path.adjacency(), k_colorable(path.adjacency(), 2))
+    assert is_proper(path, k_colorable(path, 2))
     assert sys.getrecursionlimit() == before
-    assert k_colorable(path.adjacency(), 1) is None
+    assert k_colorable(path, 1) is None
     assert sys.getrecursionlimit() == before
 
 
@@ -253,12 +255,11 @@ def test_solver_restores_the_recursion_limit():
 
 
 def test_small_mycielskian_shape():
-    g = grotzsch()
-    assert g.order == 11
-    assert len(g.edges) == 20
-    degrees = sorted(len(a) for a in g.adjacency())
+    adj = grotzsch()
+    assert len(adj) == 11
+    assert len(edge_set(adj)) == 20
+    degrees = sorted(len(a) for a in adj)
     assert degrees == [3, 3, 3, 3, 3, 4, 4, 4, 4, 4, 5]
-    adj = g.adjacency()
     assert is_triangle_free(adj)
     assert k_colorable(adj, 3) is None
     assert k_colorable(adj, 4) is not None
@@ -267,24 +268,25 @@ def test_small_mycielskian_shape():
 def test_small_mycielskian_is_vertex_critical():
     g = grotzsch()
     for v in range(11):
-        assert k_colorable(induced(g, [u for u in range(11) if u != v]).adjacency(), 3) is not None
+        assert k_colorable(induced(g, [u for u in range(11) if u != v]), 3) is not None
 
 
 def test_hub_deleted_graph_shape():
-    h = h_graph()
-    assert h.order == 10 == len(H_LABELS)
-    assert len(h.edges) == 17
-    assert k_colorable(h.adjacency(), 2) is None
-    assert k_colorable(h.adjacency(), 3) is not None
+    shape = h_edges()
+    assert len(H_LABELS) == 10
+    assert len(shape) == 17
+    assert shape == tuple(sorted(shape))
+    h = adjacency(10, shape)
+    assert k_colorable(h, 2) is None
+    assert k_colorable(h, 3) is not None
     # h is the order-11 graph with one inner vertex removed; its neighbors there
     # were x1, x3, and z.
     y2 = 7
-    assert h.edges == induced(grotzsch(), [v for v in range(11) if v != y2]).edges
+    assert frozenset(shape) == edge_set(induced(grotzsch(), [v for v in range(11) if v != y2]))
 
 
 def test_forced_relations_of_hub_deleted_graph():
-    h = h_graph()
-    same, different = forced_relations(h, 3)
+    same, different = forced_relations(adjacency(10, h_edges()), 3)
     x1, x2, x3 = 1, 2, 3
     z = H_LABELS.index("z")
     assert same == {(1, 8), (2, 9), (3, 5)}
@@ -295,12 +297,12 @@ def test_forced_relations_of_hub_deleted_graph():
 
 
 def test_forced_relations_bounds_and_errors():
-    k4 = AbstractGraph.from_edges(4, combinations(range(4), 2))
-    with pytest.raises(ValueError):
-        forced_relations(k4, 3)  # admits no proper 3-coloring
-    big = AbstractGraph.from_edges(21, [])
-    with pytest.raises(ValueError):
-        forced_relations(big, 2)
+    k4 = adjacency(4, combinations(range(4), 2))
+    with pytest.raises(ValueError, match="^graph admits no proper 3-coloring$"):
+        forced_relations(k4, 3)
+    forced_relations(adjacency(20, []), 1)
+    with pytest.raises(ValueError, match="^order 21 exceeds the enumeration bound 20$"):
+        forced_relations(adjacency(21, []), 2)
 
 
 def test_forced_relations_versus_unrestricted_enumeration():
@@ -322,7 +324,7 @@ def test_forced_relations_versus_unrestricted_enumeration():
                             diff_ref.discard((u, v))
                         else:
                             same_ref.discard((u, v))
-            g = AbstractGraph.from_edges(n, pairs)
+            g = adjacency(n, pairs)
             if not colorable:
                 with pytest.raises(ValueError, match=f"^graph admits no proper {k}-coloring$"):
                     forced_relations(g, k)
@@ -353,14 +355,11 @@ def test_build_graph_deduplicates_preserving_order():
     assert g.edges == frozenset([(0, 1), (1, 2)])
 
 
-def test_distance_graph_is_an_abstract_graph():
+def test_distance_graph_order_and_adjacency():
     pts = [point(0, 0, 0), point(1, 0, 0), point(2, 0, 0)]
     g = build_graph(pts, 1)
-    assert isinstance(g, AbstractGraph)
     assert g.order == len(g.vertices) == 3
-    assert g.adjacency() == [{1}, {0, 2}, {1}]
-    with pytest.raises(ValueError):
-        DistGraph(2, frozenset([(0, 2)]), tuple(pts[:2]))
+    assert adjacency(g.order, g.edges) == [{1}, {0, 2}, {1}]
 
 
 def test_build_graph_rejections():
@@ -458,9 +457,9 @@ def _with_edges(edge_lines: str) -> str:
 def test_edge_list_roundtrip():
     g = grotzsch()
     points = tuple(point(i, 0, 0) for i in range(11))
-    cert = Certificate("direct-chromatic", 1, points, tuple(sorted(g.edges)))
+    cert = Certificate("direct-chromatic", 1, points, tuple(sorted(edge_set(g))))
     again = parse_certificate(format_certificate(cert))
-    assert AbstractGraph.from_edges(len(again.points), again.edges) == g
+    assert adjacency(len(again.points), again.edges) == g
 
 
 def test_edge_list_parsing():
@@ -471,24 +470,24 @@ def test_edge_list_parsing():
             parse_certificate(_with_edges(f"0 1\n{bad}\n"))
 
 
-# --- abstract graph validation -------------------------------------------------------
+# --- distance graph validation -------------------------------------------------------
 
 
-def test_abstract_graph_validation():
-    with pytest.raises(ValueError):
-        AbstractGraph(2, frozenset([(0, 2)]))
-    with pytest.raises(ValueError):
-        AbstractGraph(2, frozenset([(1, 0)]))
+def test_distance_graph_validation():
+    pts = (point(0, 0, 0), point(1, 0, 0))
+    with pytest.raises(ValueError, match=r"^edge \(0,2\) out of range or misordered for order 2$"):
+        DistGraph(pts, frozenset([(0, 2)]))
+    with pytest.raises(ValueError, match=r"^edge \(1,0\) out of range"):
+        DistGraph(pts, frozenset([(1, 0)]))
+    assert DistGraph(pts, frozenset([(0, 1)])).order == 2
 
 
 # --- triangle freeness ----------------------------------------------------------------
 
 
 def test_triangle_detection():
-    tri = AbstractGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-    assert not is_triangle_free(tri.adjacency())
-    path = AbstractGraph.from_edges(3, [(0, 1), (1, 2)])
-    assert is_triangle_free(path.adjacency())
+    assert not is_triangle_free(adjacency(3, [(0, 1), (1, 2), (0, 2)]))
+    assert is_triangle_free(adjacency(3, [(0, 1), (1, 2)]))
 
 
 # --- the lattice 3-coloring -----------------------------------------------------------
@@ -512,17 +511,10 @@ def test_lattice_coloring_separates_small_vectors(d):
         assert mod3_color((0, 0, 0)) != mod3_color(v)
 
 
-def test_lattice_coloring_rejects_fractional_points():
-    assert mod3_color(point(1, 2, 3)) == 0
-    assert mod3_color(point(1, 2, 4)) == 1
-    with pytest.raises(ValueError):
-        mod3_color(point(Fraction(1, 2), 0, 0))
-
-
 def test_lattice_coloring_is_proper_on_a_patch():
     d = 5
-    pts = [point(x, y, z) for x in range(4) for y in range(4) for z in range(4)]
-    g = build_graph(pts, 2 * d)
+    triples = list(product(range(4), repeat=3))
+    g = build_graph([point(*tr) for tr in triples], 2 * d)
     assert g.edges
     for u, v in g.edges:
-        assert mod3_color(g.vertices[u]) != mod3_color(g.vertices[v])
+        assert mod3_color(triples[u]) != mod3_color(triples[v])
