@@ -222,6 +222,7 @@ def test_solver_matches_scan_oracle_under_deep_backtracking():
     [
         *(f"data/{p.name}" for p in sorted((ROOT / "data").glob("*.cert"))),
         "perfbench/inputs/t22_greedy144.cert",
+        "perfbench/inputs/t22_greedy682.cert",
     ],
 )
 def test_solver_matches_scan_oracle_on_corpus_graphs(name):
