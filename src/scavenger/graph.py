@@ -5,8 +5,8 @@ squared distance.  Every graph routine reads an adjacency list, and
 `adjacency` is the one place where an edge set becomes one.
 
 The coloring solver is exact backtracking with saturation-first (DSATUR)
-vertex selection, served from per-saturation sets of vertex ranks with one
-colored-neighbor bitmask per rank, and new-color symmetry breaking;
+vertex selection, kept as integer bitsets over vertex ranks (one per color
+and one per saturation level), and new-color symmetry breaking;
 `is_proper` re-checks everything it reports.
 """
 
@@ -93,8 +93,10 @@ def k_colorable(adj: list, k: int) -> tuple[int, ...] | None:
     Backtracking assigns the most saturated vertex first (ties: degree, then
     lowest index) and never opens color c+1 before colors 0..c are in use.
     Each vertex has a rank, its place in the order by degree descending then
-    index; the uncolored ranks sit in one set per saturation 0..k, so the
-    next vertex is the least rank of the highest non-empty set.
+    index, and the state is bitsets over ranks: per color, the ranks with a
+    neighbor of that color; per saturation 0..k, the uncolored ranks with
+    that many neighbor colors.  The next vertex is the least rank of the
+    highest non-empty saturation set.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
@@ -103,61 +105,49 @@ def k_colorable(adj: list, k: int) -> tuple[int, ...] | None:
     rank = [0] * n
     for r, v in enumerate(order):
         rank[v] = r
-    # all state below is by rank; a colored rank's mask stays frozen: every
-    # change made while it is colored is undone before it is uncolored
-    nbrs = [[rank[u] for u in adj[v]] for v in order]
-    colors = [-1] * n
-    masks = [0] * n  # bit c: some colored neighbor has color c
-    sat = [0] * n
-    buckets = [set(range(n))] + [set() for _ in range(k)]  # uncolored ranks by saturation
+    bits = [1 << r for r in rank]
+    nb = []  # by rank: the bitset of its neighbors' ranks
+    for v in order:
+        mask = 0
+        for u in adj[v]:
+            mask |= bits[u]
+        nb.append(mask)
+    colors = [0] * n  # by rank; read only once every rank is colored
+    top, below = range(k, -1, -1), range(k - 1, -1, -1)
 
-    def paint(v: int, bit: int) -> list[int]:
-        # the uncolored neighbors that gain the color: undo clears exactly these
-        gained = []
-        for u in nbrs[v]:
-            if colors[u] < 0 and not masks[u] & bit:
-                masks[u] |= bit
-                s = sat[u]
-                buckets[s].remove(u)
-                buckets[s + 1].add(u)
-                sat[u] = s + 1
-                gained.append(u)
-        return gained
-
-    def unpaint(gained: list[int], bit: int) -> None:
-        for u in gained:
-            masks[u] ^= bit
-            s = sat[u]
-            buckets[s].remove(u)
-            buckets[s - 1].add(u)
-            sat[u] = s - 1
-
-    def solve(max_used: int) -> bool:
-        for s in range(k, -1, -1):
-            if buckets[s]:
+    def solve(levels: list[int], touched: list[int], used: int) -> bool:
+        # levels[s]: the uncolored ranks with s neighbor colors; touched[c]: the
+        # ranks with a neighbor colored c; colors 0..used-1 are in use.  Each
+        # step paints on fresh copies of both lists, so nothing is undone.
+        for s in top:
+            if levels[s]:
                 break
         else:
             return True
-        v = min(buckets[s])
-        buckets[s].remove(v)
-        blocked = masks[v]
-        for c in range(min(k - 1, max_used + 1) + 1):
-            bit = 1 << c
-            if blocked & bit:
+        bit = levels[s] & -levels[s]
+        v = bit.bit_length() - 1
+        for c in range(used + 1 if used < k else k):
+            if touched[c] & bit:
                 continue
             colors[v] = c
-            gained = paint(v, bit)
-            if solve(max(max_used, c)):
+            gain = nb[v] & ~touched[c]  # the neighbors that gain color c
+            up = levels.copy()
+            up[s] ^= bit
+            for j in below:  # highest first, so no rank moves twice
+                moved = up[j] & gain
+                if moved:
+                    up[j] ^= moved
+                    up[j + 1] |= moved
+            now = touched.copy()
+            now[c] |= gain
+            if solve(up, now, used + 1 if c == used else used):
                 return True
-            colors[v] = -1
-            unpaint(gained, bit)
-        buckets[s].add(v)
         return False
 
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 4 * n + 1000))
     try:
-        solved = solve(-1)
+        solved = solve([(1 << n) - 1] + [0] * k, [0] * k, 0)
     finally:
         sys.setrecursionlimit(limit)
     if solved:
