@@ -136,8 +136,9 @@ ROOT = Path(__file__).resolve().parent.parent
 def scan_k_colorable(adj: list[set[int]], k: int) -> tuple[int, ...] | None:
     """The solver with its next vertex found by scanning every vertex for the
     key (saturation, degree, -index): the same search as `k_colorable`,
-    without saturation buckets or bitmasks (reference oracle; orders below
-    the default recursion limit only)."""
+    without vertex ranks or bitsets, undoing each step by neighbor color
+    counts (reference oracle; orders below the default recursion limit
+    only)."""
     n = len(adj)
     colors = [-1] * n
     neighbor_colors: list[dict[int, int]] = [{} for _ in range(n)]
